@@ -7,7 +7,7 @@ from .circuit import (Circuit, EPS_ANGLE, GateKind, Instruction, ParseError,
 from .synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx, compose_u3,
                     merge_1q_runs, prepare_two_qubit_state, pure_to_pure_gate,
                     pure_to_zero_gate, u3_matrix, unroll, zyz_decompose)
-from .analysis import (BasisState, BasisTracker, PureTracker, basis_transition,
+from .analysis import (BASIS, PURE, BasisState, Tracker, basis_transition,
                        classify_pure_as_basis, pure_transition)
 from .oracle import (AnnotationError, EquivalenceReport, ResetError,
                      equivalent_up_to_global_phase, reduced_qubit_state,

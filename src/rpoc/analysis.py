@@ -1,24 +1,26 @@
-"""Per-qubit static state tracking.
+"""Per-qubit static state tracking: one tracker over two abstract domains.
 
-Two abstract domains, both initialized to the ground state on every wire:
+A `Tracker` keeps one abstract state per wire, starting from the domain's
+ground state.  Single-qubit gates, RESET, ANNOT and MEASURE go through the
+domain's transfer function; SWAP exchanges two states, and so does SWAPZ
+when the domain's zero test holds for its designated operand; every other
+multi-qubit gate sends its operands to the domain's unknown element.
 
-- BasisState: the six octahedron states |0>, |1>, |+>, |->, |+i>, |-i> plus
-  the unknown state TOP.  Single-qubit gates move a tracked state by direct
+- BASIS: the six octahedron states |0>, |1>, |+>, |->, |+i>, |-i> plus the
+  unknown state TOP.  Single-qubit gates move a tracked state by direct
   matrix action followed by ray classification, which reproduces the named
   half/quarter-turn transitions and widens everything else to TOP.
-- Pure state: a (theta, phi) pair with |psi> = cos(theta/2)|0> +
+- PURE: a (theta, phi) pair with |psi> = cos(theta/2)|0> +
   e^{i phi} sin(theta/2)|1>, or None for unknown.  Single-qubit gates advance
   it by u3 merging; the leftover lambda never moves |0> and is dropped.
-
-Multi-qubit gates conservatively send their operands to unknown, except
-SWAP (states exchange) and SWAPZ when its designated operand is tracked as
-the zero state.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
 import numpy as np
 
@@ -121,19 +123,52 @@ def pure_transition(s: tuple[float, float] | None,
     return canonical_pure(merged.theta, merged.phi)
 
 
-def _is_tracked_zero_pure(s: tuple[float, float] | None) -> bool:
-    return s is not None and angles_equal(s[0], 0.0)
+def _pure_transfer(s: tuple[float, float] | None,
+                   inst: Instruction) -> tuple[float, float] | None:
+    k = inst.kind
+    if k is GateKind.RESET:
+        return (0.0, 0.0)
+    if k is GateKind.ANNOT:
+        return canonical_pure(*inst.params)
+    if k is GateKind.MEASURE:
+        return None
+    return pure_transition(s, as_u3params(inst))
 
 
-class BasisTracker:
-    """Per-qubit basis-state map driven by kept-gate semantics."""
+@dataclass(frozen=True)
+class Domain:
+    """An abstract domain of single-qubit states.
 
-    def __init__(self, n_qubits: int):
-        self.states: list[BasisState] = [BasisState.ZERO] * n_qubits
+    `ground` is the state every wire starts in, `unknown` the top element,
+    `transfer(state, inst)` the post-state under a single-qubit unitary,
+    RESET, ANNOT or MEASURE, and `is_zero(state)` whether a SWAPZ designated
+    on a wire in that state is a true SWAP."""
+
+    ground: Any
+    unknown: Any
+    transfer: Callable[[Any, Instruction], Any]
+    is_zero: Callable[[Any], bool]
+
+
+BASIS = Domain(BasisState.ZERO, BasisState.TOP,
+               lambda s, inst: basis_transition(s, inst.kind, inst.params),
+               lambda s: s is BasisState.ZERO)
+PURE = Domain((0.0, 0.0), None, _pure_transfer,
+              lambda s: s is not None and angles_equal(s[0], 0.0))
+
+_WIRE_KINDS = (GateKind.RESET, GateKind.ANNOT, GateKind.MEASURE)
+
+
+class Tracker:
+    """Per-qubit state map over one domain, driven by kept-gate semantics."""
+
+    def __init__(self, n_qubits: int, domain: Domain):
+        self.domain = domain
+        self.states: list = [domain.ground] * n_qubits
 
     def set_top(self, qubits) -> None:
         for q in qubits:
-            self.states[q] = BasisState.TOP
+            self.states[q] = self.domain.unknown
 
     def swap(self, a: int, b: int) -> None:
         self.states[a], self.states[b] = self.states[b], self.states[a]
@@ -142,80 +177,12 @@ class BasisTracker:
         k = inst.kind
         if k is GateKind.BARRIER:
             return
-        if inst.is_1q or k in (GateKind.RESET, GateKind.ANNOT, GateKind.MEASURE):
+        if inst.is_1q or k in _WIRE_KINDS:
             q = inst.qubits[0]
-            self.states[q] = basis_transition(self.states[q], k, inst.params)
-            return
-        if k is GateKind.SWAP:
+            self.states[q] = self.domain.transfer(self.states[q], inst)
+        elif k is GateKind.SWAP or (
+                k is GateKind.SWAPZ
+                and self.domain.is_zero(self.states[inst.qubits[1]])):
             self.swap(*inst.qubits)
-            return
-        if k is GateKind.SWAPZ:
-            a, z = inst.qubits
-            if self.states[z] is BasisState.ZERO:
-                self.swap(a, z)
-            else:
-                self.set_top(inst.qubits)
-            return
-        self.set_top(inst.qubits)
-
-    def apply_multiqubit(self, inst: Instruction,
-                         replacement: list[Instruction] | None) -> None:
-        """Update for a rewritten multi-qubit gate: None means the gate was
-        kept; otherwise the replacement instructions are stepped in order
-        (an empty list leaves every state untouched)."""
-        if replacement is None:
-            self.step(inst)
         else:
-            for r in replacement:
-                self.step(r)
-
-
-class PureTracker:
-    """Per-qubit pure-state map; entries are (theta, phi) or None for unknown."""
-
-    def __init__(self, n_qubits: int):
-        self.states: list[tuple[float, float] | None] = [(0.0, 0.0)] * n_qubits
-
-    def set_top(self, qubits) -> None:
-        for q in qubits:
-            self.states[q] = None
-
-    def swap(self, a: int, b: int) -> None:
-        self.states[a], self.states[b] = self.states[b], self.states[a]
-
-    def step(self, inst: Instruction) -> None:
-        k = inst.kind
-        if k is GateKind.BARRIER:
-            return
-        if k is GateKind.RESET:
-            self.states[inst.qubits[0]] = (0.0, 0.0)
-            return
-        if k is GateKind.ANNOT:
-            self.states[inst.qubits[0]] = canonical_pure(*inst.params)
-            return
-        if k is GateKind.MEASURE:
-            self.states[inst.qubits[0]] = None
-            return
-        if inst.is_1q:
-            q = inst.qubits[0]
-            self.states[q] = pure_transition(self.states[q], as_u3params(inst))
-            return
-        if k is GateKind.SWAP:
-            self.swap(*inst.qubits)
-            return
-        if k is GateKind.SWAPZ:
-            a, z = inst.qubits
-            if _is_tracked_zero_pure(self.states[z]):
-                self.swap(a, z)
-            else:
-                self.set_top(inst.qubits)
-            return
-        self.set_top(inst.qubits)
-
-    def apply_multiqubit(self, inst: Instruction,
-                         replacement: list[Instruction] | None) -> None:
-        if replacement is None:
-            self.step(inst)
-        else:
-            for r in replacement:
-                self.step(r)
+            self.set_top(inst.qubits)

@@ -4,10 +4,12 @@ The two rewrite passes interleave per-qubit state analysis with rewriting in
 a single in-order traversal, so a removed gate never clobbers the states it
 would have destroyed:
 
-- qbo: tracks six basis states per wire and applies the CX/SWAP rewrite
-  tables plus multi-controlled-gate rules.  Rewrites change the circuit's
-  unitary but preserve its action on the tracked inputs, up to global phase.
-- qpo: tracks (theta, phi) pure states per wire, strength-reduces SWAPs on
+- qbo: tracks the BASIS domain per wire and applies the CX/SWAP rewrite
+  tables through cx_cell_instructions/swap_cell_instructions plus
+  multi-controlled-gate rules.  Rewrites change the circuit's unitary but
+  preserve its action on the tracked inputs, up to global phase; so a
+  rewritten SWAP exchanges the states tracked before it, whatever it emits.
+- qpo: tracks the PURE domain per wire, strength-reduces SWAPs on
   known states, rewrites controlled-SWAPs with known targets, and optionally
   re-synthesizes two-qubit blocks with known inputs into a state-preparation
   circuit of at most one CX.
@@ -24,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (BasisState, BasisTracker, PureTracker,
-                       basis_transition, vector_to_pure)
+from .analysis import BASIS, PURE, BasisState, Tracker, vector_to_pure
 from .circuit import Circuit, GateKind, GATES_1Q, Instruction
 from .oracle import simulate
 from .synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
-                    merge_1q_runs, prepare_two_qubit_state, pure_state_vector,
-                    pure_to_pure_gate, pure_to_zero_gate, u3params_instruction,
-                    unroll, _open_control_wrap)
+                    cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
+                    pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
+                    swapz_to_cx, u3params_instruction, unroll, _make_mcx,
+                    _open_control_wrap)
 
 _B = BasisState
 _K = GateKind
@@ -123,7 +125,7 @@ def _table_state(s: BasisState) -> BasisState:
 def cx_cell_instructions(control_state: BasisState, target_state: BasisState,
                          c: int, t: int) -> list[Instruction] | None:
     """Replacement of CX(c, t) under the given tracked states (None = keep)."""
-    cell = CX_CELLS[(control_state, target_state)]
+    cell = CX_CELLS[(_table_state(control_state), _table_state(target_state))]
     if cell is KEEP:
         return None
     return [Instruction(kind, (c if role == "c" else t,)) for kind, role in cell]
@@ -132,7 +134,7 @@ def cx_cell_instructions(control_state: BasisState, target_state: BasisState,
 def swap_cell_instructions(top_state: BasisState, bottom_state: BasisState,
                            a: int, b: int) -> list[Instruction] | None:
     """Replacement of SWAP(a, b) under the given tracked states (None = keep)."""
-    cell = SWAP_CELLS[(top_state, bottom_state)]
+    cell = SWAP_CELLS[(_table_state(top_state), _table_state(bottom_state))]
     if cell is KEEP:
         return None
     out = []
@@ -156,43 +158,53 @@ def qbo(c: Circuit) -> Circuit:
     state tracking with strength reduction of CX/CZ/SWAP/SWAPZ, Toffoli-style
     multi-controlled gates and controlled swaps.  CX count never increases."""
     out: list[Instruction] = []
-    tr = BasisTracker(c.n_qubits)
+    tr = Tracker(c.n_qubits, BASIS)
     _PASSTHROUGH = (_K.BARRIER, _K.MEASURE, _K.RESET, _K.ANNOT)
+
+    def keep(inst: Instruction) -> None:
+        out.append(inst)
+        tr.step(inst)
+
+    def visit_all(insts: list[Instruction]) -> None:
+        for sub in insts:
+            visit(sub)
 
     def visit(inst: Instruction) -> None:
         k = inst.kind
         if k in _PASSTHROUGH:
-            out.append(inst)
-            tr.step(inst)
+            keep(inst)
             return
         if inst.open_mask:
-            for sub in _open_control_wrap(inst):
-                visit(sub)
+            visit_all(_open_control_wrap(inst))
             return
         if inst.is_1q:
             q = inst.qubits[0]
             s = tr.states[q]
-            new = basis_transition(s, k, inst.params)
+            new = BASIS.transfer(s, inst)
             if s is not _B.TOP and new == s:
                 return  # tracked state is a fixed ray of the gate: drop it
             out.append(inst)
             tr.states[q] = new
             return
         if k is _K.CX:
-            visit_cx(inst)
+            cq, tq = inst.qubits
+            repl = cx_cell_instructions(tr.states[cq], tr.states[tq], cq, tq)
+            if repl is None:
+                keep(inst)
+            else:
+                visit_all(repl)
         elif k is _K.CZ:
             visit_cz(inst)
         elif k is _K.SWAP:
             visit_swaplike(*inst.qubits)
         elif k is _K.SWAPZ:
             a, z = inst.qubits
-            if tr.states[z] is _B.ZERO:
+            if BASIS.is_zero(tr.states[z]):
                 # Validated: semantically a SWAP from here on.
                 visit_swaplike(a, z)
             else:
                 # Unverifiable zero designation: fall back to the definition.
-                visit(Instruction(_K.CX, (a, z)))
-                visit(Instruction(_K.CX, (z, a)))
+                visit_all(swapz_to_cx(a, z))
         elif k is _K.CCX or k is _K.MCX:
             visit_mcx(inst)
         elif k is _K.CSWAP:
@@ -200,18 +212,7 @@ def qbo(c: Circuit) -> Circuit:
         elif k is _K.CU3:
             visit_cu3(inst)
         else:
-            out.append(inst)
-            tr.set_top(inst.qubits)
-
-    def visit_cx(inst: Instruction) -> None:
-        cq, tq = inst.qubits
-        cell = CX_CELLS[(_table_state(tr.states[cq]), _table_state(tr.states[tq]))]
-        if cell is KEEP:
-            out.append(inst)
-            tr.set_top(inst.qubits)
-            return
-        for kind, role in cell:
-            visit(Instruction(kind, (cq if role == "c" else tq,)))
+            keep(inst)
 
     def visit_cz(inst: Instruction) -> None:
         a, b = inst.qubits
@@ -224,24 +225,14 @@ def qbo(c: Circuit) -> Circuit:
         if sb is _B.ONE:
             visit(Instruction(_K.Z, (a,)))
             return
-        out.append(inst)
-        tr.set_top(inst.qubits)
+        keep(inst)
 
     def visit_swaplike(a: int, b: int) -> None:
-        cell = SWAP_CELLS[(_table_state(tr.states[a]), _table_state(tr.states[b]))]
-        if cell is KEEP:
-            out.append(Instruction(_K.SWAP, (a, b)))
-            tr.swap(a, b)
-            return
-        for op in cell:
-            if op[0] == _SWAPZ:
-                z = a if op[1] == "a" else b
-                other = b if z == a else a
-                out.append(Instruction(_K.SWAPZ, (other, z)))
-                tr.swap(a, b)
-            else:
-                kind, role = op
-                visit(Instruction(kind, (a if role == "a" else b,)))
+        # Every cell acts as the SWAP it replaces on its tracked inputs, so
+        # the pre-rewrite states are exchanged whatever the cell emits.
+        repl = swap_cell_instructions(tr.states[a], tr.states[b], a, b)
+        out.extend([Instruction(_K.SWAP, (a, b))] if repl is None else repl)
+        tr.swap(a, b)
 
     def visit_mcx(inst: Instruction) -> None:
         controls, target = inst.qubits[:-1], inst.qubits[-1]
@@ -249,9 +240,9 @@ def qbo(c: Circuit) -> Circuit:
             return
         if tr.states[target] is _B.PLUS:
             return
-        keep = tuple(q for q in controls if tr.states[q] is not _B.ONE)
-        if len(keep) < len(controls):
-            visit(_mk_mcx(keep, target))
+        keep_controls = tuple(q for q in controls if tr.states[q] is not _B.ONE)
+        if len(keep_controls) < len(controls):
+            visit(_make_mcx(keep_controls, target))
             return
         if tr.states[target] is _B.MINUS:
             # Phase kickback: a controlled-Z among the controls, target on
@@ -263,11 +254,10 @@ def qbo(c: Circuit) -> Circuit:
             else:
                 last = controls[-1]
                 visit(Instruction(_K.H, (last,)))
-                visit(_mk_mcx(controls[:-1], last))
+                visit(_make_mcx(controls[:-1], last))
                 visit(Instruction(_K.H, (last,)))
             return
-        out.append(inst)
-        tr.set_top(inst.qubits)
+        keep(inst)
 
     def visit_cswap(inst: Instruction) -> None:
         cq, t1, t2 = inst.qubits
@@ -278,12 +268,9 @@ def qbo(c: Circuit) -> Circuit:
             return
         if tr.states[t1] is not _B.TOP or tr.states[t2] is not _B.TOP:
             # Known swap target: decompose so the first CX can be reduced.
-            visit(Instruction(_K.CX, (t2, t1)))
-            visit(Instruction(_K.CCX, (cq, t1, t2)))
-            visit(Instruction(_K.CX, (t2, t1)))
+            visit_all(cswap_to_ccx(cq, t1, t2))
             return
-        out.append(inst)
-        tr.set_top(inst.qubits)
+        keep(inst)
 
     def visit_cu3(inst: Instruction) -> None:
         cq, tq = inst.qubits
@@ -292,22 +279,10 @@ def qbo(c: Circuit) -> Circuit:
         if tr.states[cq] is _B.ONE:
             visit(Instruction(_K.U3, (tq,), inst.params))
             return
-        out.append(inst)
-        tr.set_top(inst.qubits)
+        keep(inst)
 
-    for inst in c.instructions:
-        visit(inst)
+    visit_all(c.instructions)
     return c.replace(out)
-
-
-def _mk_mcx(controls: tuple[int, ...], target: int) -> Instruction:
-    if len(controls) == 0:
-        return Instruction(_K.X, (target,))
-    if len(controls) == 1:
-        return Instruction(_K.CX, (controls[0], target))
-    if len(controls) == 2:
-        return Instruction(_K.CCX, (controls[0], controls[1], target))
-    return Instruction(_K.MCX, controls + (target,))
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +310,18 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     circuit with at most one CX.
     """
     out: list[Instruction] = []
-    tr = PureTracker(c.n_qubits)
+    tr = Tracker(c.n_qubits, PURE)
     insts = c.instructions
     consumed: set[int] = set()
+
+    def keep(inst: Instruction) -> None:
+        out.append(inst)
+        tr.step(inst)
 
     def emit_params(p: U3Params, q: int) -> None:
         inst = u3params_instruction(p, q)
         if inst is not None:
-            out.append(inst)
-            tr.step(inst)
+            keep(inst)
 
     def collect_block(start: int, a: int, b: int) -> tuple[list[int], int]:
         pair = {a, b}
@@ -393,59 +371,36 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                     consumed.update(members)
                     continue
 
-        if k in (_K.BARRIER, _K.MEASURE, _K.RESET, _K.ANNOT):
-            out.append(inst)
-            tr.step(inst)
-        elif inst.is_1q:
-            out.append(inst)
-            tr.step(inst)
-        elif k is _K.SWAP:
-            a, b = inst.qubits
+        qs = inst.qubits
+        known = [tr.states[q] is not None for q in qs]
+        if k is _K.SWAP and any(known):
+            a, b = qs
             sa, sb = tr.states[a], tr.states[b]
-            if sa is not None and sb is not None:
+            if all(known):
                 emit_params(pure_to_pure_gate(sa, sb), a)
                 emit_params(pure_to_pure_gate(sb, sa), b)
-            elif sa is not None or sb is not None:
-                known = a if sa is not None else b
-                other = b if known == a else a
-                theta, phi = tr.states[known]
-                emit_params(pure_to_zero_gate(theta, phi), known)
-                sz = Instruction(_K.SWAPZ, (other, known))
-                out.append(sz)
-                tr.step(sz)
+            else:
+                known_q, other = (a, b) if known[0] else (b, a)
+                theta, phi = tr.states[known_q]
+                emit_params(pure_to_zero_gate(theta, phi), known_q)
+                keep(Instruction(_K.SWAPZ, (other, known_q)))
                 emit_params(U3Params(theta, phi, 0.0), other)
-            else:
-                out.append(inst)
-                tr.swap(a, b)
-        elif k is _K.SWAPZ:
-            a, z = inst.qubits
-            sz_state = tr.states[z]
-            zero_ok = sz_state is not None and abs(sz_state[0]) < 1e-8
-            if zero_ok and tr.states[a] is not None:
-                sa = tr.states[a]
-                emit_params(pure_to_pure_gate(sa, sz_state), a)
-                emit_params(pure_to_pure_gate(sz_state, sa), z)
-            else:
-                out.append(inst)
-                tr.step(inst)
-        elif k is _K.CSWAP:
-            cq, t1, t2 = inst.qubits
-            s1, s2 = tr.states[t1], tr.states[t2]
-            if s1 is not None and s2 is not None:
-                p = pure_to_pure_gate(s1, s2)
-                if not p.is_identity():
-                    out.append(Instruction(_K.CU3, (cq, t1),
-                                           (p.theta, p.phi, p.lam)))
-                    pinv = p.inverse()
-                    out.append(Instruction(_K.CU3, (cq, t2),
-                                           (pinv.theta, pinv.phi, pinv.lam)))
-                    tr.set_top(inst.qubits)
-            else:
-                out.append(inst)
-                tr.set_top(inst.qubits)
+        elif k is _K.SWAPZ and all(known) and PURE.is_zero(tr.states[qs[1]]):
+            a, z = qs
+            sa, sz = tr.states[a], tr.states[z]
+            emit_params(pure_to_pure_gate(sa, sz), a)
+            emit_params(pure_to_pure_gate(sz, sa), z)
+        elif k is _K.CSWAP and known[1] and known[2]:
+            cq, t1, t2 = qs
+            p = pure_to_pure_gate(tr.states[t1], tr.states[t2])
+            if not p.is_identity():
+                pinv = p.inverse()
+                out.append(Instruction(_K.CU3, (cq, t1), (p.theta, p.phi, p.lam)))
+                out.append(Instruction(_K.CU3, (cq, t2),
+                                       (pinv.theta, pinv.phi, pinv.lam)))
+                tr.set_top(qs)
         else:
-            out.append(inst)
-            tr.set_top(inst.qubits)
+            keep(inst)
 
     return c.replace(out)
 
@@ -472,16 +427,7 @@ class CouplingMap:
             adj[b].add(a)
         self.edges = frozenset(norm)
         self._adj = {k: tuple(sorted(v)) for k, v in adj.items()}
-        # Connectivity check (BFS from node 0).
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != n_physical:
+        if -1 in self.distances_from(0):
             raise ValueError("coupling map is not connected")
 
     def adjacent(self, a: int, b: int) -> bool:
@@ -596,7 +542,6 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
                 do_swap(x, y)
         out.append(_remap(inst, {a: l2p[a], b: l2p[b]}))
 
-    out.layout = list(l2p)
     return out, list(l2p)
 
 

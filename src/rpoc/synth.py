@@ -99,9 +99,6 @@ class U3Params:
                         canonical_angle(-self.global_phase))
 
 
-IDENTITY_U3 = U3Params(0.0, 0.0, 0.0, 0.0)
-
-
 def zyz_decompose(u: np.ndarray) -> U3Params:
     """Euler angles of a 2x2 unitary: u == e^{i*phase} * u3(theta, phi, lam).
 

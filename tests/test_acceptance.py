@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from rpoc import (BasisState, BasisTracker, Circuit, GateKind, Instruction,
-                  PipelineOptions, PureTracker, cx_count, emit_program,
+from rpoc import (BASIS, PURE, BasisState, Circuit, GateKind, Instruction,
+                  PipelineOptions, Tracker, cx_count, emit_program,
                   equivalent_up_to_global_phase, gen_bv, gen_grover, gen_qpe,
                   gen_qv_like, gen_vqe_ry, line_coupling, pipeline, qbo, qpo,
                   simulate, unroll)
@@ -271,8 +271,8 @@ def test_criterion_8_analysis_soundness():
     for _ in range(200):
         n = rng.randrange(2, 5)
         c = random_circuit(rng, n, rng.randrange(4, 22), allow_reset=True)
-        bt = BasisTracker(n)
-        pt = PureTracker(n)
+        bt = Tracker(n, BASIS)
+        pt = Tracker(n, PURE)
         prefix = c.copy_empty()
         for inst in c.instructions:
             prefix.append(inst)

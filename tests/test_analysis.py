@@ -5,12 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from rpoc import (BasisState, BasisTracker, GateKind, Instruction,
-                  PureTracker, U3Params, basis_transition,
-                  classify_pure_as_basis, pure_transition, simulate)
+from rpoc import (BASIS, PURE, BasisState, GateKind, Instruction, Tracker,
+                  U3Params, basis_transition, classify_pure_as_basis,
+                  pure_transition, simulate)
 from rpoc.analysis import (BASIS_VECTORS, basis_state_angles, canonical_pure,
                            vector_to_pure)
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
+from rpoc.passes import cx_cell_instructions
 from rpoc.synth import matrix_1q, pure_state_vector
 
 from helpers import random_circuit
@@ -187,8 +188,8 @@ class TestTrackerSoundness:
     """Every non-TOP claim must match the simulated reduced density matrix."""
 
     def _check_circuit(self, c):
-        bt = BasisTracker(c.n_qubits)
-        pt = PureTracker(c.n_qubits)
+        bt = Tracker(c.n_qubits, BASIS)
+        pt = Tracker(c.n_qubits, PURE)
         state = None
         prefix = c.copy_empty()
         for inst in c.instructions:
@@ -214,34 +215,49 @@ class TestTrackerSoundness:
                                                allow_reset=True))
 
     def test_swap_exchanges_states(self):
-        bt = BasisTracker(2)
+        bt = Tracker(2, BASIS)
         bt.step(Instruction(GateKind.H, (0,)))
         bt.step(Instruction(GateKind.SWAP, (0, 1)))
         assert bt.states == [B.ZERO, B.PLUS]
 
     def test_swapz_conservative_when_not_zero(self):
-        bt = BasisTracker(2)
+        bt = Tracker(2, BASIS)
         bt.step(Instruction(GateKind.X, (1,)))
         bt.step(Instruction(GateKind.SWAPZ, (0, 1)))
         assert bt.states == [B.TOP, B.TOP]
 
     def test_swapz_swaps_when_zero(self):
-        pt = PureTracker(2)
+        pt = Tracker(2, PURE)
         pt.step(Instruction(GateKind.U3, (0,), (1.0, 2.0, 0.0)))
         pt.step(Instruction(GateKind.SWAPZ, (0, 1)))
         assert pt.states[0] == (0.0, 0.0)
         assert abs(pt.states[1][0] - 1.0) < 1e-9
 
-    def test_apply_multiqubit_outcomes(self):
-        bt = BasisTracker(2)
+    def test_step_outcomes_of_rewritten_gate(self):
+        # A rewrite pass steps the tracker through what it emits (the CX
+        # cell's replacement, or the kept CX), never through the gate the
+        # replacement stands for.
+        bt = Tracker(2, BASIS)
+        cx = Instruction(GateKind.CX, (0, 1))
+
+        def rewrite_cx():
+            repl = cx_cell_instructions(bt.states[0], bt.states[1], 0, 1)
+            for inst in [cx] if repl is None else repl:
+                bt.step(inst)
+            return repl
+
+        # Removed gate (control |0>): states unchanged.
+        assert rewrite_cx() == []
+        assert bt.states == [B.ZERO, B.ZERO]
+        # Rewritten to a 1q gate (control |1>): the target wire advances.
         bt.step(Instruction(GateKind.X, (0,)))
-        # Gate removed entirely: states untouched.
-        bt.apply_multiqubit(Instruction(GateKind.CX, (0, 1)), [])
-        assert bt.states == [B.ONE, B.ZERO]
-        # Rewritten to a 1q gate: that wire advances.
-        bt.apply_multiqubit(Instruction(GateKind.CX, (0, 1)),
-                            [Instruction(GateKind.X, (1,))])
+        assert rewrite_cx() == [Instruction(GateKind.X, (1,))]
         assert bt.states == [B.ONE, B.ONE]
-        # Kept: everything touched goes unknown.
-        bt.apply_multiqubit(Instruction(GateKind.CX, (0, 1)), None)
+        # Kept (control |->, target |1>): both wires go unknown.
+        bt.step(Instruction(GateKind.H, (0,)))
+        assert rewrite_cx() is None
         assert bt.states == [B.TOP, B.TOP]
+        pt = Tracker(2, PURE)
+        pt.step(Instruction(GateKind.H, (0,)))
+        pt.step(Instruction(GateKind.CX, (0, 1)))
+        assert pt.states == [None, None]

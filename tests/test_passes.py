@@ -8,7 +8,8 @@ import pytest
 from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
                   PipelineOptions, cx_count, emit_program,
                   equivalent_up_to_global_phase, line_coupling, grid_coupling,
-                  pipeline, qbo, qpo, route, simulate, unroll)
+                  parse_program, pipeline, qbo, qpo, route, simulate,
+                  unroll)
 from rpoc.passes import (CX_CELLS, SWAP_CELLS, cx_cell_instructions,
                          swap_cell_instructions, resolve_coupling)
 from helpers import BASIS_PREP, TOP_SPAN, random_circuit
@@ -340,6 +341,29 @@ class TestQBO:
         assert any(i.kind is GateKind.SWAPZ for i in out.instructions)
         assert equivalent_up_to_global_phase(c, out).equivalent
 
+        # The (|1>, unknown) and (|->, unknown) cells put an X or Z fixup on
+        # the wire read as unknown; the SWAP must still carry the Y state
+        # itself, not its fixed-up opposite.  After `s` the receiving wire
+        # is |-> or |+>, so the CX from a third wire becomes a Z kickback
+        # or vanishes.
+        known_prep = {"1": ("x",), "-": ("x", "h")}
+        y_prep = {"+i": ("h", "s"), "-i": ("h", "sdg")}
+        for (kn, kg), (yn, yg), y_wire in itertools.product(
+                known_prep.items(), y_prep.items(), (0, 1)):
+            c = Circuit(3)
+            for g in yg:
+                getattr(c, g)(y_wire)
+            for g in kg:
+                getattr(c, g)(1 - y_wire)
+            c.swap(0, 1)
+            c.s(1 - y_wire)
+            c.u3(1.0, 0.0, 0.0, 2)
+            c.cx(2, 1 - y_wire)
+            out = qbo(c)
+            case = (kn, yn, y_wire)
+            assert equivalent_up_to_global_phase(c, out).equivalent, case
+            assert cx_count(unroll(out)) == 2, case
+
     def test_bv_conversion(self):
         from rpoc import gen_bv
         bv = gen_bv(4, "1011", "boolean")
@@ -655,6 +679,17 @@ class TestPipeline:
             out = pipeline(c)
             assert equivalent_up_to_global_phase(c, out).equivalent
         assert found >= 5  # the corpus really exercised the reset path
+
+    def test_y_basis_swap_cell_repro(self):
+        # The SWAP cell for (|+i>, |1>) emits X then SWAPZ; the wire that
+        # receives |+i> holds |-> after `s`, so the final CX is a kickback.
+        c = parse_program("qreg q[3]; u2(pi/2,0) q[0]; x q[1]; "
+                          "swap q[0],q[1]; s q[1]; u3(1,0,0) q[2]; "
+                          "cx q[2],q[1];")
+        base = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
+        out = pipeline(c, PipelineOptions())
+        assert equivalent_up_to_global_phase(c, out).equivalent
+        assert (cx_count(base), cx_count(out)) == (4, 2)
 
     def test_measured_circuit_with_coupling(self):
         c = Circuit(3, 3)
