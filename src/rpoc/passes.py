@@ -413,6 +413,8 @@ class CouplingMap:
     """Undirected physical-qubit adjacency graph."""
 
     def __init__(self, n_physical: int, edges):
+        if n_physical < 1:
+            raise ValueError("coupling map needs at least one qubit")
         self.n_physical = n_physical
         norm = set()
         adj: dict[int, set[int]] = {i: set() for i in range(n_physical)}
@@ -432,9 +434,6 @@ class CouplingMap:
 
     def adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
-
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        return self._adj[x]
 
     def distances_from(self, src: int) -> list[int]:
         dist = [-1] * self.n_physical
@@ -461,8 +460,12 @@ class CouplingMap:
         return path
 
     @staticmethod
-    def from_dict(d: dict) -> "CouplingMap":
-        return CouplingMap(int(d["n"]), d["edges"])
+    def from_dict(d) -> "CouplingMap":
+        try:
+            return CouplingMap(int(d["n"]), d["edges"])
+        except (KeyError, TypeError) as e:
+            raise ValueError('coupling map must be {"n": N, "edges": '
+                             f'[[a, b], ...]}} ({e!r})') from None
 
     @staticmethod
     def from_json_file(path: str) -> "CouplingMap":
@@ -564,17 +567,20 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     """Full optimization pipeline.
 
     Stage order: basis-state pass; unroll; layout+routing (when a coupling
-    map is given); basis-state pass again (for the routed SWAPs); unroll
-    keeping SWAP/SWAPZ; 1q-run merging; pure-state pass; then a cleanup loop
-    of unroll + merge + CX cancellation until the gate count is stable (at
-    least two iterations).  The rewrite passes run exactly once each: the
-    cleanup loop cannot change any tracked state, so re-running them gains
-    nothing.  Deterministic for fixed (circuit, options)."""
+    map is given); basis-state pass again (for the routed SWAPs) and unroll
+    keeping SWAP/SWAPZ; 1q-run merging and the pure-state pass; then unroll
+    and merge once, and CX-pair cancellation plus merging until a round
+    cancels no pair.  merge_1q_runs is idempotent on its own output, so that
+    is the fixpoint; each further round removes gates, so it is reached.
+    Stages that cannot change the circuit are skipped: the second unroll
+    without qbo, the pre-qpo merge without qpo.  The cleanup cannot change a
+    tracked state, so qbo (at most twice) and qpo (once) are not re-run.
+    Deterministic for fixed (circuit, options)."""
     opts = opts or PipelineOptions()
     basis = frozenset(opts.basis)
     # SWAP/SWAPZ stay compound until after the pure-state pass, which is the
-    # only consumer that can strength-reduce them; the cleanup loop unrolls
-    # the survivors.
+    # only consumer that can strength-reduce them; the cleanup unrolls the
+    # survivors.
     swap_basis = basis | {_K.SWAP, _K.SWAPZ}
     cur = c
     layout: list[int] | None = None
@@ -585,19 +591,17 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     if opts.coupling is not None:
         cur, layout = route(cur, opts.coupling, opts.seed, opts.random_layout)
     if opts.enable_qbo:
-        cur = qbo(cur)
-    cur = unroll(cur, swap_basis)
-    cur = merge_1q_runs(cur)
+        cur = unroll(qbo(cur), swap_basis)
     if opts.enable_qpo:
-        cur = qpo(cur, resynth_blocks=opts.enable_block_resynth)
+        cur = qpo(merge_1q_runs(cur), resynth_blocks=opts.enable_block_resynth)
 
-    iters = 0
+    cur = merge_1q_runs(unroll(cur, basis))
     while True:
         before = len(cur.instructions)
-        cur = cancel_adjacent_cx(merge_1q_runs(unroll(cur, basis)))
-        iters += 1
-        if (iters >= 2 and len(cur.instructions) == before) or iters > 50:
+        cur = cancel_adjacent_cx(cur)
+        if len(cur.instructions) == before:
             break
+        cur = merge_1q_runs(cur)
 
     cur.layout = layout
     return cur

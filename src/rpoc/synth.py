@@ -306,22 +306,15 @@ def _open_control_wrap(inst: Instruction) -> list[Instruction]:
     return xs + [closed] + xs
 
 
-def _decompose_step(inst: Instruction, basis: frozenset[GateKind],
-                    ancilla: tuple[int, ...]) -> list[Instruction]:
+def _decompose_step(inst: Instruction) -> list[Instruction]:
     K = GateKind
     kind = inst.kind
     if inst.open_mask:
         return _open_control_wrap(inst)
-    if kind in _NAMED_U3 and kind is not K.ID:
+    if kind in _NAMED_U3:
         p = U3Params(*_NAMED_U3[kind])
         out = u3params_instruction(p, inst.qubits[0])
         return [out] if out else []
-    if kind is K.ID:
-        return []
-    if kind is K.U2:
-        return [_i(K.U3, inst.qubits, (PI / 2,) + inst.params)]
-    if kind is K.U1:
-        return [_i(K.U3, inst.qubits, (0.0, 0.0) + inst.params)]
     if kind is K.CZ:
         a, b = inst.qubits
         return [_i(K.H, (b,)), _i(K.CX, (a, b)), _i(K.H, (b,))]
@@ -339,21 +332,15 @@ def _decompose_step(inst: Instruction, basis: frozenset[GateKind],
         controls, target = inst.qubits[:-1], inst.qubits[-1]
         if len(controls) <= 2:
             return [_make_mcx(controls, target)]
-        avail = tuple(a for a in ancilla if a not in inst.qubits)
-        if ancilla:
-            if len(avail) < len(controls) - 2:
-                raise ValueError("mcx ancilla mode requested without enough "
-                                 "clean ancilla qubits")
-            return mcx_vchain(controls, target, avail)
         return mcx_recursive(controls, target)
     raise ValueError(f"cannot decompose {kind.value} into the requested basis")
 
 
-def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS,
-           ancilla: tuple[int, ...] = ()) -> Circuit:
-    """Decompose every gate into `basis` kinds (RESET/ANNOT/MEASURE/BARRIER pass
-    through).  MCX uses a clean-ancilla chain when `ancilla` wires are given,
-    otherwise an ancilla-free recursion."""
+def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS) -> Circuit:
+    """Decompose every gate into `basis` kinds, which must include u1, u2, u3
+    and cx (RESET/ANNOT/MEASURE/BARRIER pass through).  MCX with three or
+    more controls uses an ancilla-free recursion.  Unrolling the output
+    again returns it unchanged."""
     basis = frozenset(basis)
     if not {GateKind.U1, GateKind.U2, GateKind.U3, GateKind.CX} <= basis:
         raise ValueError("basis must include u1, u2, u3 and cx")
@@ -364,7 +351,7 @@ def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS,
         if inst.kind in _KEEP_ALWAYS or (inst.kind in basis and not inst.open_mask):
             out.append(inst)
             continue
-        stack.extend(reversed(_decompose_step(inst, basis, ancilla)))
+        stack.extend(reversed(_decompose_step(inst)))
     return c.replace(out)
 
 

@@ -12,6 +12,7 @@ from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
                   unroll)
 from rpoc.passes import (CX_CELLS, SWAP_CELLS, cx_cell_instructions,
                          swap_cell_instructions, resolve_coupling)
+from rpoc.synth import cancel_adjacent_cx, merge_1q_runs
 from helpers import BASIS_PREP, TOP_SPAN, random_circuit
 
 PI = math.pi
@@ -690,6 +691,39 @@ class TestPipeline:
         out = pipeline(c, PipelineOptions())
         assert equivalent_up_to_global_phase(c, out).equivalent
         assert (cx_count(base), cx_count(out)) == (4, 2)
+
+    def test_cleanup_cancels_nested_pairs(self):
+        # Each cleanup round merges the innermost u3(a_k), u3(-a_k) pair away
+        # and exposes one more adjacent CX pair: 60 rounds to empty.
+        angles = [0.1 + 0.01 * k for k in range(60)]
+        c = Circuit(2)
+        for a in angles:
+            c.cx(0, 1)
+            c.u3(a, 0, 0, 0)
+        for a in reversed(angles):
+            c.u3(-a, 0, 0, 0)
+            c.cx(0, 1)
+        out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
+        assert equivalent_up_to_global_phase(c, out).equivalent
+        assert cx_count(out) == 0
+
+    def test_output_is_cleanup_fixpoint(self):
+        from rpoc import gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry
+        rng = random.Random(15)
+        circuits = [gen_bv(4, "1011", "boolean"), gen_qpe(3, 7 / 8),
+                    gen_grover(3, 5, 2),
+                    gen_grover(4, 11, 1, use_ancilla=True, annotate=True),
+                    gen_vqe_ry(4, 2, [0.3 * k for k in range(12)]),
+                    gen_qv_like(4, 4, seed=1)]
+        circuits += [random_circuit(rng, 4, 30) for _ in range(6)]
+        for c in circuits:
+            for cmap in (None, line_coupling(5)):
+                for on_qbo, on_qpo in itertools.product((False, True), repeat=2):
+                    out = pipeline(c, PipelineOptions(
+                        coupling=cmap, enable_qbo=on_qbo, enable_qpo=on_qpo))
+                    again = cancel_adjacent_cx(merge_1q_runs(out))
+                    assert again.instructions == out.instructions, (
+                        emit_program(c), cmap, on_qbo, on_qpo)
 
     def test_measured_circuit_with_coupling(self):
         c = Circuit(3, 3)

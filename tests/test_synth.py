@@ -211,26 +211,6 @@ class TestDecompositions:
         with pytest.raises(ValueError):
             mcx_vchain((0, 1, 2, 3), 4, (5,))
 
-    def test_unroll_mcx_with_ancilla_wires(self):
-        rng = np.random.default_rng(40)
-        c = Circuit(6).mcx(0, 1, 2, 3)
-        d = unroll(c, ancilla=(4, 5))
-        # Ancilla wires participate but are returned clean: check on inputs
-        # where they start in |0>.
-        for i in range(16):
-            init = np.zeros(2 ** 6, dtype=complex)
-            init[i << 2] = 1.0
-            va = simulate(c, initial_state=init)
-            vb = simulate(d, initial_state=init)
-            assert rays_close(va, vb)
-
-    def test_unroll_mcx_ancilla_overlap_filtered(self):
-        # 4 controls need 2 clean ancillas; wire 4 overlaps the gate, so only
-        # one usable ancilla survives filtering.
-        c = Circuit(6).mcx(0, 1, 2, 3, 4)
-        with pytest.raises(ValueError):
-            unroll(c, ancilla=(4, 5))
-
     def test_unroll_output_in_basis(self):
         c = Circuit(4)
         c.ccx(0, 1, 2)

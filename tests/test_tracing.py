@@ -1,0 +1,41 @@
+"""The benchmark's stage-by-stage replay of pipeline() (perfbench/tracing.py)
+must emit what pipeline() emits, or its per-stage numbers describe another
+program."""
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from rpoc import (PipelineOptions, emit_program, gen_bv, gen_grover, gen_qpe,
+                  line_coupling, pipeline)
+
+from helpers import random_circuit
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402
+
+CONFIGS = {
+    "baseline": dict(enable_qbo=False, enable_qpo=False),
+    "rpo": dict(),
+    "blocks": dict(enable_block_resynth=True),
+}
+
+
+def _circuits():
+    rng = random.Random(21)
+    return [gen_bv(4, "1011", "boolean"), gen_qpe(3, 7 / 8),
+            gen_grover(4, 11, 1, use_ancilla=True, annotate=True),
+            random_circuit(rng, 4, 30), random_circuit(rng, 5, 40)]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("routed", [False, True])
+def test_replay_matches_pipeline(config, routed):
+    for i, c in enumerate(_circuits()):
+        opts = PipelineOptions(coupling=line_coupling(5) if routed else None,
+                               seed=i, **CONFIGS[config])
+        want = pipeline(c, opts)
+        got, _, _ = tracing.traced_pipeline(tracing.Tracer(), f"c{i}", c, opts)
+        assert emit_program(got) == emit_program(want)
+        assert got.layout == want.layout
