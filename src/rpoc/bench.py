@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import (Circuit, GateKind, Instruction, canonical_angle, count_1q,
                       cx_count, depth, emit_program)
-from .oracle import MAX_QUBITS, equivalent_up_to_global_phase
+from .oracle import MAX_QUBITS, equivalent_up_to_global_phase, simulated_width
 from .passes import PipelineOptions, pipeline, resolve_coupling
 from .synth import mcx_vchain
 
@@ -241,9 +241,10 @@ class ReportRow:
     depth: int
     ms: float
     seed: int
+    verified: bool
 
 
-CSV_HEADER = "benchmark,n,pipeline,cx,u1q,depth,ms,seed"
+CSV_HEADER = "benchmark,n,pipeline,cx,u1q,depth,ms,seed,verified"
 
 
 def build_circuit(spec: BenchSpec) -> Circuit:
@@ -271,13 +272,13 @@ def build_circuit(spec: BenchSpec) -> Circuit:
 
 def run_bench(spec: BenchSpec, verify: bool | None = None) -> list[ReportRow]:
     """Transpile the benchmark reps times under both pipelines and report raw
-    rows.  Each repetition is oracle-verified (when widths allow) before its
-    row is emitted; a failing repetition aborts the run."""
+    rows.  Each repetition is oracle-verified before its row is emitted; a
+    failing repetition aborts the run.  verify=None verifies every row the
+    oracle can simulate and flags the rest `verified=False`; verify=True
+    raises ValueError on a row too wide to simulate; verify=False skips the
+    oracle and flags every row."""
     cmap = resolve_coupling(spec.coupling)
     circ = build_circuit(spec)
-    if verify is None:
-        verify = (circ.n_qubits <= 12
-                  and (cmap is None or cmap.n_physical <= MAX_QUBITS))
     rows: list[ReportRow] = []
     for r in range(spec.reps):
         seed = spec.seed + r
@@ -287,7 +288,10 @@ def run_bench(spec: BenchSpec, verify: bool | None = None) -> list[ReportRow]:
             t0 = time.perf_counter()
             out = pipeline(circ, opts)
             ms = 1000.0 * (time.perf_counter() - t0)
-            if verify:
+            checked = verify
+            if checked is None:
+                checked = simulated_width(circ, out, out.layout) <= MAX_QUBITS
+            if checked:
                 rep = equivalent_up_to_global_phase(circ, out, perm=out.layout)
                 if not rep.equivalent:
                     raise VerificationError(
@@ -295,7 +299,7 @@ def run_bench(spec: BenchSpec, verify: bool | None = None) -> list[ReportRow]:
                         f"pipeline={name}: {rep.detail}",
                         emit_program(circ), emit_program(out))
             rows.append(ReportRow(spec.algorithm, spec.n, name, cx_count(out),
-                                  count_1q(out), depth(out), ms, seed))
+                                  count_1q(out), depth(out), ms, seed, checked))
     return rows
 
 
@@ -303,7 +307,7 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(f"{r.benchmark},{r.n},{r.pipeline},{r.cx},{r.u1q},"
-                     f"{r.depth},{r.ms:.3f},{r.seed}")
+                     f"{r.depth},{r.ms:.3f},{r.seed},{int(r.verified)}")
     return "\n".join(lines) + "\n"
 
 

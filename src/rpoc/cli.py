@@ -62,7 +62,7 @@ def _cmd_bench(args) -> int:
     for n in _parse_range(args.n):
         spec = BenchSpec(algorithm=args.alg, n=n, reps=args.reps,
                          coupling=args.coupling, seed=args.seed)
-        rows.extend(run_bench(spec, verify=not args.no_verify))
+        rows.extend(run_bench(spec, verify=False if args.no_verify else None))
     csv_text = rows_to_csv(rows)
     if args.csv:
         with open(args.csv, "w") as f:
@@ -77,6 +77,10 @@ def _cmd_bench(args) -> int:
         red_s = f"{red:8.1f}%" if red is not None else ""
         print(f"{s['benchmark']:<10}{s['n']:>4}{s['pipeline']:>10}{s['cx']:>8}"
               f"{s['u1q']:>8}{s['depth']:>8}{s['ms']:>10.1f}  {red_s}",
+              file=sys.stderr)
+    unverified = sum(not r.verified for r in rows)
+    if unverified:
+        print(f"{unverified} of {len(rows)} rows unverified (verified=0)",
               file=sys.stderr)
     return 0
 

@@ -191,6 +191,30 @@ class TestHarness:
         with pytest.raises(ValueError):
             BenchSpec("quux", 3)
 
+    def test_rows_are_verified_or_flagged(self, monkeypatch):
+        import rpoc.bench
+        calls = []
+        check = rpoc.bench.equivalent_up_to_global_phase
+        monkeypatch.setattr(rpoc.bench, "equivalent_up_to_global_phase",
+                            lambda *a, **k: calls.append(1) or check(*a, **k))
+        # bv14 touches 15 wires: every row is checked.
+        rows = run_bench(BenchSpec("bv", 14, reps=1))
+        assert [r.verified for r in rows] == [True, True] and len(calls) == 2
+        # bv16 touches 17: too wide for the oracle, flagged, not checked.
+        rows = run_bench(BenchSpec("bv", 16, reps=1))
+        assert [r.verified for r in rows] == [False, False] and len(calls) == 2
+        with pytest.raises(ValueError, match="limited to 16"):
+            run_bench(BenchSpec("bv", 16, reps=1), verify=True)
+        rows = run_bench(BenchSpec("bv", 3, reps=1), verify=False)
+        assert not any(r.verified for r in rows)
+
+    def test_csv_verified_column(self):
+        col = CSV_HEADER.split(",").index("verified")
+        rows = (run_bench(BenchSpec("bv", 16, reps=1))
+                + run_bench(BenchSpec("bv", 3, reps=1)))
+        lines = rows_to_csv(rows).strip().split("\n")[1:]
+        assert [line.split(",")[col] for line in lines] == ["0", "0", "1", "1"]
+
     def test_verification_gate(self):
         # Verification is on by default at these sizes and must not trip.
         rows = run_bench(BenchSpec("grover", 3, reps=2,

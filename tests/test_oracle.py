@@ -6,11 +6,14 @@ import pytest
 
 from rpoc import (AnnotationError, Circuit, GateKind, Instruction, ResetError,
                   equivalent_up_to_global_phase, reduced_qubit_state, simulate)
-from rpoc.oracle import (expand_statevector, total_variation_distance,
+from rpoc.oracle import (MAX_QUBITS, expand_statevector, simulated_width,
+                         total_variation_distance, touched_wires,
                          trace_distance_to_pure)
 from rpoc.synth import pure_state_vector
 
-from helpers import partial_trace_oracle, random_circuit, random_statevector
+from helpers import (REF_MAX_QUBITS, partial_trace_oracle, random_circuit,
+                     random_full_circuit, random_statevector, ref_embed,
+                     ref_simulate)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -300,3 +303,174 @@ class TestReducedState:
         v1 = np.array([0.0, 1.0])
         assert trace_distance_to_pure(np.outer(v0, v0), v1) == pytest.approx(1.0)
         assert trace_distance_to_pure(np.outer(v0, v0), v0) == pytest.approx(0.0)
+
+
+def _relabel(c: Circuit, perm: list[int], n_out: int) -> Circuit:
+    """c with wire q moved to perm[q] on an n_out-wire register."""
+    out = Circuit(n_out, c.n_clbits)
+    for inst in c.instructions:
+        out.append(Instruction(inst.kind, tuple(perm[q] for q in inst.qubits),
+                               inst.params, inst.clbits, inst.open_mask))
+    return out
+
+
+def _has_reset(c: Circuit) -> bool:
+    return any(i.kind is GateKind.RESET for i in c.instructions)
+
+
+def _assert_same(got, want, up_to_phase: bool):
+    """Statevectors agree to 1e-12 (after aligning one global phase when a
+    reset left the phase to convention); distributions to 1e-12 in TV."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict)
+        assert total_variation_distance(got, want) <= 1e-12
+        return
+    if up_to_phase:
+        ip = np.vdot(got, want)
+        got = got * (ip / abs(ip))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestAgainstReference:
+    """Differential checks against the dense-matrix reference simulator in
+    helpers.py, on a fixed corpus of random circuits over every gate kind,
+    padded with idle wires."""
+
+    CASES = 60
+
+    @staticmethod
+    def _corpus(seed: int):
+        rng = random.Random(seed)
+        for i in range(TestAgainstReference.CASES):
+            n = rng.randint(1, REF_MAX_QUBITS)
+            active = sorted(rng.sample(range(n), rng.randint(1, n)))
+            if i % 4 == 1:  # every wire busy: the widest simulated states
+                n, active = REF_MAX_QUBITS, list(range(REF_MAX_QUBITS))
+            yield rng, random_full_circuit(rng, n, rng.randint(1, 30), active,
+                                           measure=i % 3 == 0)
+
+    def test_simulate_matches_reference(self):
+        kinds = set()
+        for _, c in self._corpus(41):
+            kinds.update(i.kind for i in c.instructions)
+            _assert_same(simulate(c), ref_simulate(c), _has_reset(c))
+        assert kinds == set(GateKind)  # the corpus covers every kind
+
+    def test_touched_wires_state_matches_reference(self):
+        for _, c in self._corpus(42):
+            want = ref_simulate(c)
+            if isinstance(want, dict):
+                continue
+            wires = touched_wires(c)
+            n = c.n_qubits
+            idle_zero = [i for i in range(2 ** n)
+                         if all(not (i >> (n - 1 - q)) & 1
+                                for q in range(n) if q not in wires)]
+            _assert_same(simulate(c, wires=wires), want[idle_zero],
+                         _has_reset(c))
+
+    def test_equivalence_matches_reference_under_random_perm(self):
+        for rng, a in self._corpus(43):
+            n_b = rng.randint(a.n_qubits, REF_MAX_QUBITS)
+            perm = rng.sample(range(n_b), a.n_qubits)
+            same = _relabel(a, perm, n_b)
+            other = random_full_circuit(
+                rng, n_b, rng.randint(1, 10),
+                measure=any(i.kind is GateKind.MEASURE for i in a.instructions))
+            ra = ref_simulate(a)
+            for b in (same, other):
+                rb = ref_simulate(b)
+                rep = equivalent_up_to_global_phase(a, b, perm=perm)
+                if isinstance(ra, dict):
+                    want = 1.0 - total_variation_distance(ra, rb)
+                else:
+                    want = abs(np.vdot(ref_embed(ra, n_b, perm), rb)) ** 2
+                assert abs(rep.fidelity - want) <= 1e-12
+            assert equivalent_up_to_global_phase(a, same, perm=perm).equivalent
+
+    def test_initial_state_is_not_mutated(self):
+        # From a random start, annotations and resets placed for |0...0>
+        # need not hold, so they are left out.
+        rng = np.random.default_rng(44)
+        for _, src in self._corpus(44):
+            c = Circuit(src.n_qubits)
+            for inst in src.instructions:
+                if inst.kind not in (GateKind.ANNOT, GateKind.RESET,
+                                     GateKind.MEASURE):
+                    c.append(inst)
+            init = random_statevector(rng, c.n_qubits)
+            keep = init.copy()
+            _assert_same(simulate(c, initial_state=init),
+                         ref_simulate(c, initial_state=init), False)
+            assert np.array_equal(init, keep)
+
+
+class TestTouchedWires:
+    def test_idle_wires_do_not_count_toward_the_limit(self):
+        # 20 wires, 3 touched: a measured circuit simulates, and equivalence
+        # checks it against its relabelling onto other wires.
+        a = Circuit(20, 2)
+        a.h(3)
+        a.cx(3, 17)
+        a.measure(3, 0)
+        a.measure(17, 1)
+        assert simulate(a) == {"00": pytest.approx(0.5), "11": pytest.approx(0.5)}
+        perm = list(range(20))
+        perm[3], perm[0] = 0, 3
+        b = _relabel(a, perm, 20)
+        assert simulated_width(a, b, perm) == 2
+        assert equivalent_up_to_global_phase(a, b, perm=perm).equivalent
+
+    def test_unmeasured_wide_circuit_compares_on_touched_wires(self):
+        a = Circuit(20)
+        a.h(0)
+        for q in range(12):
+            a.cx(q, q + 1)
+        b = Circuit(20)
+        b.h(19)
+        for q in range(19, 7, -1):
+            b.cx(q, q - 1)
+        perm = [19 - q for q in range(20)]
+        rep = equivalent_up_to_global_phase(a, b, perm=perm)
+        assert rep.equivalent and rep.fidelity == pytest.approx(1.0)
+        assert simulated_width(a, b, perm) == 13
+        # Without the perm, a's wires 0-12 and b's 7-19 are all compared.
+        assert simulated_width(a, b) == 20
+        with pytest.raises(ValueError, match="limited to 16"):
+            equivalent_up_to_global_phase(a, b)
+
+    def test_too_many_touched_wires_rejected(self):
+        c = Circuit(20)
+        for q in range(MAX_QUBITS + 1):
+            c.h(q)
+        with pytest.raises(ValueError, match="limited to 16"):
+            equivalent_up_to_global_phase(c, c)
+
+    def test_full_vector_keeps_the_width_limit(self):
+        # Returning a 2^17 vector is refused even though no wire is touched.
+        with pytest.raises(ValueError):
+            simulate(Circuit(17))
+        assert simulate(Circuit(17), wires=[]).tolist() == [1.0]
+
+    def test_wires_must_cover_touched(self):
+        c = Circuit(3)
+        c.cx(0, 2)
+        with pytest.raises(ValueError, match="not simulated"):
+            simulate(c, wires=[0, 1])
+        with pytest.raises(ValueError, match="distinct"):
+            simulate(c, wires=[0, 0, 2])
+
+    def test_bad_perm_rejected(self):
+        with pytest.raises(ValueError, match="perm"):
+            equivalent_up_to_global_phase(Circuit(2), Circuit(2), perm=[0, 0])
+        with pytest.raises(ValueError, match="perm"):
+            equivalent_up_to_global_phase(Circuit(2), Circuit(2), perm=[0, 2])
+
+    def test_distribution_lists_only_outcomes_that_occur(self):
+        c = Circuit(4, 3)
+        c.x(1)
+        c.h(2)
+        c.measure(1, 2)
+        c.measure(2, 0)
+        c.measure(3, 1)
+        assert list(simulate(c)) == ["001", "101"]
