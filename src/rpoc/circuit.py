@@ -3,6 +3,10 @@
 The in-memory form is a flat, ordered instruction list over indexed qubits
 and classical bits.  Program order defines dataflow order.  Passes treat
 circuits as immutable: they build new ones instead of editing in place.
+Instructions are validated once, where they enter: the Instruction
+constructor, the Circuit builder and parse_program.  Passes build theirs
+unchecked (synth._i, Circuit.replace), so what a pass sets must already be
+canonical: in-range int tuples, finite angles in [0, 2*pi), normalized masks.
 """
 from __future__ import annotations
 
@@ -115,7 +119,8 @@ class Instruction:
     Control-carrying kinds (cx, ccx, mcx) may have an open-control mask,
     one flag per control position (all-closed is stored as the empty tuple).
     SWAPZ's zero-designated operand is always qubits[1].
-    MEASURE is the only kind with clbits.
+    MEASURE is the only kind with clbits.  The constructor checks and
+    canonicalizes every field; passes derive theirs unchecked (synth._i).
     """
 
     kind: GateKind
@@ -126,8 +131,10 @@ class Instruction:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params",
-                           tuple(canonical_angle(float(p)) for p in self.params))
+        params = tuple(float(p) for p in self.params)
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"{self.kind.value} parameters must be finite")
+        object.__setattr__(self, "params", tuple(canonical_angle(p) for p in params))
         object.__setattr__(self, "clbits", tuple(int(b) for b in self.clbits))
         object.__setattr__(self, "open_mask", tuple(bool(m) for m in self.open_mask))
 
@@ -210,8 +217,11 @@ class Circuit:
         return Circuit(self.n_qubits, self.n_clbits)
 
     def replace(self, insts: Iterable[Instruction]) -> "Circuit":
-        """New circuit with the same widths and the given instructions."""
-        return self.copy_empty().extend(insts)
+        """New circuit with the same widths and the given instructions, taken
+        as given: unlike extend, it range-checks nothing."""
+        out = self.copy_empty()
+        out.instructions = list(insts)
+        return out
 
     # Builder shorthands.
     def _add(self, kind, qubits, params=(), clbits=(), open_mask=()):
@@ -420,8 +430,6 @@ def parse_program(text: str) -> Circuit:
         if base not in _NAME_TO_KIND:
             raise ParseError(f"unknown statement {name!r}", line, col)
         kind = _NAME_TO_KIND[base]
-        if n_open_prefix and kind not in _MASKABLE:
-            raise ParseError(f"{base} does not take open controls", line, col)
         if bracket and kind is not GateKind.MCX:
             raise ParseError("polarity brackets are only valid on mcx", line, col)
 
@@ -432,8 +440,6 @@ def parse_program(text: str) -> Circuit:
         for regname, idx in qops:
             if regname != qreg[0]:
                 raise ParseError(f"unknown register {regname!r}", line, col)
-            if idx >= qreg[1]:
-                raise ParseError(f"qubit index {idx} out of range", line, col)
         qubits = tuple(idx for _, idx in qops)
 
         nc = n_controls(kind, len(qubits))

@@ -32,7 +32,7 @@ from .oracle import simulate
 from .synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                     cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
                     pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
-                    swapz_to_cx, u3params_instruction, unroll, _make_mcx,
+                    swapz_to_cx, u3params_instruction, unroll, _i, _make_mcx,
                     _open_control_wrap)
 
 _B = BasisState
@@ -128,7 +128,7 @@ def cx_cell_instructions(control_state: BasisState, target_state: BasisState,
     cell = CX_CELLS[(_table_state(control_state), _table_state(target_state))]
     if cell is KEEP:
         return None
-    return [Instruction(kind, (c if role == "c" else t,)) for kind, role in cell]
+    return [_i(kind, (c if role == "c" else t,)) for kind, role in cell]
 
 
 def swap_cell_instructions(top_state: BasisState, bottom_state: BasisState,
@@ -142,10 +142,10 @@ def swap_cell_instructions(top_state: BasisState, bottom_state: BasisState,
         if op[0] == _SWAPZ:
             z = a if op[1] == "a" else b
             other = b if z == a else a
-            out.append(Instruction(_K.SWAPZ, (other, z)))
+            out.append(_i(_K.SWAPZ, (other, z)))
         else:
             kind, role = op
-            out.append(Instruction(kind, (a if role == "a" else b,)))
+            out.append(_i(kind, (a if role == "a" else b,)))
     return out
 
 
@@ -195,16 +195,13 @@ def qbo(c: Circuit) -> Circuit:
                 visit_all(repl)
         elif k is _K.CZ:
             visit_cz(inst)
-        elif k is _K.SWAP:
-            visit_swaplike(*inst.qubits)
+        elif k is _K.SWAP or (k is _K.SWAPZ
+                              and BASIS.is_zero(tr.states[inst.qubits[1]])):
+            # A validated SWAPZ is semantically a SWAP.
+            visit_swaplike(inst)
         elif k is _K.SWAPZ:
-            a, z = inst.qubits
-            if BASIS.is_zero(tr.states[z]):
-                # Validated: semantically a SWAP from here on.
-                visit_swaplike(a, z)
-            else:
-                # Unverifiable zero designation: fall back to the definition.
-                visit_all(swapz_to_cx(a, z))
+            # Unverifiable zero designation: fall back to the definition.
+            visit_all(swapz_to_cx(*inst.qubits))
         elif k is _K.CCX or k is _K.MCX:
             visit_mcx(inst)
         elif k is _K.CSWAP:
@@ -220,18 +217,19 @@ def qbo(c: Circuit) -> Circuit:
         if sa is _B.ZERO or sb is _B.ZERO:
             return
         if sa is _B.ONE:
-            visit(Instruction(_K.Z, (b,)))
+            visit(_i(_K.Z, (b,)))
             return
         if sb is _B.ONE:
-            visit(Instruction(_K.Z, (a,)))
+            visit(_i(_K.Z, (a,)))
             return
         keep(inst)
 
-    def visit_swaplike(a: int, b: int) -> None:
+    def visit_swaplike(swap: Instruction) -> None:
         # Every cell acts as the SWAP it replaces on its tracked inputs, so
         # the pre-rewrite states are exchanged whatever the cell emits.
+        a, b = swap.qubits
         repl = swap_cell_instructions(tr.states[a], tr.states[b], a, b)
-        out.extend([Instruction(_K.SWAP, (a, b))] if repl is None else repl)
+        out.extend([swap] if repl is None else repl)
         tr.swap(a, b)
 
     def visit_mcx(inst: Instruction) -> None:
@@ -248,14 +246,14 @@ def qbo(c: Circuit) -> Circuit:
             # Phase kickback: a controlled-Z among the controls, target on
             # the last control (any choice is valid; fixed for determinism).
             if len(controls) == 1:
-                visit(Instruction(_K.Z, (controls[0],)))
+                visit(_i(_K.Z, (controls[0],)))
             elif len(controls) == 2:
-                visit(Instruction(_K.CZ, controls))
+                visit(_i(_K.CZ, controls))
             else:
                 last = controls[-1]
-                visit(Instruction(_K.H, (last,)))
+                visit(_i(_K.H, (last,)))
                 visit(_make_mcx(controls[:-1], last))
-                visit(Instruction(_K.H, (last,)))
+                visit(_i(_K.H, (last,)))
             return
         keep(inst)
 
@@ -264,7 +262,7 @@ def qbo(c: Circuit) -> Circuit:
         if tr.states[cq] is _B.ZERO:
             return
         if tr.states[cq] is _B.ONE:
-            visit_swaplike(t1, t2)
+            visit_swaplike(_i(_K.SWAP, (t1, t2)))
             return
         if tr.states[t1] is not _B.TOP or tr.states[t2] is not _B.TOP:
             # Known swap target: decompose so the first CX can be reduced.
@@ -277,7 +275,7 @@ def qbo(c: Circuit) -> Circuit:
         if tr.states[cq] is _B.ZERO:
             return
         if tr.states[cq] is _B.ONE:
-            visit(Instruction(_K.U3, (tq,), inst.params))
+            visit(_i(_K.U3, (tq,), inst.params))
             return
         keep(inst)
 
@@ -293,9 +291,9 @@ _BLOCK_KINDS = GATES_1Q | {_K.CX, _K.CZ, _K.SWAP, _K.SWAPZ}
 _BLOCK_CX_COST = {_K.CX: 1, _K.CZ: 1, _K.SWAP: 3, _K.SWAPZ: 2}
 
 
-def _remap(inst: Instruction, wires: dict[int, int]) -> Instruction:
-    return Instruction(inst.kind, tuple(wires[q] for q in inst.qubits),
-                       inst.params, inst.clbits, inst.open_mask)
+def _remap(inst: Instruction, wires) -> Instruction:
+    return _i(inst.kind, tuple(wires[q] for q in inst.qubits),
+              inst.params, inst.clbits, inst.open_mask)
 
 
 def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
@@ -333,8 +331,7 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
             if j > start and not (wires & pair):
                 j += 1
                 continue  # disjoint wires: commutes past the block
-            if (wires <= pair and ins.kind in _BLOCK_KINDS
-                    and not ins.open_mask and not ins.clbits):
+            if wires <= pair and ins.kind in _BLOCK_KINDS and not ins.open_mask:
                 members.append(j)
                 cost += _BLOCK_CX_COST.get(ins.kind, 0)
                 j += 1
@@ -354,14 +351,13 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
             if sa is not None and sb is not None:
                 members, cost = collect_block(i, a, b)
                 if cost >= 2:
-                    sub = Circuit(2)
-                    for j in members:
-                        sub.append(_remap(insts[j], {a: 0, b: 1}))
+                    sub = Circuit(2).replace(
+                        _remap(insts[j], {a: 0, b: 1}) for j in members)
                     init = np.kron(pure_state_vector(*sa), pure_state_vector(*sb))
                     target = np.asarray(simulate(sub, initial_state=init))
                     prep = prepare_two_qubit_state(target, sa, sb)
                     for p in prep.instructions:
-                        out.append(_remap(p, {0: a, 1: b}))
+                        out.append(_remap(p, (a, b)))
                     u, s, vh = np.linalg.svd(target.reshape(2, 2))
                     if s[1] <= 1e-7:  # product output: states stay known
                         tr.states[a] = vector_to_pure(u[:, 0])
@@ -383,7 +379,7 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                 known_q, other = (a, b) if known[0] else (b, a)
                 theta, phi = tr.states[known_q]
                 emit_params(pure_to_zero_gate(theta, phi), known_q)
-                keep(Instruction(_K.SWAPZ, (other, known_q)))
+                keep(_i(_K.SWAPZ, (other, known_q)))
                 emit_params(U3Params(theta, phi, 0.0), other)
         elif k is _K.SWAPZ and all(known) and PURE.is_zero(tr.states[qs[1]]):
             a, z = qs
@@ -395,9 +391,8 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
             p = pure_to_pure_gate(tr.states[t1], tr.states[t2])
             if not p.is_identity():
                 pinv = p.inverse()
-                out.append(Instruction(_K.CU3, (cq, t1), (p.theta, p.phi, p.lam)))
-                out.append(Instruction(_K.CU3, (cq, t2),
-                                       (pinv.theta, pinv.phi, pinv.lam)))
+                out.append(_i(_K.CU3, (cq, t1), (p.theta, p.phi, p.lam)))
+                out.append(_i(_K.CU3, (cq, t2), (pinv.theta, pinv.phi, pinv.lam)))
                 tr.set_top(qs)
         else:
             keep(inst)
@@ -521,10 +516,10 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
     for lq, pq in enumerate(l2p):
         p2l[pq] = lq
 
-    out = Circuit(cmap.n_physical, c.n_clbits)
+    out: list[Instruction] = []
 
     def do_swap(x: int, y: int) -> None:
-        out.swap(x, y)
+        out.append(_i(_K.SWAP, (x, y)))
         lx, ly = p2l[x], p2l[y]
         p2l[x], p2l[y] = ly, lx
         if lx >= 0:
@@ -533,19 +528,17 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
             l2p[ly] = x
 
     for inst in c.instructions:
-        if inst.kind is _K.BARRIER or len(inst.qubits) == 1:
-            out.append(_remap(inst, {q: l2p[q] for q in inst.qubits}))
-            continue
-        if len(inst.qubits) != 2:
-            raise ValueError("route expects an unrolled circuit (1q/2q gates)")
-        a, b = inst.qubits
-        if not cmap.adjacent(l2p[a], l2p[b]):
-            path = cmap.shortest_path(l2p[a], l2p[b], rng)
-            for x, y in zip(path, path[1:-1]):
-                do_swap(x, y)
-        out.append(_remap(inst, {a: l2p[a], b: l2p[b]}))
+        if inst.kind is not _K.BARRIER and len(inst.qubits) != 1:
+            if len(inst.qubits) != 2:
+                raise ValueError("route expects an unrolled circuit (1q/2q gates)")
+            a, b = inst.qubits
+            if not cmap.adjacent(l2p[a], l2p[b]):
+                path = cmap.shortest_path(l2p[a], l2p[b], rng)
+                for x, y in zip(path, path[1:-1]):
+                    do_swap(x, y)
+        out.append(_remap(inst, l2p))
 
-    return out, list(l2p)
+    return Circuit(cmap.n_physical, c.n_clbits).replace(out), list(l2p)
 
 
 # ---------------------------------------------------------------------------

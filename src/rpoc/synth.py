@@ -12,11 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (Circuit, EPS_ANGLE, GateKind, Instruction,
-                      angles_equal, canonical_angle)
+from .circuit import (Circuit, GateKind, Instruction, angles_equal,
+                      canonical_angle)
 
 PI = math.pi
 UNITARY_TOL = 1e-10
+
+
+def _i(kind, qubits, params=(), clbits=(), open_mask=()):
+    """Instruction built like the dataclass __init__ but without its checks:
+    for fields derived from checked instructions, already canonical."""
+    inst = object.__new__(Instruction)
+    object.__setattr__(inst, "kind", kind)
+    object.__setattr__(inst, "qubits", qubits)
+    object.__setattr__(inst, "params", params)
+    object.__setattr__(inst, "clbits", clbits)
+    object.__setattr__(inst, "open_mask", open_mask)
+    return inst
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -88,9 +100,9 @@ class U3Params:
     def matrix(self) -> np.ndarray:
         return cmath.exp(1j * self.global_phase) * u3_matrix(self.theta, self.phi, self.lam)
 
-    def is_identity(self, eps: float = EPS_ANGLE) -> bool:
-        return (angles_equal(self.theta, 0.0, eps)
-                and angles_equal(self.phi + self.lam, 0.0, eps))
+    def is_identity(self) -> bool:
+        return (angles_equal(self.theta, 0.0)
+                and angles_equal(self.phi + self.lam, 0.0))
 
     def inverse(self) -> "U3Params":
         # u3(t,p,l)^dag == u3(t, pi-l, pi-p) exactly (no phase slack).
@@ -142,16 +154,15 @@ def as_u3params(inst: Instruction) -> U3Params:
     raise ValueError(f"{k.value} is not a single-qubit unitary gate")
 
 
-def u3params_instruction(p: U3Params, q: int,
-                         eps: float = EPS_ANGLE) -> Instruction | None:
+def u3params_instruction(p: U3Params, q: int) -> Instruction | None:
     """Cheapest u-gate realizing p on qubit q; None if p is the identity."""
-    if p.is_identity(eps):
+    if p.is_identity():
         return None
-    if angles_equal(p.theta, 0.0, eps):
-        return Instruction(GateKind.U1, (q,), (canonical_angle(p.phi + p.lam),))
-    if angles_equal(p.theta, PI / 2, eps):
-        return Instruction(GateKind.U2, (q,), (p.phi, p.lam))
-    return Instruction(GateKind.U3, (q,), (p.theta, p.phi, p.lam))
+    if angles_equal(p.theta, 0.0):
+        return _i(GateKind.U1, (q,), (canonical_angle(p.phi + p.lam),))
+    if angles_equal(p.theta, PI / 2):
+        return _i(GateKind.U2, (q,), (p.phi, p.lam))
+    return _i(GateKind.U3, (q,), (p.theta, p.phi, p.lam))
 
 
 def pure_state_vector(theta: float, phi: float) -> np.ndarray:
@@ -179,10 +190,6 @@ DEFAULT_BASIS = frozenset({GateKind.U1, GateKind.U2, GateKind.U3,
                            GateKind.ID, GateKind.CX})
 _KEEP_ALWAYS = frozenset({GateKind.RESET, GateKind.ANNOT,
                           GateKind.MEASURE, GateKind.BARRIER})
-
-
-def _i(kind, qubits, params=(), mask=()):
-    return Instruction(kind, tuple(qubits), tuple(params), open_mask=tuple(mask))
 
 
 def swap_to_cx(a: int, b: int) -> list[Instruction]:
@@ -269,12 +276,7 @@ def _mcxpow(alpha: float, controls: tuple[int, ...], target: int) -> list[Instru
 
 def mcx_recursive(controls: tuple[int, ...], target: int) -> list[Instruction]:
     """Ancilla-free multi-controlled X (k >= 3 controls)."""
-    last, rest = controls[-1], controls[:-1]
-    return (_cxpow(0.5, last, target)
-            + [_make_mcx(rest, last)]
-            + _cxpow(-0.5, last, target)
-            + [_make_mcx(rest, last)]
-            + _mcxpow(0.5, rest, target))
+    return _mcxpow(1.0, controls, target)
 
 
 def mcx_vchain(controls: tuple[int, ...], target: int, ancillas: tuple[int, ...],
@@ -285,24 +287,25 @@ def mcx_vchain(controls: tuple[int, ...], target: int, ancillas: tuple[int, ...]
         raise ValueError("mcx with ancillas needs k-2 clean ancilla qubits")
     if not open_mask:
         open_mask = (False,) * k
+    K = GateKind
     if k == 1:
-        return [_i(GateKind.CX, (controls[0], target), mask=(open_mask[0],))]
+        return [Instruction(K.CX, (controls[0], target), open_mask=open_mask[:1])]
     if k == 2:
-        return [_i(GateKind.CCX, (controls[0], controls[1], target), mask=open_mask)]
-    compute = [_i(GateKind.CCX, (controls[0], controls[1], ancillas[0]),
-                  mask=(open_mask[0], open_mask[1]))]
+        return [Instruction(K.CCX, (*controls, target), open_mask=open_mask)]
+    compute = [Instruction(K.CCX, (controls[0], controls[1], ancillas[0]),
+                           open_mask=open_mask[:2])]
     for j in range(2, k - 1):
-        compute.append(_i(GateKind.CCX, (controls[j], ancillas[j - 2], ancillas[j - 1]),
-                          mask=(open_mask[j], False)))
-    apply_t = _i(GateKind.CCX, (controls[k - 1], ancillas[k - 3], target),
-                 mask=(open_mask[k - 1], False))
+        compute.append(Instruction(K.CCX, (controls[j], ancillas[j - 2], ancillas[j - 1]),
+                                   open_mask=(open_mask[j], False)))
+    apply_t = Instruction(K.CCX, (controls[k - 1], ancillas[k - 3], target),
+                          open_mask=(open_mask[k - 1], False))
     return compute + [apply_t] + list(reversed(compute))
 
 
 def _open_control_wrap(inst: Instruction) -> list[Instruction]:
     """Rewrite open controls as X-conjugated closed controls."""
     xs = [_i(GateKind.X, (q,)) for q, o in zip(inst.controls, inst.open_mask) if o]
-    closed = Instruction(inst.kind, inst.qubits, inst.params)
+    closed = _i(inst.kind, inst.qubits, inst.params)
     return xs + [closed] + xs
 
 

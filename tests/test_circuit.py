@@ -103,6 +103,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_program("qreg q[1]; u1(zork) q[0];")
 
+    @pytest.mark.parametrize("stmt", ["u1(nan) q[0];", "u3(inf,0,0) q[0];",
+                                      "annot(nan,0) q[0];", "u2(0,-inf) q[0];"])
+    def test_non_finite_angle(self, stmt):
+        with pytest.raises(ParseError) as e:
+            parse_program(f"qreg q[1];\n{stmt}\n")
+        assert (e.value.line, e.value.col) == (2, 1)
+        assert "finite" in e.value.msg
+
+    def test_open_prefix_on_uncontrolled_kind(self):
+        for stmt in ("ocu3(1,0,0) q[0],q[1];", "ocswap q[0],q[1],q[2];",
+                     "oswap q[0],q[1];"):
+            with pytest.raises(ParseError):
+                parse_program(f"qreg q[3]; {stmt}")
+
 
 class TestEmit:
     def test_empty(self):
@@ -222,6 +236,13 @@ class TestInstructionValidation:
     def test_width_check_on_append(self):
         with pytest.raises(ValueError):
             Circuit(2).x(5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Instruction(GateKind.U3, (0,), (0.0, bad, 0.0))
+        with pytest.raises(ValueError):
+            Circuit(1).u1(bad, 0)
 
     def test_params_canonicalized(self):
         inst = Instruction(GateKind.U1, (0,), (-math.pi / 2,))

@@ -45,6 +45,15 @@ def test_bad_coupling_file_exits_2(files, capsys, cmap):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_non_finite_angle_is_an_input_error(files, capsys):
+    src = files("nan.qasm", "qreg q[1];\nu1(nan) q[0];\n")
+    for argv in (["optimize", src], ["verify", src, src], ["stats", src]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: line 2, col 1: ")
+        assert out.out == ""
+
+
 def test_bench_on_builtin_grid_map_verifies(capsys):
     # The 20-node grid is wider than the oracle, but the routed bv4 touches
     # only a few of its wires.

@@ -13,7 +13,7 @@ from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
 from rpoc.passes import (CX_CELLS, SWAP_CELLS, cx_cell_instructions,
                          swap_cell_instructions, resolve_coupling)
 from rpoc.synth import cancel_adjacent_cx, merge_1q_runs
-from helpers import BASIS_PREP, TOP_SPAN, random_circuit
+from helpers import BASIS_PREP, TOP_SPAN, random_circuit, random_full_circuit
 
 PI = math.pi
 B = BasisState
@@ -724,6 +724,50 @@ class TestPipeline:
                     again = cancel_adjacent_cx(merge_1q_runs(out))
                     assert again.instructions == out.instructions, (
                         emit_program(c), cmap, on_qbo, on_qpo)
+
+    def test_pass_outputs_are_canonical(self, monkeypatch):
+        # Passes build instructions unchecked; each one must equal its
+        # checked rebuild, with int qubits and float angles, in range.
+        from rpoc import gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry
+        from rpoc import passes
+
+        def check(c, where):
+            for inst in c.instructions:
+                assert inst == Instruction(inst.kind, inst.qubits, inst.params,
+                                           inst.clbits, inst.open_mask), where
+                assert all(type(q) is int for q in inst.qubits + inst.clbits), where
+                assert all(type(p) is float for p in inst.params), where
+                assert all(0 <= q < c.n_qubits for q in inst.qubits), where
+                assert all(0 <= b < c.n_clbits for b in inst.clbits), where
+
+        def checked(name):
+            fn = getattr(passes, name)
+
+            def run(*args, **kwargs):
+                res = fn(*args, **kwargs)
+                check(res[0] if name == "route" else res, name)
+                return res
+            return run
+
+        for name in ("qbo", "qpo", "route", "unroll", "merge_1q_runs",
+                     "cancel_adjacent_cx"):
+            monkeypatch.setattr(passes, name, checked(name))
+        rng = random.Random(16)
+        circuits = [gen_bv(4, "1011", "boolean"), gen_qpe(3, 7 / 8),
+                    gen_grover(3, 5, 2),
+                    gen_grover(4, 11, 1, use_ancilla=True, annotate=True),
+                    gen_vqe_ry(4, 2, [0.3 * k for k in range(12)]),
+                    gen_qv_like(4, 4, seed=1)]
+        circuits += [random_full_circuit(rng, 4, 30, measure=k % 2 == 1)
+                     for k in range(6)]
+        for i, c in enumerate(circuits):
+            for cmap in (None, line_coupling(5)):
+                for on in itertools.product((False, True), repeat=3):
+                    out = pipeline(c, PipelineOptions(
+                        coupling=cmap, seed=i, random_layout=True,
+                        enable_qbo=on[0], enable_qpo=on[1],
+                        enable_block_resynth=on[2]))
+                    check(out, (emit_program(c), cmap, on))
 
     def test_measured_circuit_with_coupling(self):
         c = Circuit(3, 3)
