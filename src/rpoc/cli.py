@@ -53,6 +53,8 @@ def _cmd_verify(args) -> int:
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
+        if int(hi) < int(lo):
+            raise ValueError(f"empty size range {text}")
         return list(range(int(lo), int(hi) + 1))
     return [int(x) for x in text.split(",")]
 

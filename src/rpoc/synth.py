@@ -1,8 +1,9 @@
 """Single-qubit algebra and gate decomposition.
 
 Covers ZYZ re-synthesis of 2x2 unitaries, u3 composition, unrolling of
-compound gates into a {u1,u2,u3,id,cx} basis, adjacent-gate cleanup, and
-two-qubit state preparation from known product inputs.
+compound gates into a {u1,u2,u3,id,cx} basis (an MCX with k >= 3 controls
+as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup,
+and two-qubit state preparation from known product inputs.
 """
 from __future__ import annotations
 
@@ -236,22 +237,6 @@ def cu3_to_cx(theta: float, phi: float, lam: float, c: int, t: int) -> list[Inst
     ]
 
 
-def _cxpow(alpha: float, c: int, t: int) -> list[Instruction]:
-    """Controlled X^alpha, phase-exact: cu3 plus a u1 correction on the
-    control carrying the root's global phase (u3 alone would leak a relative
-    phase into the control-1 branch)."""
-    half = PI * alpha / 2.0
-    root = cmath.exp(1j * half) * np.array(
-        [[math.cos(half), -1j * math.sin(half)],
-         [-1j * math.sin(half), math.cos(half)]])
-    p = zyz_decompose(root)
-    out = []
-    if not angles_equal(p.global_phase, 0.0):
-        out.append(_i(GateKind.U1, (c,), (p.global_phase,)))
-    out.append(_i(GateKind.CU3, (c, t), (p.theta, p.phi, p.lam)))
-    return out
-
-
 def _make_mcx(controls: tuple[int, ...], target: int) -> Instruction:
     if len(controls) == 0:
         return _i(GateKind.X, (target,))
@@ -262,21 +247,34 @@ def _make_mcx(controls: tuple[int, ...], target: int) -> Instruction:
     return _i(GateKind.MCX, controls + (target,))
 
 
-def _mcxpow(alpha: float, controls: tuple[int, ...], target: int) -> list[Instruction]:
-    """Multi-controlled X^alpha via the controlled-root recursion."""
-    if len(controls) == 1:
-        return _cxpow(alpha, controls[0], target)
-    last, rest = controls[-1], controls[:-1]
-    return (_cxpow(alpha / 2.0, last, target)
-            + [_make_mcx(rest, last)]
-            + _cxpow(-alpha / 2.0, last, target)
-            + [_make_mcx(rest, last)]
-            + _mcxpow(alpha / 2.0, rest, target))
+def mcx_gray_code(controls: tuple[int, ...], target: int) -> list[Instruction]:
+    """Ancilla-free multi-controlled X, exact including global phase, with
+    2^(k+1)-2 CX for k controls: H on the target around C^kZ.
 
-
-def mcx_recursive(controls: tuple[int, ...], target: int) -> list[Instruction]:
-    """Ancilla-free multi-controlled X (k >= 3 controls)."""
-    return _mcxpow(1.0, controls, target)
+    C^kZ is the phase polynomial pi * x_0...x_k = pi/2^k * sum over nonempty
+    wire subsets S of (-1)^(|S|+1) parity(S) (Barenco et al. 1995, sec. 7;
+    Welch et al. 2014).  The subsets whose highest wire is h are walked in
+    Gray-code order with h as host: one CX into h and one u1(+-pi/2^k) on it
+    per step, and a last CX to restore h.  The most frequently flipped bit is
+    the wire just below h, so on a line most CX act on neighbours.
+    """
+    wires = controls + (target,)
+    plus = PI / 2 ** len(controls)
+    minus = canonical_angle(-plus)
+    out = [_i(GateKind.H, (target,))]
+    for j in reversed(range(len(wires))):
+        host, gray = wires[j], 0
+        out.append(_i(GateKind.U1, (host,), (plus,)))
+        for step in range(1, 2 ** j):
+            bit = (step & -step).bit_length() - 1
+            gray ^= 1 << bit
+            out.append(_i(GateKind.CX, (wires[j - 1 - bit], host)))
+            out.append(_i(GateKind.U1, (host,),
+                          (minus if gray.bit_count() % 2 else plus,)))
+        if j:
+            out.append(_i(GateKind.CX, (wires[0], host)))
+    out.append(_i(GateKind.H, (target,)))
+    return out
 
 
 def mcx_vchain(controls: tuple[int, ...], target: int, ancillas: tuple[int, ...],
@@ -335,15 +333,15 @@ def _decompose_step(inst: Instruction) -> list[Instruction]:
         controls, target = inst.qubits[:-1], inst.qubits[-1]
         if len(controls) <= 2:
             return [_make_mcx(controls, target)]
-        return mcx_recursive(controls, target)
+        return mcx_gray_code(controls, target)
     raise ValueError(f"cannot decompose {kind.value} into the requested basis")
 
 
 def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS) -> Circuit:
     """Decompose every gate into `basis` kinds, which must include u1, u2, u3
     and cx (RESET/ANNOT/MEASURE/BARRIER pass through).  MCX with three or
-    more controls uses an ancilla-free recursion.  Unrolling the output
-    again returns it unchanged."""
+    more controls uses the ancilla-free `mcx_gray_code`.  Unrolling the
+    output again returns it unchanged."""
     basis = frozenset(basis)
     if not {GateKind.U1, GateKind.U2, GateKind.U3, GateKind.CX} <= basis:
         raise ValueError("basis must include u1, u2, u3 and cx")

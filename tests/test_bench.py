@@ -5,8 +5,8 @@ import pytest
 from rpoc import (BenchSpec, Circuit, GateKind, cx_count,
                   emit_program, equivalent_up_to_global_phase, gen_bv,
                   gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry,
-                  grover_success_probability, median_summary, pipeline,
-                  rows_to_csv, run_bench, simulate)
+                  grover_success_probability, line_coupling, median_summary,
+                  pipeline, PipelineOptions, rows_to_csv, run_bench, simulate)
 from rpoc.bench import CSV_HEADER, build_circuit
 
 PI = math.pi
@@ -95,6 +95,26 @@ class TestGrover:
         d = simulate(c)  # would raise on a bad annotation
         assert d[format(19, "05b")] == pytest.approx(
             grover_success_probability(5, 2), abs=1e-9)
+
+    @pytest.mark.parametrize("marked", [0, 22, 63])
+    def test_grover6_cx_is_twelve_mcz_templates(self, marked):
+        # Six iterations of two 5-control MCZ at 2^6 - 2 = 62 CX each; no
+        # pass finds anything to remove or add.
+        c = gen_grover(6, marked, 6)
+        for on in (False, True):
+            opts = PipelineOptions(enable_qbo=on, enable_qpo=on)
+            assert cx_count(pipeline(c, opts)) == 12 * 62
+
+    @pytest.mark.parametrize("marked", [5, 42])
+    def test_grover6_on_line15(self, marked):
+        c = gen_grover(6, marked, 6)
+        outs = [pipeline(c, PipelineOptions(coupling=line_coupling(15),
+                                            enable_qbo=on, enable_qpo=on))
+                for on in (False, True)]
+        for out in outs:
+            assert equivalent_up_to_global_phase(c, out,
+                                                 perm=out.layout).equivalent
+        assert cx_count(outs[1]) <= cx_count(outs[0])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,22 @@ def test_bench_on_builtin_grid_map_verifies(capsys):
     assert "unverified" not in out.err
 
 
+def test_empty_size_range_is_an_input_error(capsys):
+    assert main(["bench", "--alg", "qpe", "--n", "10..4", "--reps", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ")
+    assert out.out == ""
+
+
+def test_bench_grover8_verifies(capsys):
+    # Two 7-control MCZ per iteration, unrolled without ancillas.
+    assert main(["bench", "--alg", "grover", "--n", "8", "--reps", "1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    col = CSV_HEADER.split(",").index("verified")
+    assert [line.split(",")[col] for line in lines[1:]] == ["1", "1"]
+
+
 def test_verify_wide_files_on_touched_wires(files, capsys):
     # 20-wire files that touch wires 0-15 only: a GHZ state built from either
     # end of the chain, and one built with a CX missing.

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpoc import (Circuit, GateKind, Instruction, U3Params,
                   angles_equal, cancel_adjacent_cx, compose_u3, cx_count,
@@ -12,11 +14,11 @@ from rpoc import (Circuit, GateKind, Instruction, U3Params,
 from rpoc.circuit import count_1q
 from rpoc.oracle import equivalent_up_to_global_phase
 from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
-                        cu3_to_cx, matrix_1q, mcx_recursive, mcx_vchain,
+                        cu3_to_cx, matrix_1q, mcx_gray_code, mcx_vchain,
                         pure_state_vector, swap_to_cx, swapz_to_cx,
                         u3params_instruction)
 
-from helpers import haar_unitary, random_statevector
+from helpers import haar_unitary, random_statevector, ref_simulate
 
 PI = math.pi
 
@@ -178,7 +180,7 @@ class TestDecompositions:
         rng = np.random.default_rng(8 + k)
         n = k + 1
         c = Circuit(n).mcx(*range(n))
-        d = unroll(Circuit(n).extend(mcx_recursive(tuple(range(k)), k)))
+        d = unroll(Circuit(n).extend(mcx_gray_code(tuple(range(k)), k)))
         self.check_equivalence(c, d, n, rng)
 
     def test_mcx_recursive_k5_random_states(self):
@@ -231,6 +233,57 @@ class TestDecompositions:
     def test_unroll_requires_cx_basis(self):
         with pytest.raises(ValueError):
             unroll(Circuit(1).h(0), frozenset({GateKind.U3}))
+
+
+def _mcx(k, mask=()):
+    return Circuit(k + 1).append(Instruction(
+        GateKind.MCX, tuple(range(k + 1)), open_mask=tuple(mask)))
+
+
+class TestMcxGrayCode:
+    """The ancilla-free MCX template: its exact CX count, and its unitary
+    equal to the gate's, global phase included."""
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_cx_count(self, k):
+        assert cx_count(unroll(_mcx(k))) == 2 ** (k + 1) - 2
+
+    # Microbenchmark: runs once as a test; time it with --benchmark-enable.
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_unroll_time(self, benchmark, k):
+        out = benchmark(unroll, _mcx(k))
+        assert cx_count(out) == 2 ** (k + 1) - 2
+        assert all(i.kind in DEFAULT_BASIS for i in out.instructions)
+
+    # A generic input state tells two unitaries apart, phase included.
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(k=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_mask_matches_reference(self, k, seed):
+        state = random_statevector(np.random.default_rng(seed), k + 1)
+        for mask in itertools.product((False, True), repeat=k):
+            c = _mcx(k, mask)
+            assert np.allclose(simulate(unroll(c), initial_state=state),
+                               ref_simulate(c, state), atol=1e-9)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_columns_on_basis_states(self, data):
+        k = data.draw(st.integers(6, 8), label="k")
+        n = k + 1
+        mask = data.draw(st.lists(st.booleans(), min_size=k, max_size=k),
+                         label="mask")
+        col = data.draw(st.integers(0, 2 ** n - 1), label="column")
+        if data.draw(st.booleans(), label="fires"):
+            for q, o in enumerate(mask):  # qubit 0 is the high bit
+                bit = 1 << (n - 1 - q)
+                col = col & ~bit if o else col | bit
+        fires = all((col >> (n - 1 - q)) & 1 != o for q, o in enumerate(mask))
+        init = np.zeros(2 ** n, dtype=complex)
+        init[col] = 1.0
+        want = np.zeros(2 ** n, dtype=complex)
+        want[col ^ 1 if fires else col] = 1.0
+        got = simulate(unroll(_mcx(k, mask)), initial_state=init)
+        assert np.allclose(got, want, atol=1e-9)
 
 
 class TestMerge1q:
