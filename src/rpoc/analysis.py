@@ -1,31 +1,25 @@
-"""Per-qubit static state tracking: one tracker over two abstract domains.
+"""Per-qubit static state tracking: one pure-state tracker for both passes.
 
-A `Tracker` keeps one abstract state per wire, starting from the domain's
-ground state.  Single-qubit gates, RESET, ANNOT and MEASURE go through the
-domain's transfer function; SWAP exchanges two states, and so does SWAPZ
-when the domain's zero test holds for its designated operand; every other
-multi-qubit gate sends its operands to the domain's unknown element.
+A `Tracker` keeps one state per wire: a (theta, phi) pair with
+|psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, or None for unknown
+(TOP).  Every wire starts in |0>.  Single-qubit gates act on the state's two
+amplitudes; RESET sets |0>, ANNOT sets the asserted state and MEASURE sets
+TOP.  SWAP exchanges two states, and so does SWAPZ when its designated
+operand is |0>; every other multi-qubit gate sends its operands to TOP.
 
-- BASIS: the six octahedron states |0>, |1>, |+>, |->, |+i>, |-i> plus the
-  unknown state TOP.  Single-qubit gates move a tracked state by direct
-  matrix action followed by ray classification, which reproduces the named
-  half/quarter-turn transitions and widens everything else to TOP.
-- PURE: a (theta, phi) pair with |psi> = cos(theta/2)|0> +
-  e^{i phi} sin(theta/2)|1>, or None for unknown.  Single-qubit gates advance
-  it by u3 merging; the leftover lambda never moves |0> and is dropped.
+qpo uses the tracked states as they are.  qbo reads its rewrite tables
+through `basis_of`, which snaps a state onto one of the six octahedron rays
+|0>, |1>, |+>, |->, |+i>, |-i> and reports TOP for any other state.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
-from typing import Any, Callable
-
-import numpy as np
 
 from .circuit import EPS_ANGLE, GateKind, Instruction, angles_equal, canonical_angle
-from .synth import U3Params, as_u3params, compose_u3, matrix_1q, pure_state_vector
+from .synth import U3Params, as_u3params
 
 PI = math.pi
 
@@ -40,23 +34,11 @@ class BasisState(Enum):
     TOP = "top"
 
 
-# (theta, phi) of each tracked ray.
-_BASIS_ANGLES: dict[BasisState, tuple[float, float]] = {
-    BasisState.ZERO: (0.0, 0.0),
-    BasisState.ONE: (PI, 0.0),
-    BasisState.PLUS: (PI / 2, 0.0),
-    BasisState.MINUS: (PI / 2, PI),
-    BasisState.PLUS_I: (PI / 2, PI / 2),
-    BasisState.MINUS_I: (PI / 2, 3 * PI / 2),
-}
+# phi of the four equator rays (theta = pi/2); |0> and |1> are the poles.
+_EQUATOR = ((BasisState.PLUS, 0.0), (BasisState.MINUS, PI),
+            (BasisState.PLUS_I, PI / 2), (BasisState.MINUS_I, 3 * PI / 2))
 
-BASIS_VECTORS: dict[BasisState, np.ndarray] = {
-    s: pure_state_vector(*ang) for s, ang in _BASIS_ANGLES.items()
-}
-
-
-def basis_state_angles(s: BasisState) -> tuple[float, float]:
-    return _BASIS_ANGLES[s]
+GROUND = (0.0, 0.0)  # every wire's initial state, |0>
 
 
 def canonical_pure(theta: float, phi: float) -> tuple[float, float]:
@@ -72,7 +54,7 @@ def canonical_pure(theta: float, phi: float) -> tuple[float, float]:
     return theta, phi
 
 
-def vector_to_pure(v: np.ndarray) -> tuple[float, float]:
+def vector_to_pure(v: Sequence[complex]) -> tuple[float, float]:
     """(theta, phi) of a single-qubit statevector, dropping global phase."""
     theta = 2.0 * math.atan2(abs(v[1]), abs(v[0]))
     if abs(v[1]) < 1e-12 or abs(v[0]) < 1e-12:
@@ -90,85 +72,46 @@ def classify_pure_as_basis(theta: float, phi: float) -> BasisState:
     if angles_equal(theta, PI):
         return BasisState.ONE
     if angles_equal(theta, PI / 2):
-        for s in (BasisState.PLUS, BasisState.MINUS,
-                  BasisState.PLUS_I, BasisState.MINUS_I):
-            if angles_equal(phi, _BASIS_ANGLES[s][1]):
+        for s, ray_phi in _EQUATOR:
+            if angles_equal(phi, ray_phi):
                 return s
     return BasisState.TOP
 
 
-def basis_transition(s: BasisState, kind: GateKind,
-                     params: tuple[float, ...] = ()) -> BasisState:
-    """Post-state of a tracked basis state under one single-qubit instruction."""
-    if kind is GateKind.RESET:
-        return BasisState.ZERO
-    if kind is GateKind.ANNOT:
-        return classify_pure_as_basis(*params)
-    if kind is GateKind.MEASURE:
+def basis_of(s: tuple[float, float] | None) -> BasisState:
+    """The tracked ray a pure state lies on, TOP when unknown or off-ray."""
+    if s is None:
         return BasisState.TOP
-    if kind is GateKind.BARRIER:
-        return s
-    if s is BasisState.TOP:
-        return BasisState.TOP
-    m = matrix_1q(kind, params)  # raises for multi-qubit kinds
-    return classify_pure_as_basis(*vector_to_pure(m @ BASIS_VECTORS[s]))
+    return classify_pure_as_basis(*s)
+
+
+def is_zero(s: tuple[float, float] | None) -> bool:
+    """Whether a tracked state is |0>, so a SWAPZ designated on it is a SWAP."""
+    return s is not None and angles_equal(s[0], 0.0)
 
 
 def pure_transition(s: tuple[float, float] | None,
                     g: U3Params) -> tuple[float, float] | None:
-    """Advance a tracked pure state through a single-qubit gate."""
+    """Advance a tracked pure state through a single-qubit gate, by applying
+    u3(theta, phi, lam) to the state's two amplitudes."""
     if s is None:
         return None
-    merged = compose_u3(U3Params(s[0], s[1], 0.0), g)
-    return canonical_pure(merged.theta, merged.phi)
-
-
-def _pure_transfer(s: tuple[float, float] | None,
-                   inst: Instruction) -> tuple[float, float] | None:
-    k = inst.kind
-    if k is GateKind.RESET:
-        return (0.0, 0.0)
-    if k is GateKind.ANNOT:
-        return canonical_pure(*inst.params)
-    if k is GateKind.MEASURE:
-        return None
-    return pure_transition(s, as_u3params(inst))
-
-
-@dataclass(frozen=True)
-class Domain:
-    """An abstract domain of single-qubit states.
-
-    `ground` is the state every wire starts in, `unknown` the top element,
-    `transfer(state, inst)` the post-state under a single-qubit unitary,
-    RESET, ANNOT or MEASURE, and `is_zero(state)` whether a SWAPZ designated
-    on a wire in that state is a true SWAP."""
-
-    ground: Any
-    unknown: Any
-    transfer: Callable[[Any, Instruction], Any]
-    is_zero: Callable[[Any], bool]
-
-
-BASIS = Domain(BasisState.ZERO, BasisState.TOP,
-               lambda s, inst: basis_transition(s, inst.kind, inst.params),
-               lambda s: s is BasisState.ZERO)
-PURE = Domain((0.0, 0.0), None, _pure_transfer,
-              lambda s: s is not None and angles_equal(s[0], 0.0))
-
-_WIRE_KINDS = (GateKind.RESET, GateKind.ANNOT, GateKind.MEASURE)
+    ct, st = math.cos(g.theta / 2.0), math.sin(g.theta / 2.0)
+    a0 = math.cos(s[0] / 2.0)
+    a1 = cmath.exp(1j * (s[1] + g.lam)) * math.sin(s[0] / 2.0)
+    return vector_to_pure((ct * a0 - st * a1,
+                           cmath.exp(1j * g.phi) * (st * a0 + ct * a1)))
 
 
 class Tracker:
-    """Per-qubit state map over one domain, driven by kept-gate semantics."""
+    """Per-qubit pure-state map, driven by kept-gate semantics."""
 
-    def __init__(self, n_qubits: int, domain: Domain):
-        self.domain = domain
-        self.states: list = [domain.ground] * n_qubits
+    def __init__(self, n_qubits: int):
+        self.states: list[tuple[float, float] | None] = [GROUND] * n_qubits
 
     def set_top(self, qubits) -> None:
         for q in qubits:
-            self.states[q] = self.domain.unknown
+            self.states[q] = None
 
     def swap(self, a: int, b: int) -> None:
         self.states[a], self.states[b] = self.states[b], self.states[a]
@@ -177,12 +120,19 @@ class Tracker:
         k = inst.kind
         if k is GateKind.BARRIER:
             return
-        if inst.is_1q or k in _WIRE_KINDS:
-            q = inst.qubits[0]
-            self.states[q] = self.domain.transfer(self.states[q], inst)
+        q = inst.qubits[0]
+        if k is GateKind.RESET:
+            self.states[q] = GROUND
+        elif k is GateKind.ANNOT:
+            self.states[q] = canonical_pure(*inst.params)
+        elif k is GateKind.MEASURE:
+            self.states[q] = None
+        elif inst.is_1q:
+            if self.states[q] is not None:
+                self.states[q] = pure_transition(self.states[q],
+                                                 as_u3params(inst))
         elif k is GateKind.SWAP or (
-                k is GateKind.SWAPZ
-                and self.domain.is_zero(self.states[inst.qubits[1]])):
+                k is GateKind.SWAPZ and is_zero(self.states[inst.qubits[1]])):
             self.swap(*inst.qubits)
         else:
             self.set_top(inst.qubits)

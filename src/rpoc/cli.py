@@ -64,7 +64,7 @@ def _cmd_bench(args) -> int:
     for n in _parse_range(args.n):
         spec = BenchSpec(algorithm=args.alg, n=n, reps=args.reps,
                          coupling=args.coupling, seed=args.seed)
-        rows.extend(run_bench(spec, verify=False if args.no_verify else None))
+        rows.extend(run_bench(spec, verify=not args.no_verify))
     csv_text = rows_to_csv(rows)
     if args.csv:
         with open(args.csv, "w") as f:

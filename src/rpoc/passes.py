@@ -1,18 +1,20 @@
 """State-tracking rewrite passes, qubit routing, and the pass pipeline.
 
-The two rewrite passes interleave per-qubit state analysis with rewriting in
-a single in-order traversal, so a removed gate never clobbers the states it
-would have destroyed:
+Both rewrite passes run one pure-state `Tracker` (analysis.py) and
+interleave it with rewriting in a single in-order traversal, so a removed
+gate never clobbers the states it would have destroyed:
 
-- qbo: tracks the BASIS domain per wire and applies the CX/SWAP rewrite
-  tables through cx_cell_instructions/swap_cell_instructions plus
-  multi-controlled-gate rules.  Rewrites change the circuit's unitary but
-  preserve its action on the tracked inputs, up to global phase; so a
-  rewritten SWAP exchanges the states tracked before it, whatever it emits.
-- qpo: tracks the PURE domain per wire, strength-reduces SWAPs on
-  known states, rewrites controlled-SWAPs with known targets, and optionally
-  re-synthesizes two-qubit blocks with known inputs into a state-preparation
-  circuit of at most one CX.
+- qbo: reads each wire's state as one of the six basis rays or TOP
+  (`basis_of`) and applies the CX/SWAP rewrite tables through
+  cx_cell_instructions/swap_cell_instructions plus multi-controlled-gate
+  rules; it drops a single-qubit gate that fixes its wire's known state.
+  Rewrites change the circuit's unitary but preserve its action on the
+  tracked inputs, up to global phase; so a rewritten SWAP exchanges the
+  states tracked before it, whatever it emits.
+- qpo: uses the tracked pure states as they are: it strength-reduces SWAPs
+  on known states, rewrites controlled-SWAPs with known targets, and
+  optionally re-synthesizes two-qubit blocks with known inputs into a
+  state-preparation circuit of at most one CX.
 
 Every table cell and rule is covered by an exhaustive brute-force
 equivalence test; nothing here is trusted without the oracle's sign-off.
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import BASIS, PURE, BasisState, Tracker, vector_to_pure
-from .circuit import Circuit, GateKind, GATES_1Q, Instruction
+from .analysis import (BasisState, Tracker, basis_of, is_zero, pure_transition,
+                       vector_to_pure)
+from .circuit import Circuit, GateKind, GATES_1Q, Instruction, angles_equal
 from .oracle import simulate
-from .synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
+from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cancel_adjacent_cx,
                     cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
                     pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
                     swapz_to_cx, u3params_instruction, unroll, _i, _make_mcx,
@@ -158,12 +161,15 @@ def qbo(c: Circuit) -> Circuit:
     state tracking with strength reduction of CX/CZ/SWAP/SWAPZ, Toffoli-style
     multi-controlled gates and controlled swaps.  CX count never increases."""
     out: list[Instruction] = []
-    tr = Tracker(c.n_qubits, BASIS)
+    tr = Tracker(c.n_qubits)
     _PASSTHROUGH = (_K.BARRIER, _K.MEASURE, _K.RESET, _K.ANNOT)
 
     def keep(inst: Instruction) -> None:
         out.append(inst)
         tr.step(inst)
+
+    def ray(q: int) -> BasisState:
+        return basis_of(tr.states[q])
 
     def visit_all(insts: list[Instruction]) -> None:
         for sub in insts:
@@ -180,15 +186,16 @@ def qbo(c: Circuit) -> Circuit:
         if inst.is_1q:
             q = inst.qubits[0]
             s = tr.states[q]
-            new = BASIS.transfer(s, inst)
-            if s is not _B.TOP and new == s:
-                return  # tracked state is a fixed ray of the gate: drop it
+            if s is not None:
+                new = pure_transition(s, as_u3params(inst))
+                if angles_equal(new[0], s[0]) and angles_equal(new[1], s[1]):
+                    return  # the gate fixes the tracked state: drop it
+                tr.states[q] = new
             out.append(inst)
-            tr.states[q] = new
             return
         if k is _K.CX:
             cq, tq = inst.qubits
-            repl = cx_cell_instructions(tr.states[cq], tr.states[tq], cq, tq)
+            repl = cx_cell_instructions(ray(cq), ray(tq), cq, tq)
             if repl is None:
                 keep(inst)
             else:
@@ -196,7 +203,7 @@ def qbo(c: Circuit) -> Circuit:
         elif k is _K.CZ:
             visit_cz(inst)
         elif k is _K.SWAP or (k is _K.SWAPZ
-                              and BASIS.is_zero(tr.states[inst.qubits[1]])):
+                              and is_zero(tr.states[inst.qubits[1]])):
             # A validated SWAPZ is semantically a SWAP.
             visit_swaplike(inst)
         elif k is _K.SWAPZ:
@@ -213,7 +220,7 @@ def qbo(c: Circuit) -> Circuit:
 
     def visit_cz(inst: Instruction) -> None:
         a, b = inst.qubits
-        sa, sb = tr.states[a], tr.states[b]
+        sa, sb = ray(a), ray(b)
         if sa is _B.ZERO or sb is _B.ZERO:
             return
         if sa is _B.ONE:
@@ -228,21 +235,21 @@ def qbo(c: Circuit) -> Circuit:
         # Every cell acts as the SWAP it replaces on its tracked inputs, so
         # the pre-rewrite states are exchanged whatever the cell emits.
         a, b = swap.qubits
-        repl = swap_cell_instructions(tr.states[a], tr.states[b], a, b)
+        repl = swap_cell_instructions(ray(a), ray(b), a, b)
         out.extend([swap] if repl is None else repl)
         tr.swap(a, b)
 
     def visit_mcx(inst: Instruction) -> None:
         controls, target = inst.qubits[:-1], inst.qubits[-1]
-        if any(tr.states[q] is _B.ZERO for q in controls):
+        if any(ray(q) is _B.ZERO for q in controls):
             return
-        if tr.states[target] is _B.PLUS:
+        if ray(target) is _B.PLUS:
             return
-        keep_controls = tuple(q for q in controls if tr.states[q] is not _B.ONE)
+        keep_controls = tuple(q for q in controls if ray(q) is not _B.ONE)
         if len(keep_controls) < len(controls):
             visit(_make_mcx(keep_controls, target))
             return
-        if tr.states[target] is _B.MINUS:
+        if ray(target) is _B.MINUS:
             # Phase kickback: a controlled-Z among the controls, target on
             # the last control (any choice is valid; fixed for determinism).
             if len(controls) == 1:
@@ -259,12 +266,12 @@ def qbo(c: Circuit) -> Circuit:
 
     def visit_cswap(inst: Instruction) -> None:
         cq, t1, t2 = inst.qubits
-        if tr.states[cq] is _B.ZERO:
+        if ray(cq) is _B.ZERO:
             return
-        if tr.states[cq] is _B.ONE:
+        if ray(cq) is _B.ONE:
             visit_swaplike(_i(_K.SWAP, (t1, t2)))
             return
-        if tr.states[t1] is not _B.TOP or tr.states[t2] is not _B.TOP:
+        if ray(t1) is not _B.TOP or ray(t2) is not _B.TOP:
             # Known swap target: decompose so the first CX can be reduced.
             visit_all(cswap_to_ccx(cq, t1, t2))
             return
@@ -272,9 +279,9 @@ def qbo(c: Circuit) -> Circuit:
 
     def visit_cu3(inst: Instruction) -> None:
         cq, tq = inst.qubits
-        if tr.states[cq] is _B.ZERO:
+        if ray(cq) is _B.ZERO:
             return
-        if tr.states[cq] is _B.ONE:
+        if ray(cq) is _B.ONE:
             visit(_i(_K.U3, (tq,), inst.params))
             return
         keep(inst)
@@ -308,7 +315,7 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     circuit with at most one CX.
     """
     out: list[Instruction] = []
-    tr = Tracker(c.n_qubits, PURE)
+    tr = Tracker(c.n_qubits)
     insts = c.instructions
     consumed: set[int] = set()
 
@@ -381,7 +388,7 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                 emit_params(pure_to_zero_gate(theta, phi), known_q)
                 keep(_i(_K.SWAPZ, (other, known_q)))
                 emit_params(U3Params(theta, phi, 0.0), other)
-        elif k is _K.SWAPZ and all(known) and PURE.is_zero(tr.states[qs[1]]):
+        elif k is _K.SWAPZ and all(known) and is_zero(tr.states[qs[1]]):
             a, z = qs
             sa, sz = tr.states[a], tr.states[z]
             emit_params(pure_to_pure_gate(sa, sz), a)

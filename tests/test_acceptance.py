@@ -8,12 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from rpoc import (BASIS, PURE, BasisState, Circuit, GateKind, Instruction,
+from rpoc import (BasisState, Circuit, GateKind, Instruction,
                   PipelineOptions, Tracker, cx_count, emit_program,
                   equivalent_up_to_global_phase, gen_bv, gen_grover, gen_qpe,
                   gen_qv_like, gen_vqe_ry, line_coupling, pipeline, qbo, qpo,
                   simulate, unroll)
-from rpoc.analysis import BASIS_VECTORS
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
 from rpoc.passes import cx_cell_instructions, swap_cell_instructions
 from rpoc.synth import pure_state_vector
@@ -271,20 +270,14 @@ def test_criterion_8_analysis_soundness():
     for _ in range(200):
         n = rng.randrange(2, 5)
         c = random_circuit(rng, n, rng.randrange(4, 22), allow_reset=True)
-        bt = Tracker(n, BASIS)
-        pt = Tracker(n, PURE)
+        pt = Tracker(n)
         prefix = c.copy_empty()
         for inst in c.instructions:
             prefix.append(inst)
             state = simulate(prefix)
-            bt.step(inst)
             pt.step(inst)
             for q in range(n):
                 rho = reduced_qubit_state(state, q)
-                if bt.states[q] is not B.TOP:
-                    td = trace_distance_to_pure(rho, BASIS_VECTORS[bt.states[q]])
-                    assert td <= 1e-8, (inst, q, bt.states[q], td)
-                    points += 1
                 if pt.states[q] is not None:
                     td = trace_distance_to_pure(
                         rho, pure_state_vector(*pt.states[q]))

@@ -4,22 +4,40 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rpoc import (BASIS, PURE, BasisState, GateKind, Instruction, Tracker,
-                  U3Params, basis_transition, classify_pure_as_basis,
-                  pure_transition, simulate)
-from rpoc.analysis import (BASIS_VECTORS, basis_state_angles, canonical_pure,
-                           vector_to_pure)
+from rpoc import (BasisState, Circuit, GateKind, Instruction, Tracker,
+                  U3Params, basis_of, classify_pure_as_basis, pure_transition,
+                  simulate)
+from rpoc.analysis import canonical_pure, vector_to_pure
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
 from rpoc.passes import cx_cell_instructions
-from rpoc.synth import matrix_1q, pure_state_vector
+from rpoc.synth import as_u3params, matrix_1q, pure_state_vector
 
-from helpers import random_circuit
+from helpers import (partial_trace_oracle, random_circuit, random_full_circuit,
+                     ref_simulate)
 
 PI = math.pi
 B = BasisState
 
 _SIX = [B.ZERO, B.ONE, B.PLUS, B.MINUS, B.PLUS_I, B.MINUS_I]
+_R2 = 1 / math.sqrt(2)
+# The six rays as statevectors, written out independently of analysis.py.
+_RAY_VECTORS = {
+    B.ZERO: [1, 0], B.ONE: [0, 1], B.PLUS: [_R2, _R2], B.MINUS: [_R2, -_R2],
+    B.PLUS_I: [_R2, 1j * _R2], B.MINUS_I: [_R2, -1j * _R2],
+}
+
+
+def _ray_vector(s):
+    return np.array(_RAY_VECTORS[s], dtype=complex)
+
+
+def _after(s, kind, params=()):
+    """Ray of a tracked ray (or TOP) after one single-qubit gate."""
+    state = None if s is B.TOP else vector_to_pure(_ray_vector(s))
+    g = as_u3params(Instruction(kind, (0,), params))
+    return basis_of(pure_transition(state, g))
 
 
 class TestClassify:
@@ -43,9 +61,14 @@ class TestClassify:
 
     def test_vectors_match_angles(self):
         for s in _SIX:
-            th, ph = basis_state_angles(s)
-            v = BASIS_VECTORS[s]
-            assert np.allclose(v, pure_state_vector(th, ph))
+            th, ph = vector_to_pure(_ray_vector(s))
+            assert classify_pure_as_basis(th, ph) is s
+            assert np.allclose(_ray_vector(s), pure_state_vector(th, ph))
+
+    def test_basis_of_unknown_is_top(self):
+        assert basis_of(None) is B.TOP
+        assert basis_of((1.0, 2.0)) is B.TOP
+        assert basis_of((PI / 2, PI)) is B.MINUS
 
 
 class TestCanonicalPure:
@@ -73,18 +96,20 @@ class TestCanonicalPure:
 
 
 class TestBasisTransition:
+    """The six-ray transitions, read off the pure tracker through basis_of."""
+
     def test_h_from_zero(self):
-        assert basis_transition(B.ZERO, GateKind.H) is B.PLUS
+        assert _after(B.ZERO, GateKind.H) is B.PLUS
 
     def test_s_from_plus(self):
-        assert basis_transition(B.PLUS, GateKind.S) is B.PLUS_I
+        assert _after(B.PLUS, GateKind.S) is B.PLUS_I
 
     def test_t_from_plus_is_top(self):
         # Independent check: T|+> overlaps none of the six rays.
-        v = matrix_1q(GateKind.T) @ BASIS_VECTORS[B.PLUS]
-        assert all(abs(abs(np.vdot(v, BASIS_VECTORS[s])) - 1) > 1e-3
+        v = matrix_1q(GateKind.T) @ _ray_vector(B.PLUS)
+        assert all(abs(abs(np.vdot(v, _ray_vector(s))) - 1) > 1e-3
                    for s in _SIX)
-        assert basis_transition(B.PLUS, GateKind.T) is B.TOP
+        assert _after(B.PLUS, GateKind.T) is B.TOP
 
     def test_named_gate_edges(self):
         cases = [
@@ -103,46 +128,56 @@ class TestBasisTransition:
             (B.ONE, GateKind.TDG, B.ONE),
         ]
         for before, kind, after in cases:
-            assert basis_transition(before, kind) is after, (before, kind)
+            assert _after(before, kind) is after, (before, kind)
 
     def test_u1_keeps_z_basis_for_any_angle(self):
         for lam in (0.123, 4.0, PI / 3):
-            assert basis_transition(B.ZERO, GateKind.U1, (lam,)) is B.ZERO
-            assert basis_transition(B.ONE, GateKind.U1, (lam,)) is B.ONE
-            assert basis_transition(B.PLUS, GateKind.U1, (lam,)) is B.TOP
+            assert _after(B.ZERO, GateKind.U1, (lam,)) is B.ZERO
+            assert _after(B.ONE, GateKind.U1, (lam,)) is B.ONE
+            assert _after(B.PLUS, GateKind.U1, (lam,)) is B.TOP
 
     def test_u1_quarter_turns_act_like_named_gates(self):
         for lam, kind in ((PI / 2, GateKind.S), (PI, GateKind.Z),
                           (3 * PI / 2, GateKind.SDG)):
             for s in _SIX:
-                assert (basis_transition(s, GateKind.U1, (lam,))
-                        is basis_transition(s, kind))
+                assert _after(s, GateKind.U1, (lam,)) is _after(s, kind)
 
     def test_u3_recognized_when_matching_named_gate(self):
-        assert basis_transition(B.ZERO, GateKind.U3, (PI, 0.0, PI)) is B.ONE
-        assert basis_transition(B.ZERO, GateKind.U2, (0.0, PI)) is B.PLUS
-        assert basis_transition(B.ZERO, GateKind.U3, (1.0, 0.0, 0.0)) is B.TOP
+        assert _after(B.ZERO, GateKind.U3, (PI, 0.0, PI)) is B.ONE
+        assert _after(B.ZERO, GateKind.U2, (0.0, PI)) is B.PLUS
+        assert _after(B.ZERO, GateKind.U3, (1.0, 0.0, 0.0)) is B.TOP
 
     def test_reset_annot_measure(self):
-        assert basis_transition(B.TOP, GateKind.RESET) is B.ZERO
-        assert basis_transition(B.TOP, GateKind.ANNOT, (PI, 0.0)) is B.ONE
-        assert basis_transition(B.TOP, GateKind.ANNOT, (PI / 2, PI / 2)) is B.PLUS_I
-        assert basis_transition(B.PLUS, GateKind.MEASURE) is B.TOP
+        tr = Tracker(1)
+        tr.states[0] = None
+        tr.step(Instruction(GateKind.RESET, (0,)))
+        assert basis_of(tr.states[0]) is B.ZERO
+        tr.states[0] = None
+        tr.step(Instruction(GateKind.ANNOT, (0,), (PI, 0.0)))
+        assert basis_of(tr.states[0]) is B.ONE
+        tr.states[0] = None
+        tr.step(Instruction(GateKind.ANNOT, (0,), (PI / 2, PI / 2)))
+        assert basis_of(tr.states[0]) is B.PLUS_I
+        tr.step(Instruction(GateKind.H, (0,)))
+        tr.step(Instruction(GateKind.MEASURE, (0,), clbits=(0,)))
+        assert tr.states[0] is None
 
     def test_top_absorbing_for_gates(self):
         for kind in (GateKind.X, GateKind.H, GateKind.S, GateKind.T):
-            assert basis_transition(B.TOP, kind) is B.TOP
+            assert _after(B.TOP, kind) is B.TOP
 
     def test_clifford_generators_permute_six_states(self):
         for kind in (GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
                      GateKind.S, GateKind.SDG):
-            image = [basis_transition(s, kind) for s in _SIX]
+            image = [_after(s, kind) for s in _SIX]
             assert B.TOP not in image
             assert len(set(image)) == 6
 
     def test_multi_qubit_kind_rejected(self):
+        # The u3 view that pure_transition consumes exists only for
+        # single-qubit gates.
         with pytest.raises(ValueError):
-            basis_transition(B.ZERO, GateKind.CX)
+            as_u3params(Instruction(GateKind.CX, (0, 1)))
 
 
 class TestPureTransition:
@@ -173,39 +208,50 @@ class TestPureTransition:
             assert abs(abs(np.vdot(claimed, vec)) - 1.0) < 1e-9
 
     def test_agrees_with_basis_transition(self):
+        # Ray after the tracked transition == ray of the matrix action.
         named = [GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,
                  GateKind.SDG, GateKind.T, GateKind.TDG]
         for s, kind in itertools.product(_SIX, named):
-            inst = Instruction(kind, (0,))
-            from rpoc.synth import as_u3params
-            pure_out = pure_transition(basis_state_angles(s), as_u3params(inst))
-            basis_out = basis_transition(s, kind)
-            if basis_out is not B.TOP:
-                assert classify_pure_as_basis(*pure_out) is basis_out
+            v = matrix_1q(kind) @ _ray_vector(s)
+            want = classify_pure_as_basis(*vector_to_pure(v))
+            assert _after(s, kind) is want, (s, kind)
+
+    def test_generic_states_match_matrix_action(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            th, ph = rng.uniform(0, PI), rng.uniform(0, 2 * PI)
+            g = U3Params(*rng.uniform(0, 2 * PI, 3))
+            got = pure_state_vector(*pure_transition((th, ph), g))
+            want = g.matrix() @ pure_state_vector(th, ph)
+            assert abs(abs(np.vdot(got, want)) - 1.0) < 1e-12
+
+
+def _check_claims(tr, rho_of, where):
+    """Every known state, and the ray basis_of reads off it, must match the
+    simulated reduced state of its wire."""
+    for q, s in enumerate(tr.states):
+        if s is None:
+            continue
+        rho = rho_of(q)
+        td = trace_distance_to_pure(rho, pure_state_vector(*s))
+        assert td <= 1e-8, (where, q, s, td)
+        ray = basis_of(s)
+        if ray is not B.TOP:
+            td = trace_distance_to_pure(rho, _ray_vector(ray))
+            assert td <= 1e-8, (where, q, ray, td)
 
 
 class TestTrackerSoundness:
     """Every non-TOP claim must match the simulated reduced density matrix."""
 
     def _check_circuit(self, c):
-        bt = Tracker(c.n_qubits, BASIS)
-        pt = Tracker(c.n_qubits, PURE)
-        state = None
+        tr = Tracker(c.n_qubits)
         prefix = c.copy_empty()
         for inst in c.instructions:
             prefix.append(inst)
             state = simulate(prefix)
-            bt.step(inst)
-            pt.step(inst)
-            for q in range(c.n_qubits):
-                rho = reduced_qubit_state(state, q)
-                if bt.states[q] is not B.TOP:
-                    td = trace_distance_to_pure(rho, BASIS_VECTORS[bt.states[q]])
-                    assert td <= 1e-8, (q, inst, bt.states[q])
-                if pt.states[q] is not None:
-                    td = trace_distance_to_pure(
-                        rho, pure_state_vector(*pt.states[q]))
-                    assert td <= 1e-8, (q, inst, pt.states[q])
+            tr.step(inst)
+            _check_claims(tr, lambda q: reduced_qubit_state(state, q), inst)
 
     def test_random_circuits(self):
         rng = random.Random(99)
@@ -214,50 +260,64 @@ class TestTrackerSoundness:
             self._check_circuit(random_circuit(rng, n, rng.randrange(5, 25),
                                                allow_reset=True))
 
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(n=st.integers(1, 5), length=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_gate_kind_against_reference(self, n, length, seed):
+        # Open controls, mcx, cu3, cswap, swapz, barriers, resets and
+        # annotations, checked against the independent dense simulator.
+        c = random_full_circuit(random.Random(seed), n, length)
+        tr = Tracker(n)
+        state = ref_simulate(Circuit(n))
+        for inst in c.instructions:
+            state = ref_simulate(c.replace([inst]), initial_state=state)
+            tr.step(inst)
+            _check_claims(tr, lambda q: partial_trace_oracle(state, q), inst)
+
     def test_swap_exchanges_states(self):
-        bt = Tracker(2, BASIS)
-        bt.step(Instruction(GateKind.H, (0,)))
-        bt.step(Instruction(GateKind.SWAP, (0, 1)))
-        assert bt.states == [B.ZERO, B.PLUS]
+        tr = Tracker(2)
+        tr.step(Instruction(GateKind.H, (0,)))
+        tr.step(Instruction(GateKind.SWAP, (0, 1)))
+        assert [basis_of(s) for s in tr.states] == [B.ZERO, B.PLUS]
 
     def test_swapz_conservative_when_not_zero(self):
-        bt = Tracker(2, BASIS)
-        bt.step(Instruction(GateKind.X, (1,)))
-        bt.step(Instruction(GateKind.SWAPZ, (0, 1)))
-        assert bt.states == [B.TOP, B.TOP]
+        tr = Tracker(2)
+        tr.step(Instruction(GateKind.X, (1,)))
+        tr.step(Instruction(GateKind.SWAPZ, (0, 1)))
+        assert tr.states == [None, None]
 
     def test_swapz_swaps_when_zero(self):
-        pt = Tracker(2, PURE)
-        pt.step(Instruction(GateKind.U3, (0,), (1.0, 2.0, 0.0)))
-        pt.step(Instruction(GateKind.SWAPZ, (0, 1)))
-        assert pt.states[0] == (0.0, 0.0)
-        assert abs(pt.states[1][0] - 1.0) < 1e-9
+        tr = Tracker(2)
+        tr.step(Instruction(GateKind.U3, (0,), (1.0, 2.0, 0.0)))
+        tr.step(Instruction(GateKind.SWAPZ, (0, 1)))
+        assert tr.states[0] == (0.0, 0.0)
+        assert abs(tr.states[1][0] - 1.0) < 1e-9
 
     def test_step_outcomes_of_rewritten_gate(self):
         # A rewrite pass steps the tracker through what it emits (the CX
         # cell's replacement, or the kept CX), never through the gate the
         # replacement stands for.
-        bt = Tracker(2, BASIS)
+        tr = Tracker(2)
         cx = Instruction(GateKind.CX, (0, 1))
 
         def rewrite_cx():
-            repl = cx_cell_instructions(bt.states[0], bt.states[1], 0, 1)
+            repl = cx_cell_instructions(basis_of(tr.states[0]),
+                                        basis_of(tr.states[1]), 0, 1)
             for inst in [cx] if repl is None else repl:
-                bt.step(inst)
+                tr.step(inst)
             return repl
+
+        def rays():
+            return [basis_of(s) for s in tr.states]
 
         # Removed gate (control |0>): states unchanged.
         assert rewrite_cx() == []
-        assert bt.states == [B.ZERO, B.ZERO]
+        assert rays() == [B.ZERO, B.ZERO]
         # Rewritten to a 1q gate (control |1>): the target wire advances.
-        bt.step(Instruction(GateKind.X, (0,)))
+        tr.step(Instruction(GateKind.X, (0,)))
         assert rewrite_cx() == [Instruction(GateKind.X, (1,))]
-        assert bt.states == [B.ONE, B.ONE]
+        assert rays() == [B.ONE, B.ONE]
         # Kept (control |->, target |1>): both wires go unknown.
-        bt.step(Instruction(GateKind.H, (0,)))
+        tr.step(Instruction(GateKind.H, (0,)))
         assert rewrite_cx() is None
-        assert bt.states == [B.TOP, B.TOP]
-        pt = Tracker(2, PURE)
-        pt.step(Instruction(GateKind.H, (0,)))
-        pt.step(Instruction(GateKind.CX, (0, 1)))
-        assert pt.states == [None, None]
+        assert tr.states == [None, None]

@@ -12,7 +12,8 @@ from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
                   unroll)
 from rpoc.passes import (CX_CELLS, SWAP_CELLS, cx_cell_instructions,
                          swap_cell_instructions, resolve_coupling)
-from rpoc.synth import cancel_adjacent_cx, merge_1q_runs
+from rpoc.synth import (U3Params, cancel_adjacent_cx, matrix_1q, merge_1q_runs,
+                        zyz_decompose)
 from helpers import BASIS_PREP, TOP_SPAN, random_circuit, random_full_circuit
 
 PI = math.pi
@@ -133,6 +134,20 @@ class TestQBO:
         out = qbo(c)
         assert [i.kind for i in out.instructions] == [GateKind.X]
         assert equivalent_up_to_global_phase(c, out).equivalent
+
+    def test_gate_fixing_an_off_ray_state_deleted(self):
+        # V rotates about the Bloch axis of |psi> = u3(0.7, 0.3, 0)|0>, a
+        # state on none of the six rays: qbo tracks psi and drops V, but
+        # keeps a rotation about any other axis.
+        u = U3Params(0.7, 0.3, 0.0).matrix()
+        about_psi = zyz_decompose(u @ matrix_1q(GateKind.T) @ u.conj().T)
+        for v, kept in ((about_psi, 1), (U3Params(1.1, 0.0, 0.0), 2)):
+            c = Circuit(1)
+            c.u3(0.7, 0.3, 0.0, 0)
+            c.u3(v.theta, v.phi, v.lam, 0)
+            out = qbo(c)
+            assert len(out.instructions) == kept
+            assert equivalent_up_to_global_phase(c, out).equivalent
 
     def test_swap_both_zero_deleted(self):
         c = Circuit(2)
@@ -706,6 +721,19 @@ class TestPipeline:
         out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         assert equivalent_up_to_global_phase(c, out).equivalent
         assert cx_count(out) == 0
+
+    def test_qbo_tracks_rotations_that_return_to_a_ray(self):
+        # The u3 pair leaves the control on |0> again, so qbo removes the
+        # second CX too and rpo emits no more CX than the baseline.
+        c = parse_program("qreg q[2]; cx q[0],q[1]; u3(0.3,0,0) q[0]; "
+                          "u3(-0.3,0,0) q[0]; cx q[0],q[1];")
+        assert cx_count(qbo(c)) == 0
+        for opts in (PipelineOptions(), PipelineOptions(enable_qbo=False,
+                                                        enable_qpo=False),
+                     PipelineOptions(enable_block_resynth=True)):
+            out = pipeline(c, opts)
+            assert equivalent_up_to_global_phase(c, out).equivalent
+            assert cx_count(out) == 0, opts
 
     def test_output_is_cleanup_fixpoint(self):
         from rpoc import gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry
