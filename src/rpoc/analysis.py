@@ -7,7 +7,7 @@ amplitudes; RESET sets |0>, ANNOT sets the asserted state and MEASURE sets
 TOP.  SWAP exchanges two states, and so does SWAPZ when its designated
 operand is |0>; every other multi-qubit gate sends its operands to TOP.
 
-qpo uses the tracked states as they are.  qbo reads its rewrite tables
+qpo uses the tracked states as they are.  qbo reads them for its rules
 through `basis_of`, which snaps a state onto one of the six octahedron rays
 |0>, |1>, |+>, |->, |+i>, |-i> and reports TOP for any other state.
 """

@@ -316,6 +316,8 @@ def depth(c: Circuit) -> int:
 # (`ocx`, `occx`, `ooccx`); mcx takes a per-position list `mcx[oc...c]`.
 # ---------------------------------------------------------------------------
 
+# "// layout 3,0,1,2": the routed circuit's logical->physical permutation.
+_LAYOUT_RE = re.compile(r"//\s*layout\s+(\d+(?:\s*,\s*\d+)*)")
 _OPERAND_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]")
 _STMT_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*([a-zA-Z]*)\s*\])?"
@@ -346,9 +348,16 @@ def parse_program(text: str) -> Circuit:
     """Parse circuit text.  Raises ParseError with line/column on bad input."""
     qreg: tuple[str, int] | None = None
     creg: tuple[str, int] | None = None
+    layout: tuple[int, list[int]] | None = None  # (line, permutation)
     pending: list[tuple[int, int, str]] = []  # (line, col, statement)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _LAYOUT_RE.fullmatch(raw.strip())
+        if m:
+            if layout is not None:
+                raise ParseError("duplicate layout line", lineno, 1)
+            layout = (lineno, [int(x) for x in m.group(1).split(",")])
+            continue
         code = raw.split("//", 1)[0]
         if not code.strip():
             continue
@@ -467,6 +476,12 @@ def parse_program(text: str) -> Circuit:
             circuit.append(inst)
         except ValueError as e:
             raise ParseError(str(e), line, col) from None
+    if layout is not None:
+        line, perm = layout
+        if len(set(perm)) != len(perm) or max(perm) >= qreg[1]:
+            raise ParseError("layout must name distinct wires of the qreg",
+                             line, 1)
+        circuit.layout = perm
     return circuit
 
 
@@ -475,10 +490,13 @@ def _fmt_angle(v: float) -> str:
 
 
 def emit_program(c: Circuit) -> str:
-    """Serialize to canonical text.  parse_program(emit_program(c)) == c."""
+    """Serialize to canonical text.  parse_program(emit_program(c)) == c,
+    and a layout set by routing is kept as a `// layout` comment line."""
     lines = [f"qreg q[{c.n_qubits}];"]
     if c.n_clbits:
         lines.append(f"creg c[{c.n_clbits}];")
+    if c.layout is not None:
+        lines.append("// layout " + ",".join(map(str, c.layout)))
     for inst in c.instructions:
         if inst.kind is GateKind.MEASURE:
             lines.append(f"measure q[{inst.qubits[0]}] -> c[{inst.clbits[0]}];")

@@ -44,7 +44,12 @@ def _cmd_optimize(args) -> int:
 def _cmd_verify(args) -> int:
     a = _read_circuit(args.a)
     b = _read_circuit(args.b)
-    report = equivalent_up_to_global_phase(a, b, tol=args.tol)
+    # A routed `optimize` output carries its layout: compare the other file
+    # against it through that permutation, whichever order they come in.
+    if a.layout is not None and b.layout is None:
+        a, b = b, a
+    perm = b.layout if a.layout is None else None
+    report = equivalent_up_to_global_phase(a, b, tol=args.tol, perm=perm)
     verdict = "EQUIVALENT" if report.equivalent else "NOT EQUIVALENT"
     print(f"{verdict}: {report.detail}")
     return 0 if report.equivalent else 1

@@ -2,7 +2,7 @@
 
 This is the ground truth every rewrite is judged against.  Gates are applied
 natively (multi-qubit kinds are not routed through their decompositions), so
-decomposition identities and table rewrites get an independent check.
+decomposition identities and rewrite rules get an independent check.
 
 Only wires that some non-barrier instruction touches are simulated: an idle
 wire stays |0> from start to end, so it factors out of every fidelity and

@@ -5,19 +5,20 @@ interleave it with rewriting in a single in-order traversal, so a removed
 gate never clobbers the states it would have destroyed:
 
 - qbo: reads each wire's state as one of the six basis rays or TOP
-  (`basis_of`) and applies the CX/SWAP rewrite tables through
-  cx_cell_instructions/swap_cell_instructions plus multi-controlled-gate
-  rules; it drops a single-qubit gate that fixes its wire's known state.
-  Rewrites change the circuit's unitary but preserve its action on the
-  tracked inputs, up to global phase; so a rewritten SWAP exchanges the
-  states tracked before it, whatever it emits.
+  (`basis_of`) and applies its rules for CX (through the multi-controlled-X
+  rule), CZ, CCX/MCX, SWAP/SWAPZ, CSWAP and CU3; it drops a single-qubit
+  gate that fixes its wire's known state.
 - qpo: uses the tracked pure states as they are: it strength-reduces SWAPs
   on known states, rewrites controlled-SWAPs with known targets, and
   optionally re-synthesizes two-qubit blocks with known inputs into a
   state-preparation circuit of at most one CX.
 
-Every table cell and rule is covered by an exhaustive brute-force
-equivalence test; nothing here is trusted without the oracle's sign-off.
+Both passes reduce SWAPs with the one `swap_rule`; qbo passes it only the
+states that lie on a ray.  Rewrites change the circuit's unitary but
+preserve its action on the tracked inputs, up to global phase; so a
+rewritten SWAP exchanges the states tracked before it, whatever it emits.
+Every rule is covered by a brute-force equivalence test over all input
+classes; nothing here is trusted without the oracle's sign-off.
 """
 from __future__ import annotations
 
@@ -42,114 +43,28 @@ _B = BasisState
 _K = GateKind
 
 # ---------------------------------------------------------------------------
-# Rewrite tables (stored as data; an exhaustive oracle test validates every
-# cell, so a transcription slip is a build error, never a silent miscompile).
+# The SWAP rule, shared by both passes
 # ---------------------------------------------------------------------------
 
-# CX cells keyed by (control state, target state); values are replacement
-# single-qubit gates as (kind, wire-role) with role "c"/"t", or None to keep.
-# Y-basis states are looked up as TOP.
-KEEP = None
+def swap_rule(sa: tuple[float, float] | None, sb: tuple[float, float] | None,
+              a: int, b: int) -> list[Instruction]:
+    """Replacement of SWAP(a, b) given the operands' tracked states (None =
+    unknown).  It acts as the SWAP on those inputs, up to global phase.
 
-_CX_COLUMN = {
-    # control ZERO: the gate never fires.
-    _B.ZERO: {s: () for s in (_B.TOP, _B.ZERO, _B.ONE, _B.PLUS, _B.MINUS)},
-    # control ONE: the gate always fires.
-    _B.ONE: {
-        _B.TOP: ((_K.X, "t"),),
-        _B.ZERO: ((_K.X, "t"),),
-        _B.ONE: ((_K.X, "t"),),
-        _B.PLUS: (),
-        _B.MINUS: (),
-    },
-}
-for _ctrl in (_B.TOP, _B.PLUS, _B.MINUS):
-    _CX_COLUMN[_ctrl] = {
-        _B.TOP: KEEP,
-        _B.ZERO: KEEP,
-        _B.ONE: KEEP,
-        _B.PLUS: (),                 # X-eigenstate target: no effect
-        _B.MINUS: ((_K.Z, "c"),),    # phase kickback onto the control
-    }
-CX_CELLS = {(ctrl, tgt): ops
-            for ctrl, col in _CX_COLUMN.items() for tgt, ops in col.items()}
-
-# SWAP cells keyed by (top state, bottom state); ops are (kind, role) with
-# role "a" (top) / "b" (bottom), or ("swapz", role) naming the operand that
-# becomes the zero-designated qubit.  None keeps the SWAP.
-_SWAPZ = "swapz"
-
-
-def _both(k1, k2):
-    """Fixup pair: k1 on the top wire, k2 on the bottom wire."""
-    return ((k1, "a"), (k2, "b"))
-
-
-SWAP_CELLS = {
-    (_B.TOP, _B.TOP): KEEP,
-    (_B.ZERO, _B.TOP): ((_SWAPZ, "a"),),
-    (_B.ONE, _B.TOP): ((_K.X, "b"), (_SWAPZ, "a")),
-    (_B.PLUS, _B.TOP): ((_SWAPZ, "b"),),
-    (_B.MINUS, _B.TOP): ((_K.Z, "b"), (_SWAPZ, "b")),
-
-    (_B.TOP, _B.ZERO): ((_SWAPZ, "b"),),
-    (_B.ZERO, _B.ZERO): (),
-    (_B.ONE, _B.ZERO): _both(_K.X, _K.X),
-    (_B.PLUS, _B.ZERO): _both(_K.H, _K.H),
-    (_B.MINUS, _B.ZERO): ((_K.H, "a"), (_K.X, "b"), (_K.X, "a"), (_K.H, "b")),
-
-    (_B.TOP, _B.ONE): ((_K.X, "a"), (_SWAPZ, "b")),
-    (_B.ZERO, _B.ONE): _both(_K.X, _K.X),
-    (_B.ONE, _B.ONE): (),
-    (_B.PLUS, _B.ONE): ((_K.H, "a"), (_K.X, "b"), (_K.X, "a"), (_K.H, "b")),
-    (_B.MINUS, _B.ONE): _both(_K.H, _K.H),
-
-    (_B.TOP, _B.PLUS): ((_SWAPZ, "a"),),
-    (_B.ZERO, _B.PLUS): _both(_K.H, _K.H),
-    (_B.ONE, _B.PLUS): ((_K.X, "a"), (_K.H, "b"), (_K.H, "a"), (_K.X, "b")),
-    (_B.PLUS, _B.PLUS): (),
-    (_B.MINUS, _B.PLUS): _both(_K.Z, _K.Z),
-
-    (_B.TOP, _B.MINUS): ((_K.Z, "a"), (_SWAPZ, "a")),
-    (_B.ZERO, _B.MINUS): ((_K.X, "a"), (_K.H, "b"), (_K.H, "a"), (_K.X, "b")),
-    (_B.ONE, _B.MINUS): _both(_K.H, _K.H),
-    (_B.PLUS, _B.MINUS): _both(_K.Z, _K.Z),
-    (_B.MINUS, _B.MINUS): (),
-}
-
-
-def _table_state(s: BasisState) -> BasisState:
-    """Y-basis states fall outside the X/Z tables; treat them as unknown."""
-    if s in (_B.PLUS_I, _B.MINUS_I):
-        return _B.TOP
-    return s
-
-
-def cx_cell_instructions(control_state: BasisState, target_state: BasisState,
-                         c: int, t: int) -> list[Instruction] | None:
-    """Replacement of CX(c, t) under the given tracked states (None = keep)."""
-    cell = CX_CELLS[(_table_state(control_state), _table_state(target_state))]
-    if cell is KEEP:
-        return None
-    return [_i(kind, (c if role == "c" else t,)) for kind, role in cell]
-
-
-def swap_cell_instructions(top_state: BasisState, bottom_state: BasisState,
-                           a: int, b: int) -> list[Instruction] | None:
-    """Replacement of SWAP(a, b) under the given tracked states (None = keep)."""
-    cell = SWAP_CELLS[(_table_state(top_state), _table_state(bottom_state))]
-    if cell is KEEP:
-        return None
-    out = []
-    for op in cell:
-        if op[0] == _SWAPZ:
-            z = a if op[1] == "a" else b
-            other = b if z == a else a
-            out.append(_i(_K.SWAPZ, (other, z)))
-        else:
-            kind, role = op
-            out.append(_i(kind, (a if role == "a" else b,)))
-    return out
+    Both known: two local rotations, no CX.  One known: rotate it to |0>,
+    a SWAPZ designated on it, and re-prepare its state on the other wire
+    (two CX).  Neither: the SWAP itself (three CX)."""
+    if sa is None and sb is None:
+        return [_i(_K.SWAP, (a, b))]
+    if sa is not None and sb is not None:
+        new = [u3params_instruction(pure_to_pure_gate(sa, sb), a),
+               u3params_instruction(pure_to_pure_gate(sb, sa), b)]
+    else:
+        known, other, s = (a, b, sa) if sa is not None else (b, a, sb)
+        new = [u3params_instruction(pure_to_zero_gate(*s), known),
+               _i(_K.SWAPZ, (other, known)),
+               u3params_instruction(U3Params(s[0], s[1], 0.0), other)]
+    return [inst for inst in new if inst is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +74,9 @@ def swap_cell_instructions(top_state: BasisState, bottom_state: BasisState,
 def qbo(c: Circuit) -> Circuit:
     """Basis-state rewrite pass: one in-order traversal that interleaves
     state tracking with strength reduction of CX/CZ/SWAP/SWAPZ, Toffoli-style
-    multi-controlled gates and controlled swaps.  CX count never increases."""
+    multi-controlled gates and controlled swaps.  A CX is the one-control
+    case of the multi-controlled-X rule; SWAPs go through `swap_rule` with
+    the operands' ray states.  CX count never increases."""
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
     _PASSTHROUGH = (_K.BARRIER, _K.MEASURE, _K.RESET, _K.ANNOT)
@@ -193,14 +110,7 @@ def qbo(c: Circuit) -> Circuit:
                 tr.states[q] = new
             out.append(inst)
             return
-        if k is _K.CX:
-            cq, tq = inst.qubits
-            repl = cx_cell_instructions(ray(cq), ray(tq), cq, tq)
-            if repl is None:
-                keep(inst)
-            else:
-                visit_all(repl)
-        elif k is _K.CZ:
+        if k is _K.CZ:
             visit_cz(inst)
         elif k is _K.SWAP or (k is _K.SWAPZ
                               and is_zero(tr.states[inst.qubits[1]])):
@@ -209,7 +119,7 @@ def qbo(c: Circuit) -> Circuit:
         elif k is _K.SWAPZ:
             # Unverifiable zero designation: fall back to the definition.
             visit_all(swapz_to_cx(*inst.qubits))
-        elif k is _K.CCX or k is _K.MCX:
+        elif k is _K.CX or k is _K.CCX or k is _K.MCX:
             visit_mcx(inst)
         elif k is _K.CSWAP:
             visit_cswap(inst)
@@ -232,11 +142,13 @@ def qbo(c: Circuit) -> Circuit:
         keep(inst)
 
     def visit_swaplike(swap: Instruction) -> None:
-        # Every cell acts as the SWAP it replaces on its tracked inputs, so
-        # the pre-rewrite states are exchanged whatever the cell emits.
+        # The rule acts as the SWAP it replaces on its tracked inputs, so
+        # the pre-rewrite states are exchanged whatever it emits.  Only ray
+        # states count as known here; qpo uses the rest.
         a, b = swap.qubits
-        repl = swap_cell_instructions(ray(a), ray(b), a, b)
-        out.extend([swap] if repl is None else repl)
+        sa, sb = (tr.states[q] if ray(q) is not _B.TOP else None
+                  for q in (a, b))
+        out.extend(swap_rule(sa, sb, a, b))
         tr.swap(a, b)
 
     def visit_mcx(inst: Instruction) -> None:
@@ -306,9 +218,8 @@ def _remap(inst: Instruction, wires) -> Instruction:
 def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     """Pure-state rewrite pass.
 
-    SWAPs with one known operand become a rotation to |0>, a SWAPZ designated
-    on that wire and a re-preparation on the other (net one CX saved); SWAPs
-    with two known operands become two local rotations (three CX saved).
+    SWAPs, and SWAPZs whose designated wire is |0>, go through `swap_rule`
+    with the operands' tracked states.
     Controlled swaps with two known targets become two controlled-u3 gates.
     With `resynth_blocks`, maximal two-qubit runs whose inputs are both known
     and that contain two or more CX are replaced by a state-preparation
@@ -322,11 +233,6 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     def keep(inst: Instruction) -> None:
         out.append(inst)
         tr.step(inst)
-
-    def emit_params(p: U3Params, q: int) -> None:
-        inst = u3params_instruction(p, q)
-        if inst is not None:
-            keep(inst)
 
     def collect_block(start: int, a: int, b: int) -> tuple[list[int], int]:
         pair = {a, b}
@@ -375,25 +281,12 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                     continue
 
         qs = inst.qubits
-        known = [tr.states[q] is not None for q in qs]
-        if k is _K.SWAP and any(known):
-            a, b = qs
-            sa, sb = tr.states[a], tr.states[b]
-            if all(known):
-                emit_params(pure_to_pure_gate(sa, sb), a)
-                emit_params(pure_to_pure_gate(sb, sa), b)
-            else:
-                known_q, other = (a, b) if known[0] else (b, a)
-                theta, phi = tr.states[known_q]
-                emit_params(pure_to_zero_gate(theta, phi), known_q)
-                keep(_i(_K.SWAPZ, (other, known_q)))
-                emit_params(U3Params(theta, phi, 0.0), other)
-        elif k is _K.SWAPZ and all(known) and is_zero(tr.states[qs[1]]):
-            a, z = qs
-            sa, sz = tr.states[a], tr.states[z]
-            emit_params(pure_to_pure_gate(sa, sz), a)
-            emit_params(pure_to_pure_gate(sz, sa), z)
-        elif k is _K.CSWAP and known[1] and known[2]:
+        if k is _K.SWAP or (k is _K.SWAPZ and is_zero(tr.states[qs[1]])):
+            # A validated SWAPZ is semantically a SWAP.
+            for new in swap_rule(tr.states[qs[0]], tr.states[qs[1]], *qs):
+                keep(new)
+        elif (k is _K.CSWAP and tr.states[qs[1]] is not None
+              and tr.states[qs[2]] is not None):
             cq, t1, t2 = qs
             p = pure_to_pure_gate(tr.states[t1], tr.states[t2])
             if not p.is_identity():

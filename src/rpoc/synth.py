@@ -118,7 +118,12 @@ def zyz_decompose(u: np.ndarray) -> U3Params:
     theta lands in [0, pi]; at the degenerate poles (theta ~ 0 or pi) the
     undetermined Euler angle is folded into lam and phi is set to 0.
     """
-    u = check_unitary2(u)
+    return _zyz(check_unitary2(u))
+
+
+def _zyz(u: np.ndarray) -> U3Params:
+    """zyz_decompose of a complex matrix that is unitary by construction (a
+    product of u3 matrices), without re-checking it on the hot path."""
     a, b = abs(u[0, 0]), abs(u[1, 0])
     theta = 2.0 * math.atan2(b, a)
     if b < 1e-12:       # diagonal: rotation about Z only
@@ -138,7 +143,7 @@ def zyz_decompose(u: np.ndarray) -> U3Params:
 
 def compose_u3(first: U3Params, second: U3Params) -> U3Params:
     """Parameters of the fused gate applying `first` then `second`."""
-    return zyz_decompose(second.matrix() @ first.matrix())
+    return _zyz(second.matrix() @ first.matrix())
 
 
 def as_u3params(inst: Instruction) -> U3Params:
@@ -174,13 +179,13 @@ def pure_state_vector(theta: float, phi: float) -> np.ndarray:
 
 def pure_to_zero_gate(theta: float, phi: float) -> U3Params:
     """Gate sending the pure state (theta, phi) back to |0>, up to phase."""
-    return zyz_decompose(u3_matrix(theta, phi, 0.0).conj().T)
+    return _zyz(u3_matrix(theta, phi, 0.0).conj().T)
 
 
 def pure_to_pure_gate(src: tuple[float, float], dst: tuple[float, float]) -> U3Params:
     """Gate sending pure state src to pure state dst, up to phase."""
     m = u3_matrix(dst[0], dst[1], 0.0) @ u3_matrix(src[0], src[1], 0.0).conj().T
-    return zyz_decompose(m)
+    return _zyz(m)
 
 
 # ---------------------------------------------------------------------------

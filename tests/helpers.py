@@ -94,6 +94,29 @@ TOP_SPAN: list[list[GateKind]] = [
 ]
 
 
+# TOP and the six rays: the input classes qbo's two-qubit rules tell apart.
+SEVEN = [BasisState.TOP, *BASIS_PREP]
+
+
+def two_wire_cases(kind: GateKind):
+    """Circuits `prep(s_a) q[0]; prep(s_b) q[1]; kind q[0],q[1]` for every
+    pair over SEVEN, as (s_a, s_b, [circuit, ...]).  A ray has one prep; TOP
+    has one per TOP_SPAN entry, each followed by a u3 that leaves the state
+    off all six rays, so qbo reads it as TOP and rewrites all of them alike:
+    equivalence on every circuit then holds on the whole input subspace."""
+    def preps(state, q):
+        if state is BasisState.TOP:
+            return [[Instruction(k, (q,)) for k in g]
+                    + [Instruction(GateKind.U3, (q,), (1.1, 0.4, 0.0))]
+                    for g in TOP_SPAN]
+        return [[Instruction(k, (q,)) for k in BASIS_PREP[state]]]
+
+    for sa in SEVEN:
+        for sb in SEVEN:
+            yield sa, sb, [Circuit(2).extend(pa + pb + [Instruction(kind, (0, 1))])
+                           for pa in preps(sa, 0) for pb in preps(sb, 1)]
+
+
 def depth_oracle(c: Circuit) -> int:
     """Independent longest-path depth over the pairwise conflict relation."""
     insts = c.instructions

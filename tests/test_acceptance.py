@@ -14,14 +14,12 @@ from rpoc import (BasisState, Circuit, GateKind, Instruction,
                   gen_qv_like, gen_vqe_ry, line_coupling, pipeline, qbo, qpo,
                   simulate, unroll)
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
-from rpoc.passes import cx_cell_instructions, swap_cell_instructions
 from rpoc.synth import pure_state_vector
 
-from helpers import BASIS_PREP, TOP_SPAN, random_circuit
+from helpers import BASIS_PREP, TOP_SPAN, random_circuit, two_wire_cases
 
 PI = math.pi
 B = BasisState
-FIVE = [B.TOP, B.ZERO, B.ONE, B.PLUS, B.MINUS]
 FID_TOL = 1e-9
 
 
@@ -33,54 +31,42 @@ def fidelity_ok(a, b, tol=FID_TOL):
     return abs(np.vdot(a, b)) ** 2 >= 1.0 - tol
 
 
-def _span_inputs(state):
-    if state is B.TOP:
-        return TOP_SPAN
-    return [BASIS_PREP[state]]
-
-
-def _validate_cell(lhs_gate, replacement, s0, s1):
-    for g0 in _span_inputs(s0):
-        for g1 in _span_inputs(s1):
-            base = Circuit(2)
-            for k in g0:
-                base.append(Instruction(k, (0,)))
-            for k in g1:
-                base.append(Instruction(k, (1,)))
-            lhs = base.replace(base.instructions + [lhs_gate])
-            rhs = base.replace(base.instructions + list(replacement))
-            assert fidelity_ok(simulate(lhs), simulate(rhs)), (s0, s1, g0, g1)
+def _validate_qbo_cells(kind):
+    """Run qbo on every two_wire_cases circuit; each output must match its
+    input's state.  Returns the CX counts of the outputs per state pair."""
+    cx = {}
+    for s0, s1, circuits in two_wire_cases(kind):
+        for c in circuits:
+            out = qbo(c)
+            assert fidelity_ok(simulate(c), simulate(out)), (s0, s1)
+            cx.setdefault((s0, s1), set()).add(cx_count(unroll(out)))
+    return cx
 
 
 def test_criterion_1_table_cx_cells():
     t0 = time.perf_counter()
-    checked = 0
-    for ctrl, tgt in itertools.product(FIVE, FIVE):
-        repl = cx_cell_instructions(ctrl, tgt, 0, 1)
-        checked += 1
-        if repl is None:
-            continue
-        _validate_cell(Instruction(GateKind.CX, (0, 1)), repl, ctrl, tgt)
+    cx = _validate_qbo_cells(GateKind.CX)
     elapsed = time.perf_counter() - t0
-    assert checked == 25
+    assert len(cx) == 49
+    for (ctrl, tgt), counts in cx.items():
+        removed = ctrl in (B.ZERO, B.ONE) or tgt in (B.PLUS, B.MINUS)
+        assert counts == {0 if removed else 1}, (ctrl, tgt)
     assert elapsed < 1.0
-    _ok(f"criterion 1: 25/25 CX cells brute-force equivalent "
+    _ok(f"criterion 1: qbo on CX, 49/49 state pairs brute-force equivalent "
         f"(fidelity >= 1-1e-9) in {elapsed:.3f}s")
 
 
 def test_criterion_2_table_swap_cells():
     t0 = time.perf_counter()
-    checked = 0
-    for top, bot in itertools.product(FIVE, FIVE):
-        repl = swap_cell_instructions(top, bot, 0, 1)
-        checked += 1
-        if repl is None:
-            continue
-        _validate_cell(Instruction(GateKind.SWAP, (0, 1)), repl, top, bot)
+    cx = _validate_qbo_cells(GateKind.SWAP)
     elapsed = time.perf_counter() - t0
-    assert checked == 25
+    assert len(cx) == 49
+    for (top, bot), counts in cx.items():
+        known = (top is not B.TOP) + (bot is not B.TOP)
+        assert max(counts) <= (3, 2, 0)[known], (top, bot)
     assert elapsed < 1.0
-    _ok(f"criterion 2: 25/25 SWAP cells brute-force equivalent in {elapsed:.3f}s")
+    _ok(f"criterion 2: qbo on SWAP, 49/49 state pairs brute-force equivalent, "
+        f"0 CX on two rays, at most 2 on one, in {elapsed:.3f}s")
 
 
 def test_criterion_3_toffoli_and_fredkin():

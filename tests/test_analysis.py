@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpoc import (BasisState, Circuit, GateKind, Instruction, Tracker,
-                  U3Params, basis_of, classify_pure_as_basis, pure_transition,
-                  simulate)
+                  U3Params, basis_of, classify_pure_as_basis, parse_program,
+                  pure_transition, simulate)
 from rpoc.analysis import canonical_pure, vector_to_pure
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
-from rpoc.passes import cx_cell_instructions
+from rpoc.passes import qbo
 from rpoc.synth import as_u3params, matrix_1q, pure_state_vector
 
 from helpers import (partial_trace_oracle, random_circuit, random_full_circuit,
@@ -294,30 +294,24 @@ class TestTrackerSoundness:
         assert abs(tr.states[1][0] - 1.0) < 1e-9
 
     def test_step_outcomes_of_rewritten_gate(self):
-        # A rewrite pass steps the tracker through what it emits (the CX
-        # cell's replacement, or the kept CX), never through the gate the
+        # Stepping the tracker through what qbo emits for a CX (its
+        # replacement, or the kept CX), never through the gate the
         # replacement stands for.
-        tr = Tracker(2)
-        cx = Instruction(GateKind.CX, (0, 1))
-
-        def rewrite_cx():
-            repl = cx_cell_instructions(basis_of(tr.states[0]),
-                                        basis_of(tr.states[1]), 0, 1)
-            for inst in [cx] if repl is None else repl:
+        def rewrite_cx(prep):
+            out = qbo(parse_program(f"qreg q[2]; {prep} cx q[0],q[1];"))
+            tr = Tracker(2)
+            for inst in out.instructions:
                 tr.step(inst)
-            return repl
+            return [i.kind for i in out.instructions], tr.states
 
-        def rays():
-            return [basis_of(s) for s in tr.states]
-
+        K = GateKind
         # Removed gate (control |0>): states unchanged.
-        assert rewrite_cx() == []
-        assert rays() == [B.ZERO, B.ZERO]
+        kinds, states = rewrite_cx("")
+        assert kinds == [] and [basis_of(s) for s in states] == [B.ZERO, B.ZERO]
         # Rewritten to a 1q gate (control |1>): the target wire advances.
-        tr.step(Instruction(GateKind.X, (0,)))
-        assert rewrite_cx() == [Instruction(GateKind.X, (1,))]
-        assert rays() == [B.ONE, B.ONE]
+        kinds, states = rewrite_cx("x q[0];")
+        assert kinds == [K.X, K.X]
+        assert [basis_of(s) for s in states] == [B.ONE, B.ONE]
         # Kept (control |->, target |1>): both wires go unknown.
-        tr.step(Instruction(GateKind.H, (0,)))
-        assert rewrite_cx() is None
-        assert tr.states == [None, None]
+        kinds, states = rewrite_cx("x q[0]; h q[0]; x q[1];")
+        assert kinds[-1] is K.CX and states == [None, None]

@@ -152,6 +152,24 @@ class TestEmit:
         text = emit_program(c)
         assert emit_program(parse_program(text)) == text
 
+    def test_roundtrip_keeps_layout(self):
+        from rpoc import PipelineOptions, line_coupling, pipeline
+        src = parse_program("qreg q[3]; h q[0]; cx q[0],q[2];")
+        assert "layout" not in emit_program(pipeline(src))
+        out = pipeline(src, PipelineOptions(coupling=line_coupling(5)))
+        text = emit_program(out)
+        assert text.splitlines()[1] == "// layout " + ",".join(
+            map(str, out.layout))
+        back = parse_program(text)
+        assert back == out and back.layout == out.layout
+        assert emit_program(back) == text
+
+    @pytest.mark.parametrize("line", ["// layout 0,0", "// layout 0,3",
+                                      "// layout 0\n// layout 1"])
+    def test_bad_layout_line(self, line):
+        with pytest.raises(ParseError):
+            parse_program("qreg q[3];\n" + line + "\n")
+
 
 class TestCounts:
     def test_swap_decomposition_is_3_cx(self):

@@ -101,3 +101,21 @@ def test_verify_wide_files_on_touched_wires(files, capsys):
     # Together these two touch all 20 wires: too wide, an input error.
     assert main(["verify", up, shifted]) == 2
     assert "limited to 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,layout", [
+    # Same width: the layout is a nontrivial permutation of the five wires.
+    ("qreg q[5]; h q[0]; u3(0.3,0.2,0.1) q[4]; cx q[0],q[4]; h q[2];",
+     "3,0,1,2,4"),
+    # A 3-wire source routed onto five wires.
+    ("qreg q[3]; h q[0]; cx q[0],q[2]; u3(0.3,0.2,0.1) q[1];", "1,0,2"),
+])
+def test_verify_routed_output_through_its_layout(files, capsys, text, layout):
+    src = files("in.qasm", text + "\n")
+    out = files("out.qasm", "")
+    assert main(["optimize", src, "--coupling", "line5", "-o", out]) == 0
+    with open(out) as f:
+        assert f"// layout {layout}\n" in f.read()
+    for a, b in ((src, out), (out, src), (out, out)):
+        assert main(["verify", a, b]) == 0, (a, b)
+    assert capsys.readouterr().out.count("NOT") == 0

@@ -1,112 +1,96 @@
+import functools
 import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
                   PipelineOptions, cx_count, emit_program,
                   equivalent_up_to_global_phase, line_coupling, grid_coupling,
                   parse_program, pipeline, qbo, qpo, route, simulate,
                   unroll)
-from rpoc.passes import (CX_CELLS, SWAP_CELLS, cx_cell_instructions,
-                         swap_cell_instructions, resolve_coupling)
-from rpoc.synth import (U3Params, cancel_adjacent_cx, matrix_1q, merge_1q_runs,
-                        zyz_decompose)
-from helpers import BASIS_PREP, TOP_SPAN, random_circuit, random_full_circuit
+from rpoc.passes import resolve_coupling
+from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
+                        matrix_1q, merge_1q_runs, zyz_decompose)
+from helpers import random_circuit, random_full_circuit, two_wire_cases
 
 PI = math.pi
 B = BasisState
-FIVE = [B.TOP, B.ZERO, B.ONE, B.PLUS, B.MINUS]
 
 
-def prep_gates(state, wire):
-    return [Instruction(k, (wire,)) for k in BASIS_PREP[state]]
+def _qbo_cases(kind):
+    """Every two_wire_cases pair with qbo's output on each of its circuits.
+    Each output is checked against its input by the oracle, and all outputs
+    of a pair must rewrite the gate alike: the prep is kept as it is, and the
+    replacement after it does not depend on which TOP_SPAN input was used."""
+    for sa, sb, circuits in two_wire_cases(kind):
+        outs = [qbo(c) for c in circuits]
+        tails = set()
+        for c, out in zip(circuits, outs):
+            assert equivalent_up_to_global_phase(c, out).equivalent, (sa, sb)
+            prep = c.instructions[:-1]
+            assert out.instructions[:len(prep)] == prep
+            tails.add(tuple(out.instructions[len(prep):]))
+        assert len(tails) == 1, (sa, sb)
+        yield sa, sb, outs
 
 
-def rays_close(a, b, tol=1e-9):
-    return abs(abs(np.vdot(a, b)) - 1.0) <= tol
-
-
-def _inputs_for(state):
-    """Initial-gate sequences covering a table wire's assumed input set."""
-    if state is B.TOP:
-        return TOP_SPAN
-    return [BASIS_PREP[state]]
-
-
-def _check_cell(lhs_gate, replacement, control_state, target_state):
-    """Brute-force cell check: for every assumed input the replacement must
-    match the original gate on the 2-qubit statevector up to global phase.
-    TOP wires range over a 4-state spanning set, which pins phase coherence
-    across the whole subspace."""
-    for gc in _inputs_for(control_state):
-        for gt in _inputs_for(target_state):
-            base = Circuit(2)
-            for k in gc:
-                base.append(Instruction(k, (0,)))
-            for k in gt:
-                base.append(Instruction(k, (1,)))
-            lhs = base.replace(base.instructions + [lhs_gate])
-            rhs = base.replace(base.instructions + list(replacement))
-            assert rays_close(simulate(lhs), simulate(rhs)), (
-                control_state, target_state, gc, gt)
+def _cx(c):
+    return cx_count(unroll(c))
 
 
 class TestTableCX:
-    def test_all_25_cells(self):
-        for ctrl, tgt in itertools.product(FIVE, FIVE):
-            repl = cx_cell_instructions(ctrl, tgt, 0, 1)
-            if repl is None:
-                continue  # keep: trivially equivalent
-            _check_cell(Instruction(GateKind.CX, (0, 1)), repl, ctrl, tgt)
+    """The paper's CX table, realized by qbo's multi-controlled-X rule."""
+
+    def test_every_state_pair(self):
+        for ctrl, tgt, outs in _qbo_cases(GateKind.CX):
+            removed = ctrl in (B.ZERO, B.ONE) or tgt in (B.PLUS, B.MINUS)
+            assert {_cx(out) for out in outs} == {0 if removed else 1}, (
+                ctrl, tgt)
 
     def test_cell_structure(self):
-        # Spot-check the table shape itself.
-        assert cx_cell_instructions(B.ZERO, B.TOP, 0, 1) == []
-        assert cx_cell_instructions(B.ONE, B.TOP, 0, 1) == [
-            Instruction(GateKind.X, (1,))]
-        assert cx_cell_instructions(B.TOP, B.PLUS, 0, 1) == []
-        assert cx_cell_instructions(B.TOP, B.MINUS, 0, 1) == [
-            Instruction(GateKind.Z, (0,))]
-        assert cx_cell_instructions(B.ONE, B.MINUS, 0, 1) == []
-        assert cx_cell_instructions(B.TOP, B.TOP, 0, 1) is None
-        assert len(CX_CELLS) == 25
+        def rewrite(prep):
+            out = qbo(parse_program(f"qreg q[2]; {prep} cx q[0],q[1];"))
+            return [(i.kind, i.qubits) for i in out.instructions]
+        K = GateKind
+        assert rewrite("") == []                                  # ctrl |0>
+        assert rewrite("x q[0];") == [(K.X, (0,)), (K.X, (1,))]   # ctrl |1>
+        assert rewrite("h q[1];") == [(K.H, (1,))]                # tgt |+>
+        # Target |->: phase kickback onto the control.
+        assert rewrite("h q[0]; x q[1]; h q[1];") == [
+            (K.H, (0,)), (K.X, (1,)), (K.H, (1,)), (K.Z, (0,))]
+        assert rewrite("h q[0];")[-1] == (K.CX, (0, 1))           # kept
 
 
 class TestTableSWAP:
-    def test_all_25_cells(self):
-        for top, bot in itertools.product(FIVE, FIVE):
-            repl = swap_cell_instructions(top, bot, 0, 1)
-            if repl is None:
-                continue
-            _check_cell(Instruction(GateKind.SWAP, (0, 1)), repl, top, bot)
+    """The paper's SWAP table, realized by the SWAP rule on ray states."""
+
+    def test_every_state_pair(self):
+        assert len(list(_qbo_cases(GateKind.SWAP))) == 49
 
     def test_cell_structure(self):
-        assert len(SWAP_CELLS) == 25
-        assert swap_cell_instructions(B.ZERO, B.ZERO, 0, 1) == []
-        # One zero input: a swapz designated on the zero wire.
-        repl = swap_cell_instructions(B.TOP, B.ZERO, 0, 1)
-        assert repl == [Instruction(GateKind.SWAPZ, (0, 1))]
-        repl = swap_cell_instructions(B.ZERO, B.TOP, 0, 1)
-        assert repl == [Instruction(GateKind.SWAPZ, (1, 0))]
-        # Both known: single-qubit fixups only, no two-qubit gate.
-        for top, bot in itertools.product(FIVE[1:], FIVE[1:]):
-            repl = swap_cell_instructions(top, bot, 0, 1)
-            assert all(len(i.qubits) == 1 for i in repl)
+        def kinds(prep):
+            out = qbo(parse_program(f"qreg q[2]; {prep} swap q[0],q[1];"))
+            return [(i.kind, i.qubits) for i in out.instructions
+                    if len(i.qubits) == 2]
+        top = "u3(1.1,0.4,0) q[0];"  # off every ray: read as TOP
+        assert kinds("") == []
+        # One |0> input: a swapz designated on the zero wire.
+        assert kinds(top) == [(GateKind.SWAPZ, (0, 1))]
+        assert kinds("u3(1.1,0.4,0) q[1];") == [(GateKind.SWAPZ, (1, 0))]
+        # Any other known ray: rotated to |0> first, then the same swapz.
+        assert kinds(top + " h q[1];") == [(GateKind.SWAPZ, (0, 1))]
+        # Both known, Y rays included: single-qubit gates only.
+        assert kinds("h q[0]; s q[0]; x q[1];") == []
 
     def test_swap_cost_never_exceeds_original(self):
-        # 3 CX for unknown/unknown, 2 for one known, 0 for both known.
-        for top, bot in itertools.product(FIVE, FIVE):
-            repl = swap_cell_instructions(top, bot, 0, 1)
-            if repl is None:
-                assert top is B.TOP and bot is B.TOP
-                continue
-            cx_equiv = sum(2 for i in repl if i.kind is GateKind.SWAPZ)
-            assert cx_equiv <= (2 if (top is B.TOP) != (bot is B.TOP) else 3)
-            if top is not B.TOP and bot is not B.TOP:
-                assert cx_equiv == 0
+        # 3 CX for unknown/unknown, at most 2 for one known, 0 for both known.
+        for top, bot, outs in _qbo_cases(GateKind.SWAP):
+            known = (top is not B.TOP) + (bot is not B.TOP)
+            assert max(_cx(out) for out in outs) <= (3, 2, 0)[known], (top, bot)
 
 
 class TestQBO:
@@ -343,10 +327,9 @@ class TestQBO:
         assert strict >= 1  # the annotation path must actually pay off
 
     def test_y_basis_precision_survives_swap_cell(self):
-        # Wire 0 carries |+i> (outside the X/Z table, looked up as unknown);
-        # the (unknown, |0>) cell swaps tracked entries, so the Y-basis fact
-        # migrates to wire 1 and the Y gate there is still recognized as a
-        # fixed ray and removed.
+        # Wire 0 carries |+i>, a ray like any other: the SWAP with |0>
+        # becomes two local rotations, the Y-basis fact migrates to wire 1,
+        # and the Y gate there is recognized as fixing it and removed.
         c = Circuit(2)
         c.h(0)
         c.s(0)       # |+i>
@@ -354,14 +337,13 @@ class TestQBO:
         c.y(1)       # Y-eigenstate after the swap
         out = qbo(c)
         assert all(i.kind is not GateKind.Y for i in out.instructions)
-        assert any(i.kind is GateKind.SWAPZ for i in out.instructions)
+        assert all(len(i.qubits) == 1 for i in out.instructions)
         assert equivalent_up_to_global_phase(c, out).equivalent
 
-        # The (|1>, unknown) and (|->, unknown) cells put an X or Z fixup on
-        # the wire read as unknown; the SWAP must still carry the Y state
-        # itself, not its fixed-up opposite.  After `s` the receiving wire
+        # A SWAP of a Y ray with |1> or |->: the SWAP must carry the Y state
+        # itself, not some fixed-up opposite.  After `s` the receiving wire
         # is |-> or |+>, so the CX from a third wire becomes a Z kickback
-        # or vanishes.
+        # or vanishes, and the SWAP costs nothing.
         known_prep = {"1": ("x",), "-": ("x", "h")}
         y_prep = {"+i": ("h", "s"), "-i": ("h", "sdg")}
         for (kn, kg), (yn, yg), y_wire in itertools.product(
@@ -378,7 +360,7 @@ class TestQBO:
             out = qbo(c)
             case = (kn, yn, y_wire)
             assert equivalent_up_to_global_phase(c, out).equivalent, case
-            assert cx_count(unroll(out)) == 2, case
+            assert cx_count(unroll(out)) == 0, case
 
     def test_bv_conversion(self):
         from rpoc import gen_bv
@@ -404,6 +386,27 @@ class TestQBO:
             twice = qbo(once)
             assert cx_count(unroll(twice)) <= cx_count(unroll(once))
             assert equivalent_up_to_global_phase(once, twice).equivalent
+
+
+class TestRewritePassesAddNoCX:
+    """qbo, qpo and qpo with block resynthesis each return a circuit that is
+    oracle-equivalent to their input and has no more CX once unrolled, on
+    random circuits over every gate kind, unrouted and routed on line5."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5), length=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1), routed=st.booleans())
+    def test_no_rewrite_pass_adds_cx(self, n, length, seed, routed):
+        c = random_full_circuit(random.Random(seed), n, length)
+        if routed:
+            c, _ = route(unroll(c, DEFAULT_BASIS | {GateKind.SWAP,
+                                                    GateKind.SWAPZ}),
+                         line_coupling(5), seed)
+        before = cx_count(unroll(c))
+        for rewrite in (qbo, qpo, functools.partial(qpo, resynth_blocks=True)):
+            out = rewrite(c)
+            assert cx_count(unroll(out)) <= before, rewrite
+            assert equivalent_up_to_global_phase(c, out).equivalent, rewrite
 
 
 class TestQPO:
@@ -697,7 +700,7 @@ class TestPipeline:
         assert found >= 5  # the corpus really exercised the reset path
 
     def test_y_basis_swap_cell_repro(self):
-        # The SWAP cell for (|+i>, |1>) emits X then SWAPZ; the wire that
+        # The SWAP of (|+i>, |1>) becomes two rotations; the wire that
         # receives |+i> holds |-> after `s`, so the final CX is a kickback.
         c = parse_program("qreg q[3]; u2(pi/2,0) q[0]; x q[1]; "
                           "swap q[0],q[1]; s q[1]; u3(1,0,0) q[2]; "
@@ -705,7 +708,23 @@ class TestPipeline:
         base = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         out = pipeline(c, PipelineOptions())
         assert equivalent_up_to_global_phase(c, out).equivalent
-        assert (cx_count(base), cx_count(out)) == (4, 2)
+        assert (cx_count(base), cx_count(out)) == (4, 0)
+
+    def test_rpo_not_worse_than_qpo_alone(self):
+        # qbo's SWAPs leave every wire they know known: a later SWAP still
+        # meets qpo's two-known rule, so running qbo first costs no CX.
+        from rpoc import gen_qpe
+        small = parse_program(
+            "qreg q[4]; u3(1.1,0.4,0) q[0]; cx q[0],q[3]; h q[1]; "
+            "swap q[0],q[1]; u3(0.3,0,0) q[2]; swap q[0],q[2];")
+        for c, coupling in [(small, None),
+                            (gen_qpe(10, 781 / 1024), line_coupling(15))]:
+            rpo = pipeline(c, PipelineOptions(coupling=coupling))
+            qpo_only = pipeline(c, PipelineOptions(coupling=coupling,
+                                                   enable_qbo=False))
+            assert equivalent_up_to_global_phase(c, rpo,
+                                                 perm=rpo.layout).equivalent
+            assert cx_count(rpo) <= cx_count(qpo_only), coupling
 
     def test_cleanup_cancels_nested_pairs(self):
         # Each cleanup round merges the innermost u3(a_k), u3(-a_k) pair away
