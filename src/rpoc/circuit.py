@@ -75,6 +75,11 @@ class GateKind(Enum):
     MEASURE = "measure"
     BARRIER = "barrier"
 
+    # Members are singletons and Enum equality is identity, so the identity
+    # hash agrees with it; it runs in C, where Enum.__hash__ is Python code
+    # called on every `kind in <set>` test.
+    __hash__ = object.__hash__
+
 
 # Single-qubit unitary gates (everything a 1q run can absorb).
 GATES_1Q = frozenset({

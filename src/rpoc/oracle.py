@@ -7,7 +7,11 @@ decomposition identities and rewrite rules get an independent check.
 Only wires that some non-barrier instruction touches are simulated: an idle
 wire stays |0> from start to end, so it factors out of every fidelity and
 outcome distribution.  Gate kernels update the state in place through
-reshaped views, one length-2 axis per wire the gate acts on.
+reshaped views, one length-2 axis per wire the gate acts on.  Within one
+simulate() call the view pair of each multi-qubit gate key (kind family,
+axes, open-control mask) and the matrix of each (1q kind, params) are built
+once and reused; since the views alias the one state buffer, every update
+is made in place and the buffer is never replaced.
 
 Conventions: qubit 0 is the high-order bit of the amplitude index; measured
 circuits yield an exact outcome distribution keyed by classical-bit strings
@@ -21,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
+from .circuit import GATES_1Q, Circuit, GateKind
 from .synth import matrix_1q, pure_state_vector
 
 MAX_QUBITS = 16
@@ -102,18 +106,30 @@ def _apply_1q(state: np.ndarray, m: np.ndarray, q: int) -> None:
         _mix(v[:, 0], v[:, 1], m)
 
 
-def _exchange(state: np.ndarray, n: int, first, second) -> None:
-    """Swap the amplitudes of two disjoint fixed-bit subspaces, in place."""
-    a = _sub(state, n, first)
-    b = _sub(state, n, second)
+def _pair_views(state: np.ndarray, n: int, swap: bool, qs: tuple[int, ...],
+                open_mask: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """In-place views of the two fixed-bit subspaces a gate on axes `qs`
+    mixes.  For a controlled gate (CX/CCX/MCX, CZ, CU3; `open_mask` as on the
+    instruction) they are target bit 0 and 1 with every control active; for
+    a SWAP or CSWAP (`swap`) they are its two operands holding 01 and 10
+    with the CSWAP control set."""
+    if swap:
+        *cs, a, b = qs
+        fixed = [(c, 1) for c in cs]
+        first, second = fixed + [(a, 0), (b, 1)], fixed + [(a, 1), (b, 0)]
+    else:
+        *cs, t = qs
+        fixed = [(c, 0 if open_ else 1)
+                 for c, open_ in zip(cs, open_mask or (False,) * len(cs))]
+        first, second = fixed + [(t, 0)], fixed + [(t, 1)]
+    return _sub(state, n, first), _sub(state, n, second)
+
+
+def _exchange(a: np.ndarray, b: np.ndarray) -> None:
+    """Swap the amplitudes of two disjoint views, in place."""
     tmp = a.copy()
     a[...] = b
     b[...] = tmp
-
-
-def _apply_controlled_x(state, controls, polarities, target, n) -> None:
-    fixed = [(c, 0 if open_ else 1) for c, open_ in zip(controls, polarities)]
-    _exchange(state, n, fixed + [(target, 0)], fixed + [(target, 1)])
 
 
 def reduced_qubit_state(sv: np.ndarray, q: int) -> np.ndarray:
@@ -188,6 +204,17 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
 
     measured: dict[int, int] = {}  # qubit -> clbit
     used_clbits: set[int] = set()
+    # Per-call caches (see the module docstring): the views alias `state`,
+    # so it is only ever updated in place.
+    views: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    mats: dict[tuple, np.ndarray] = {}
+
+    def pair(swap: bool, qs: tuple[int, ...], open_mask=()):
+        key = (swap, qs, open_mask)
+        ab = views.get(key)
+        if ab is None:
+            ab = views[key] = _pair_views(state, width, swap, qs, open_mask)
+        return ab
 
     for pos, inst in enumerate(c.instructions):
         k = inst.kind
@@ -198,7 +225,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 raise ValueError(
                     f"instruction {pos} touches qubit {q} after measurement "
                     "(mid-circuit measurement is not supported)")
-        qs = [axis[q] for q in inst.qubits]
+        qs = tuple([axis[q] for q in inst.qubits])
         if min(qs) < 0:
             raise ValueError(f"instruction {pos} touches a wire that is not simulated")
         if k is GateKind.MEASURE:
@@ -217,31 +244,26 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
         if k is GateKind.RESET:
             _do_reset(state, qs[0], inst.qubits[0], pos)
             continue
-        if inst.is_1q:
-            _apply_1q(state, matrix_1q(k, inst.params), qs[0])
+        if k in GATES_1Q:
+            key = (k, inst.params)
+            m = mats.get(key)
+            if m is None:
+                m = mats[key] = matrix_1q(k, inst.params)
+            _apply_1q(state, m, qs[0])
             continue
         if k is GateKind.CX or k is GateKind.CCX or k is GateKind.MCX:
-            pol = inst.open_mask or (False,) * (len(qs) - 1)
-            _apply_controlled_x(state, qs[:-1], pol, qs[-1], width)
+            _exchange(*pair(False, qs, inst.open_mask))
         elif k is GateKind.CZ:
-            both = _sub(state, width, [(qs[0], 1), (qs[1], 1)])
+            both = pair(False, qs)[1]   # control and target set
             both *= -1.0
-        elif k is GateKind.SWAP:
-            a, b = qs
-            _exchange(state, width, [(a, 0), (b, 1)], [(a, 1), (b, 0)])
+        elif k is GateKind.SWAP or k is GateKind.CSWAP:
+            _exchange(*pair(True, qs))
         elif k is GateKind.SWAPZ:
             a, z = qs
-            _apply_controlled_x(state, (a,), (False,), z, width)
-            _apply_controlled_x(state, (z,), (False,), a, width)
+            _exchange(*pair(False, (a, z)))
+            _exchange(*pair(False, (z, a)))
         elif k is GateKind.CU3:
-            c_, t = qs
-            _mix(_sub(state, width, [(c_, 1), (t, 0)]),
-                 _sub(state, width, [(c_, 1), (t, 1)]),
-                 matrix_1q(GateKind.U3, inst.params))
-        elif k is GateKind.CSWAP:
-            c_, a, b = qs
-            _exchange(state, width, [(c_, 1), (a, 0), (b, 1)],
-                      [(c_, 1), (a, 1), (b, 0)])
+            _mix(*pair(False, qs), matrix_1q(GateKind.U3, inst.params))
         else:  # pragma: no cover - all kinds handled above
             raise ValueError(f"cannot simulate {k.value}")
 

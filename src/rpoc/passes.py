@@ -199,6 +199,10 @@ def qbo(c: Circuit) -> Circuit:
         keep(inst)
 
     visit_all(c.instructions)
+    # Every visitor that recurses does so through the `visit` cell; emptying
+    # it breaks the closure cycles, so `out` and the tracker are freed here
+    # instead of piling up until a full garbage collection.
+    del visit
     return c.replace(out)
 
 
@@ -324,6 +328,8 @@ class CouplingMap:
             adj[b].add(a)
         self.edges = frozenset(norm)
         self._adj = {k: tuple(sorted(v)) for k, v in adj.items()}
+        # dist[b] = distances_from(b), filled on first use by shortest_path.
+        self._dist: list[list[int] | None] = [None] * n_physical
         if -1 in self.distances_from(0):
             raise ValueError("coupling map is not connected")
 
@@ -344,12 +350,15 @@ class CouplingMap:
 
     def shortest_path(self, a: int, b: int, rng: random.Random) -> list[int]:
         """A shortest a->b path; rng breaks ties between equal-length paths."""
-        dist = self.distances_from(b)
+        dist = self._dist[b]
+        if dist is None:
+            dist = self._dist[b] = self.distances_from(b)
         path = [a]
         cur = a
         while cur != b:
-            best = min(dist[y] for y in self._adj[cur])
-            options = sorted(y for y in self._adj[cur] if dist[y] == best)
+            # Some neighbour is one step closer; _adj lists them sorted.
+            step = dist[cur] - 1
+            options = [y for y in self._adj[cur] if dist[y] == step]
             cur = options[0] if len(options) == 1 else rng.choice(options)
             path.append(cur)
         return path

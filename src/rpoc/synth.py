@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (Circuit, GateKind, Instruction, angles_equal,
+from .circuit import (GATES_1Q, Circuit, GateKind, Instruction, angles_equal,
                       canonical_angle)
 
 PI = math.pi
@@ -365,27 +365,57 @@ def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS) -> Circuit:
 # Adjacent-gate cleanup
 # ---------------------------------------------------------------------------
 
+def _is_canonical_u(inst: Instruction) -> bool:
+    """True iff u3params_instruction(as_u3params(inst), q) rebuilds `inst`:
+    a u2, a u1 off the identity, or a u3 with theta off 0 and pi/2."""
+    k = inst.kind
+    if k is GateKind.U2:
+        return True
+    if k is GateKind.U1:
+        return not angles_equal(inst.params[0], 0.0)
+    if k is GateKind.U3:
+        theta = inst.params[0]
+        return not (angles_equal(theta, 0.0) or angles_equal(theta, PI / 2))
+    return False
+
+
 def merge_1q_runs(c: Circuit) -> Circuit:
     """Fuse each maximal run of single-qubit gates on a wire into one u-gate.
 
     BARRIER/MEASURE/RESET/ANNOT and multi-qubit gates break runs; a merged
-    gate within EPS_ANGLE of the identity is dropped.
+    gate within EPS_ANGLE of the identity is dropped.  A run of one gate
+    that is already the cheapest u-gate for itself (see `_is_canonical_u`)
+    is passed through as it is, without the compose and re-emit round trip,
+    which would rebuild the same instruction.
     """
     out: list[Instruction] = []
-    pending: dict[int, U3Params] = {}
+    # Per wire: the run's first gate as it came, or the fused U3Params once
+    # a second gate has joined it.
+    pending: dict[int, Instruction | U3Params] = {}
 
     def flush(q: int):
         p = pending.pop(q, None)
-        if p is not None:
-            inst = u3params_instruction(p, q)
-            if inst is not None:
-                out.append(inst)
+        if p is None:
+            return
+        if isinstance(p, Instruction):
+            if _is_canonical_u(p):
+                out.append(p)
+                return
+            p = as_u3params(p)
+        inst = u3params_instruction(p, q)
+        if inst is not None:
+            out.append(inst)
 
     for inst in c.instructions:
-        if inst.is_1q:
+        if inst.kind in GATES_1Q:
             q = inst.qubits[0]
-            p = as_u3params(inst)
-            pending[q] = compose_u3(pending[q], p) if q in pending else p
+            p = pending.get(q)
+            if p is None:
+                pending[q] = inst
+            else:
+                if isinstance(p, Instruction):
+                    p = as_u3params(p)
+                pending[q] = compose_u3(p, as_u3params(inst))
         else:
             for q in inst.qubits:
                 flush(q)

@@ -9,6 +9,7 @@ import numpy as np
 
 from rpoc import Circuit, GateKind, Instruction
 from rpoc.analysis import BasisState
+from rpoc.synth import as_u3params, compose_u3, u3params_instruction
 
 TWO_PI = 2.0 * math.pi
 
@@ -370,3 +371,30 @@ def random_full_circuit(rng: random.Random, n: int, length: int,
         for q, b in zip(wires, rng.sample(range(n), len(wires))):
             c.measure(q, b)
     return c
+
+
+def ref_merge_1q_runs(c: Circuit) -> Circuit:
+    """rpoc.synth.merge_1q_runs without its one-gate pass-through: every run,
+    one gate long or longer, is composed into U3Params and re-emitted by
+    u3params_instruction."""
+    out: list[Instruction] = []
+    pending = {}
+
+    def flush(q: int) -> None:
+        p = pending.pop(q, None)
+        inst = None if p is None else u3params_instruction(p, q)
+        if inst is not None:
+            out.append(inst)
+
+    for inst in c.instructions:
+        if inst.is_1q:
+            q = inst.qubits[0]
+            p = as_u3params(inst)
+            pending[q] = compose_u3(pending[q], p) if q in pending else p
+        else:
+            for q in inst.qubits:
+                flush(q)
+            out.append(inst)
+    for q in sorted(pending):
+        flush(q)
+    return c.replace(out)

@@ -1,7 +1,13 @@
 """Exit codes of the command-line interface: 0 success, 1 verification
 failure, 2 input error."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rpoc
 from rpoc.bench import CSV_HEADER
 from rpoc.cli import main
 
@@ -119,3 +125,45 @@ def test_verify_routed_output_through_its_layout(files, capsys, text, layout):
     for a, b in ((src, out), (out, src), (out, out)):
         assert main(["verify", a, b]) == 0, (a, b)
     assert capsys.readouterr().out.count("NOT") == 0
+
+
+# MCX, SWAP, CSWAP and open controls on 6 wires; the routed variant spreads
+# the same gates over the 15 wires of line15, so the router inserts SWAPs.
+_MIXED = """qreg q[{n}];
+h q[{a}];
+x q[{c}];
+u3(0.3,0.2,0.1) q[{f}];
+h q[{d}];
+mcx[ococ] q[{a}],q[{b}],q[{c}],q[{d}],q[{e}];
+ocx q[{d}],q[{e}];
+occx q[{f}],q[{e}],q[{a}];
+swap q[{a}],q[{f}];
+cx q[{f}],q[{b}];
+cswap q[{c}],q[{a}],q[{e}];
+t q[{b}];
+cx q[{b}],q[{d}];
+swap q[{c}],q[{e}];
+h q[{e}];
+"""
+
+
+@pytest.mark.parametrize("text,extra", [
+    (_MIXED.format(n=6, a=0, b=1, c=2, d=3, e=4, f=5), []),
+    (_MIXED.format(n=15, a=0, b=14, c=3, d=11, e=7, f=13),
+     ["--coupling", "line15"]),
+], ids=["unrouted", "routed"])
+def test_optimize_output_does_not_depend_on_hash_seed(files, text, extra):
+    # GateKind hashes by identity and str hashing is randomized per process,
+    # so no output may follow the iteration order of a set.
+    src = files("in.qasm", text)
+    env = {**os.environ, "PYTHONPATH": str(Path(rpoc.__file__).parents[1])}
+    outs = []
+    for seed in ("0", "1"):
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from rpoc.cli import main; "
+             "sys.exit(main())", "optimize", src, *extra],
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+            text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0].startswith("qreg q[")
+    assert outs[0] == outs[1]

@@ -388,6 +388,43 @@ class TestAgainstReference:
                 assert abs(rep.fidelity - want) <= 1e-12
             assert equivalent_up_to_global_phase(a, same, perm=perm).equivalent
 
+    def test_reused_gate_views_alias_the_state(self):
+        # simulate() caches the views each CX/CCX/SWAP key acts through and
+        # reuses them; a RESET between uses renormalizes the state in place,
+        # and 1q gates update it through the matmul (wire 1) and elementwise
+        # (wires 0, 2, 5) kernels.  Closed and open controls on the same
+        # wires are distinct keys; CZ shares the closed CX's views.
+        c = Circuit(6)
+        for q, (t, p, l) in enumerate([(0.4, 0.1, 0.7), (1.1, 0.5, 0.2),
+                                       (2.0, 1.3, 0.4), (0.9, 2.2, 1.5),
+                                       (1.7, 0.3, 2.9), (0.6, 1.9, 0.8)]):
+            c.u3(t, p, l, q)
+        ccx_open = Instruction(GateKind.CCX, (0, 1, 3), open_mask=(True, False))
+        cx_open = Instruction(GateKind.CX, (2, 0), open_mask=(True,))
+        for _ in range(3):
+            c.cx(4, 5)
+            c.append(ccx_open)
+            c.ccx(0, 1, 3)
+            c.swap(1, 2)
+            c.append(cx_open)
+            c.cx(2, 0)
+            c.cz(4, 5)
+            c.cz(4, 5)
+            c.cx(4, 5)
+            c.swap(4, 5)
+            c.h(5)
+            c.reset(4)
+            c.u3(0.3, 1.2, 2.1, 1)
+            c.u3(1.4, 0.2, 0.5, 0)
+            c.t(2)
+            c.u1(0.7, 5)
+            c.cx(5, 4)
+            c.append(ccx_open)
+            c.swap(1, 2)
+            c.cx(5, 4)
+            c.swap(4, 5)
+        _assert_same(simulate(c), ref_simulate(c), True)
+
     def test_initial_state_is_not_mutated(self):
         # From a random start, annotations and resets placed for |0...0>
         # need not hold, so they are left out.

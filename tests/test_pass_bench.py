@@ -1,16 +1,21 @@
-"""Microbenchmarks of the state-tracking passes (pytest-benchmark).
+"""Microbenchmarks of the compiler passes and the oracle (pytest-benchmark).
 
 `addopts` in pyproject.toml disables timing, so a plain test run calls each
-pass once and checks its output CX count.  To time the tracker:
+case once and checks its output.  To time them:
 
     pytest tests/test_pass_bench.py --benchmark-enable
 """
 import functools
 
+import numpy as np
 import pytest
 
-from rpoc import cx_count, equivalent_up_to_global_phase, gen_qpe, gen_vqe_ry
-from rpoc import qbo, qpo, unroll
+from rpoc import (Circuit, GateKind, PipelineOptions, count_gates, cx_count,
+                  equivalent_up_to_global_phase, gen_grover, gen_qpe,
+                  gen_vqe_ry, line_coupling, merge_1q_runs, pipeline, qbo,
+                  qpo, route, simulate, unroll)
+
+from helpers import ref_simulate
 
 CIRCUITS = {
     "qpe10": lambda: gen_qpe(10, 357 / 2 ** 10),
@@ -37,3 +42,43 @@ def test_pass(benchmark, circuit, pass_name):
     assert cx_count(out) == CX_OUT[(circuit, pass_name)]
     assert equivalent_up_to_global_phase(c, out).equivalent
     benchmark(PASSES[pass_name], c)
+
+
+LINE15 = line_coupling(15)
+UNROLLED = {
+    "grover6": lambda: unroll(gen_grover(6, 37, 6)),
+    "qpe10": lambda: unroll(gen_qpe(10, 357 / 2 ** 10)),
+}
+# Gates out of merge_1q_runs (1,740 and 361 in), and SWAPs route inserts on
+# line15 with seed 0 (744 and 110 CX in).
+MERGED_GATES = {"grover6": 1560, "qpe10": 286}
+ROUTE_SWAPS = {"grover6": 959, "qpe10": 330}
+
+
+@pytest.mark.parametrize("circuit", list(UNROLLED))
+def test_merge_1q_runs(benchmark, circuit):
+    c = UNROLLED[circuit]()
+    out = merge_1q_runs(c)
+    assert len(out) == MERGED_GATES[circuit]
+    assert cx_count(out) == cx_count(c)
+    benchmark(merge_1q_runs, c)
+
+
+@pytest.mark.parametrize("circuit", list(UNROLLED))
+def test_route(benchmark, circuit):
+    c = UNROLLED[circuit]()
+    out, _ = route(c, LINE15, seed=0)
+    assert count_gates(out, GateKind.SWAP) == ROUTE_SWAPS[circuit]
+    assert cx_count(out) == cx_count(c)
+    benchmark(route, c, LINE15, 0)
+
+
+def test_simulate_routed_grover6(benchmark):
+    # rpo's line15 output touches wires 0-5 only; the reference simulator
+    # takes it on those six wires, without the terminal measurements.
+    out = pipeline(gen_grover(6, 37, 6), PipelineOptions(coupling=LINE15))
+    c = Circuit(6).extend(i for i in out.instructions
+                          if i.kind is not GateKind.MEASURE)
+    assert len(c) > 4000
+    assert np.allclose(simulate(c), ref_simulate(c), atol=1e-9)
+    benchmark(simulate, c)

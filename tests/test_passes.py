@@ -559,6 +559,15 @@ class TestCouplingMap:
         rng = random.Random(0)
         assert m.shortest_path(0, 4, rng) == [0, 1, 2, 3, 4]
 
+    def test_shortest_path_is_shortest(self):
+        m = grid_coupling(4, 5)
+        rng = random.Random(1)
+        for a, b in itertools.product(range(m.n_physical), repeat=2):
+            path = m.shortest_path(a, b, rng)
+            assert path[0] == a and path[-1] == b
+            assert len(path) - 1 == m.distances_from(a)[b]
+            assert all(m.adjacent(x, y) for x, y in zip(path, path[1:]))
+
 
 class TestRoute:
     def test_distance_two_line(self):
@@ -613,6 +622,18 @@ class TestRoute:
         a, la = route(c, grid_coupling(2, 3), seed=9)
         b, lb = route(c, grid_coupling(2, 3), seed=9)
         assert a == b and la == lb
+
+    def test_reused_map_routes_like_a_fresh_one(self):
+        # A map caches the distance tables its shortest paths read; a warm
+        # cache must draw ties from rng exactly as a cold one does.
+        rng = random.Random(7)
+        warm = grid_coupling(4, 5)
+        for seed in range(4):
+            c = unroll(random_circuit(rng, 12, 60))
+            got = route(c, warm, seed=seed, random_layout=True)
+            want = route(c, grid_coupling(4, 5), seed=seed, random_layout=True)
+            assert got == want
+            assert any(i.kind is GateKind.SWAP for i in got[0].instructions)
 
 
 class TestPipeline:

@@ -18,7 +18,8 @@ from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
                         pure_state_vector, swap_to_cx, swapz_to_cx,
                         u3params_instruction)
 
-from helpers import haar_unitary, random_statevector, ref_simulate
+from helpers import (haar_unitary, random_statevector, ref_merge_1q_runs,
+                     ref_simulate)
 
 PI = math.pi
 
@@ -286,6 +287,42 @@ class TestMcxGrayCode:
         assert np.allclose(got, want, atol=1e-9)
 
 
+# Angles at, within 1e-9 of, and either side of EPS_ANGLE from the values
+# where u3params_instruction changes its choice of gate (two draws in three),
+# or generic ones.
+_near_special = st.builds(
+    lambda a, d: a + d, st.sampled_from([0.0, PI / 2, PI, 2 * PI]),
+    st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9),
+              st.sampled_from([-2e-8, -1e-8, 1e-8, 2e-8])))
+_angle = st.one_of(_near_special, _near_special, st.floats(0.0, 2 * PI))
+_U_PARAMS = {GateKind.U1: 1, GateKind.U2: 2, GateKind.U3: 3}
+_NAMED = [GateKind.ID, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
+          GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG]
+
+
+@st.composite
+def _runs_circuit(draw) -> Circuit:
+    """Runs of 1-3 single-qubit gates (half of them one gate long) on 1-3
+    wires, each closed by a CX, a barrier or an annotation."""
+    n = draw(st.integers(1, 3), label="wires")
+    c = Circuit(n)
+    for _ in range(draw(st.integers(1, 6), label="runs")):
+        q = draw(st.integers(0, n - 1))
+        for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+            kind = draw(st.sampled_from([*_U_PARAMS, None]))
+            kind = kind or draw(st.sampled_from(_NAMED))
+            params = tuple(draw(_angle) for _ in range(_U_PARAMS.get(kind, 0)))
+            c.append(Instruction(kind, (q,), params))
+        sep = draw(st.sampled_from(["cx", "barrier", "annot"]))
+        if sep == "cx" and n > 1:
+            c.cx(q, draw(st.sampled_from([w for w in range(n) if w != q])))
+        elif sep == "annot":
+            c.annot(draw(_angle), draw(_angle), q)
+        else:
+            c.barrier(q)
+    return c
+
+
 class TestMerge1q:
     def test_xx_cancels(self):
         c = Circuit(1)
@@ -359,6 +396,30 @@ class TestMerge1q:
             once = merge_1q_runs(c)
             assert len(once.instructions) <= len(c.instructions)
             assert merge_1q_runs(once) == once
+
+    # A canonical one-gate run is passed through as it is; the result must
+    # equal composing and re-emitting every run.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(c=_runs_circuit())
+    def test_pass_through_equals_reference_merge(self, c):
+        assert merge_1q_runs(c) == ref_merge_1q_runs(c)
+
+    @pytest.mark.parametrize("kind,params,kept", [
+        (GateKind.U2, (0.0, 0.0), True),
+        (GateKind.U1, (PI / 4,), True),
+        (GateKind.U1, (1e-9,), False),
+        (GateKind.U1, (2 * PI - 1e-9,), False),
+        (GateKind.U3, (PI, 0.1, 0.2), True),
+        (GateKind.U3, (PI / 2 + 1e-9, 0.1, 0.2), False),
+        (GateKind.U3, (1e-9, 0.1, 0.2), False),
+        (GateKind.H, (), False),
+    ])
+    def test_one_gate_run_kept_as_is(self, kind, params, kept):
+        c = Circuit(1)
+        c.append(Instruction(kind, (0,), params))
+        out = merge_1q_runs(c).instructions
+        assert (bool(out) and out[0] is c.instructions[0]) is kept
+        assert merge_1q_runs(c) == ref_merge_1q_runs(c)
 
 
 class TestCancelCX:
