@@ -18,7 +18,8 @@ import math
 from collections.abc import Sequence
 from enum import Enum
 
-from .circuit import EPS_ANGLE, GateKind, Instruction, angles_equal, canonical_angle
+from .circuit import (EPS_ANGLE, Instruction, angles_equal, canonical_angle,
+                      _RESET, _ANNOT, _MEASURE, _SWAP, _SWAPZ, _BARRIER)
 from .synth import U3Params, as_u3params
 
 PI = math.pi
@@ -118,21 +119,21 @@ class Tracker:
 
     def step(self, inst: Instruction) -> None:
         k = inst.kind
-        if k is GateKind.BARRIER:
+        if k is _BARRIER:
             return
         q = inst.qubits[0]
-        if k is GateKind.RESET:
+        if k is _RESET:
             self.states[q] = GROUND
-        elif k is GateKind.ANNOT:
+        elif k is _ANNOT:
             self.states[q] = canonical_pure(*inst.params)
-        elif k is GateKind.MEASURE:
+        elif k is _MEASURE:
             self.states[q] = None
         elif inst.is_1q:
             if self.states[q] is not None:
                 self.states[q] = pure_transition(self.states[q],
                                                  as_u3params(inst))
-        elif k is GateKind.SWAP or (
-                k is GateKind.SWAPZ and is_zero(self.states[inst.qubits[1]])):
+        elif k is _SWAP or (
+                k is _SWAPZ and is_zero(self.states[inst.qubits[1]])):
             self.swap(*inst.qubits)
         else:
             self.set_top(inst.qubits)

@@ -2,17 +2,18 @@
 
 The in-memory form is a flat, ordered instruction list over indexed qubits
 and classical bits.  Program order defines dataflow order.  Passes treat
-circuits as immutable: they build new ones instead of editing in place.
-Instructions are validated once, where they enter: the Instruction
-constructor, the Circuit builder and parse_program.  Passes build theirs
-unchecked (synth._i, Circuit.replace), so what a pass sets must already be
-canonical: in-range int tuples, finite angles in [0, 2*pi), normalized masks.
+circuits as immutable: they build new ones instead of editing in place.  An
+Instruction is an immutable named tuple (kind, qubits, params, clbits,
+open_mask), validated once, where it enters: the Instruction constructor,
+the Circuit builder and parse_program.  Passes build theirs unchecked
+(synth._i, Circuit.replace), so what a pass sets must already be canonical:
+in-range int tuples, finite angles in [0, 2*pi), normalized masks.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -81,6 +82,11 @@ class GateKind(Enum):
     __hash__ = object.__hash__
 
 
+# Kinds the hot loops test, bound once: GateKind.X is a slow read on 3.11.
+(_H, _U1, _U2, _U3, _CX, _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _RESET,
+ _ANNOT, _MEASURE, _BARRIER) = (GateKind[name] for name in """H U1 U2 U3 CX CZ
+ CU3 SWAP SWAPZ CCX MCX CSWAP RESET ANNOT MEASURE BARRIER""".split())
+
 # Single-qubit unitary gates (everything a 1q run can absorb).
 GATES_1Q = frozenset({
     GateKind.ID, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
@@ -117,69 +123,62 @@ def n_controls(kind: GateKind, n_qubits: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(namedtuple("_Fields", "kind qubits params clbits open_mask")):
     """One gate/instruction: kind, qubit operands, angle params, clbits.
 
-    Control-carrying kinds (cx, ccx, mcx) may have an open-control mask,
-    one flag per control position (all-closed is stored as the empty tuple).
-    SWAPZ's zero-designated operand is always qubits[1].
-    MEASURE is the only kind with clbits.  The constructor checks and
-    canonicalizes every field; passes derive theirs unchecked (synth._i).
+    A tuple, so equality and hashing run in C.  Control-carrying kinds (cx,
+    ccx, mcx) may have an open-control mask, one flag per control position
+    (all-closed is the empty tuple).  SWAPZ's zero-designated operand is
+    always qubits[1].  MEASURE is the only kind with clbits.  The constructor
+    checks and canonicalizes every field; passes derive theirs unchecked.
     """
 
-    kind: GateKind
-    qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    clbits: tuple[int, ...] = ()
-    open_mask: tuple[bool, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        params = tuple(float(p) for p in self.params)
+    def __new__(cls, kind: GateKind, qubits, params=(), clbits=(), open_mask=()):
+        qubits = tuple(int(q) for q in qubits)
+        params = tuple(float(p) for p in params)
         if not all(map(math.isfinite, params)):
-            raise ValueError(f"{self.kind.value} parameters must be finite")
-        object.__setattr__(self, "params", tuple(canonical_angle(p) for p in params))
-        object.__setattr__(self, "clbits", tuple(int(b) for b in self.clbits))
-        object.__setattr__(self, "open_mask", tuple(bool(m) for m in self.open_mask))
+            raise ValueError(f"{kind.value} parameters must be finite")
+        params = tuple(canonical_angle(p) for p in params)
+        clbits = tuple(int(b) for b in clbits)
+        open_mask = tuple(bool(m) for m in open_mask)
 
-        arity = _ARITY[self.kind]
+        arity = _ARITY[kind]
         if arity is None:
-            minimum = 2 if self.kind is GateKind.MCX else 1
-            if len(self.qubits) < minimum:
-                raise ValueError(f"{self.kind.value} needs >= {minimum} operands")
-        elif len(self.qubits) != arity:
+            minimum = 2 if kind is GateKind.MCX else 1
+            if len(qubits) < minimum:
+                raise ValueError(f"{kind.value} needs >= {minimum} operands")
+        elif len(qubits) != arity:
             raise ValueError(
-                f"{self.kind.value} takes {arity} qubit(s), got {len(self.qubits)}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubit operand in {self.kind.value}")
-        if len(self.params) != _N_PARAMS.get(self.kind, 0):
+                f"{kind.value} takes {arity} qubit(s), got {len(qubits)}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate qubit operand in {kind.value}")
+        if len(params) != _N_PARAMS.get(kind, 0):
             raise ValueError(
-                f"{self.kind.value} takes {_N_PARAMS.get(self.kind, 0)} parameter(s),"
-                f" got {len(self.params)}")
-        if self.kind is GateKind.MEASURE:
-            if len(self.clbits) != 1:
+                f"{kind.value} takes {_N_PARAMS.get(kind, 0)} parameter(s),"
+                f" got {len(params)}")
+        if kind is GateKind.MEASURE:
+            if len(clbits) != 1:
                 raise ValueError("measure takes exactly one classical bit")
-        elif self.clbits:
-            raise ValueError(f"{self.kind.value} takes no classical bits")
+        elif clbits:
+            raise ValueError(f"{kind.value} takes no classical bits")
 
-        if self.open_mask:
-            nc = n_controls(self.kind, len(self.qubits))
-            if self.kind not in _MASKABLE:
-                raise ValueError(f"{self.kind.value} does not support open controls")
-            if len(self.open_mask) != nc:
+        if open_mask:
+            nc = n_controls(kind, len(qubits))
+            if kind not in _MASKABLE:
+                raise ValueError(f"{kind.value} does not support open controls")
+            if len(open_mask) != nc:
                 raise ValueError(f"open-control mask length must be {nc}")
-            if not any(self.open_mask):
-                object.__setattr__(self, "open_mask", ())
-            elif self.kind is GateKind.CCX:
+            if not any(open_mask):
+                open_mask = ()
+            elif kind is GateKind.CCX:
                 # Controls are symmetric: canonicalize open controls first so
                 # the o-prefixed text form round-trips.
-                pairs = sorted(zip(self.open_mask, self.qubits[:2]),
-                               key=lambda p: not p[0])
-                object.__setattr__(
-                    self, "qubits", (pairs[0][1], pairs[1][1], self.qubits[2]))
-                object.__setattr__(
-                    self, "open_mask", (pairs[0][0], pairs[1][0]))
+                pairs = sorted(zip(open_mask, qubits[:2]), key=lambda p: not p[0])
+                qubits = (pairs[0][1], pairs[1][1], qubits[2])
+                open_mask = (pairs[0][0], pairs[1][0])
+        return tuple.__new__(cls, (kind, qubits, params, clbits, open_mask))
 
     @property
     def controls(self) -> tuple[int, ...]:

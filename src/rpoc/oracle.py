@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import GATES_1Q, Circuit, GateKind
+from .circuit import (GATES_1Q, Circuit, GateKind, _U3, _CX, _CZ, _CU3, _SWAP,
+                      _SWAPZ, _CCX, _MCX, _CSWAP, _RESET, _ANNOT, _MEASURE, _BARRIER)
 from .synth import matrix_1q, pure_state_vector
 
 MAX_QUBITS = 16
@@ -218,7 +219,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
 
     for pos, inst in enumerate(c.instructions):
         k = inst.kind
-        if k is GateKind.BARRIER:
+        if k is _BARRIER:
             continue
         for q in inst.qubits:
             if q in measured:
@@ -228,20 +229,20 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
         qs = tuple([axis[q] for q in inst.qubits])
         if min(qs) < 0:
             raise ValueError(f"instruction {pos} touches a wire that is not simulated")
-        if k is GateKind.MEASURE:
+        if k is _MEASURE:
             b = inst.clbits[0]
             if b in used_clbits:
                 raise ValueError(f"classical bit {b} measured twice")
             used_clbits.add(b)
             measured[inst.qubits[0]] = b
             continue
-        if k is GateKind.ANNOT:
+        if k is _ANNOT:
             rho = reduced_qubit_state(state, qs[0])
             td = trace_distance_to_pure(rho, pure_state_vector(*inst.params))
             if td > 1e-8:
                 raise AnnotationError(inst.qubits[0], pos, td)
             continue
-        if k is GateKind.RESET:
+        if k is _RESET:
             _do_reset(state, qs[0], inst.qubits[0], pos)
             continue
         if k in GATES_1Q:
@@ -251,19 +252,19 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 m = mats[key] = matrix_1q(k, inst.params)
             _apply_1q(state, m, qs[0])
             continue
-        if k is GateKind.CX or k is GateKind.CCX or k is GateKind.MCX:
+        if k is _CX or k is _CCX or k is _MCX:
             _exchange(*pair(False, qs, inst.open_mask))
-        elif k is GateKind.CZ:
+        elif k is _CZ:
             both = pair(False, qs)[1]   # control and target set
             both *= -1.0
-        elif k is GateKind.SWAP or k is GateKind.CSWAP:
+        elif k is _SWAP or k is _CSWAP:
             _exchange(*pair(True, qs))
-        elif k is GateKind.SWAPZ:
+        elif k is _SWAPZ:
             a, z = qs
             _exchange(*pair(False, (a, z)))
             _exchange(*pair(False, (z, a)))
-        elif k is GateKind.CU3:
-            _mix(*pair(False, qs), matrix_1q(GateKind.U3, inst.params))
+        elif k is _CU3:
+            _mix(*pair(False, qs), matrix_1q(_U3, inst.params))
         else:  # pragma: no cover - all kinds handled above
             raise ValueError(f"cannot simulate {k.value}")
 

@@ -31,13 +31,14 @@ import numpy as np
 
 from .analysis import (BasisState, Tracker, basis_of, is_zero, pure_transition,
                        vector_to_pure)
-from .circuit import Circuit, GateKind, GATES_1Q, Instruction, angles_equal
+from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal, _CX,
+                      _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _BARRIER)
 from .oracle import simulate
 from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cancel_adjacent_cx,
                     cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
                     pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
                     swapz_to_cx, u3params_instruction, unroll, _i, _make_mcx,
-                    _open_control_wrap)
+                    _open_control_wrap, _KEEP_ALWAYS)
 
 _B = BasisState
 _K = GateKind
@@ -79,7 +80,6 @@ def qbo(c: Circuit) -> Circuit:
     the operands' ray states.  CX count never increases."""
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
-    _PASSTHROUGH = (_K.BARRIER, _K.MEASURE, _K.RESET, _K.ANNOT)
 
     def keep(inst: Instruction) -> None:
         out.append(inst)
@@ -94,7 +94,7 @@ def qbo(c: Circuit) -> Circuit:
 
     def visit(inst: Instruction) -> None:
         k = inst.kind
-        if k in _PASSTHROUGH:
+        if k in _KEEP_ALWAYS:
             keep(inst)
             return
         if inst.open_mask:
@@ -110,20 +110,19 @@ def qbo(c: Circuit) -> Circuit:
                 tr.states[q] = new
             out.append(inst)
             return
-        if k is _K.CZ:
+        if k is _CZ:
             visit_cz(inst)
-        elif k is _K.SWAP or (k is _K.SWAPZ
-                              and is_zero(tr.states[inst.qubits[1]])):
+        elif k is _SWAP or (k is _SWAPZ and is_zero(tr.states[inst.qubits[1]])):
             # A validated SWAPZ is semantically a SWAP.
             visit_swaplike(inst)
-        elif k is _K.SWAPZ:
+        elif k is _SWAPZ:
             # Unverifiable zero designation: fall back to the definition.
             visit_all(swapz_to_cx(*inst.qubits))
-        elif k is _K.CX or k is _K.CCX or k is _K.MCX:
+        elif k is _CX or k is _CCX or k is _MCX:
             visit_mcx(inst)
-        elif k is _K.CSWAP:
+        elif k is _CSWAP:
             visit_cswap(inst)
-        elif k is _K.CU3:
+        elif k is _CU3:
             visit_cu3(inst)
         else:
             keep(inst)
@@ -428,7 +427,7 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
     out: list[Instruction] = []
 
     def do_swap(x: int, y: int) -> None:
-        out.append(_i(_K.SWAP, (x, y)))
+        out.append(_i(_SWAP, (x, y)))
         lx, ly = p2l[x], p2l[y]
         p2l[x], p2l[y] = ly, lx
         if lx >= 0:
@@ -437,7 +436,7 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
             l2p[ly] = x
 
     for inst in c.instructions:
-        if inst.kind is not _K.BARRIER and len(inst.qubits) != 1:
+        if inst.kind is not _BARRIER and len(inst.qubits) != 1:
             if len(inst.qubits) != 2:
                 raise ValueError("route expects an unrolled circuit (1q/2q gates)")
             a, b = inst.qubits

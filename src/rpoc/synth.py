@@ -4,6 +4,9 @@ Covers ZYZ re-synthesis of 2x2 unitaries, u3 composition, unrolling of
 compound gates into a {u1,u2,u3,id,cx} basis (an MCX with k >= 3 controls
 as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup,
 and two-qubit state preparation from known product inputs.
+
+The 1q algebra is closed-form over the four entries of a 2x2 matrix: no numpy
+or BLAS runs on the compile path outside --blocks (u3_matrix is the oracle's).
 """
 from __future__ import annotations
 
@@ -14,30 +17,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import (GATES_1Q, Circuit, GateKind, Instruction, angles_equal,
-                      canonical_angle)
+                      canonical_angle, _H, _U1, _U2, _U3, _CX, _CZ, _SWAP, _SWAPZ,
+                      _CCX, _MCX, _CSWAP, _CU3)
 
 PI = math.pi
 UNITARY_TOL = 1e-10
 
 
 def _i(kind, qubits, params=(), clbits=(), open_mask=()):
-    """Instruction built like the dataclass __init__ but without its checks:
-    for fields derived from checked instructions, already canonical."""
-    inst = object.__new__(Instruction)
-    object.__setattr__(inst, "kind", kind)
-    object.__setattr__(inst, "qubits", qubits)
-    object.__setattr__(inst, "params", params)
-    object.__setattr__(inst, "clbits", clbits)
-    object.__setattr__(inst, "open_mask", open_mask)
-    return inst
+    """Instruction without the constructor's checks, for canonical fields."""
+    return tuple.__new__(Instruction, (kind, qubits, params, clbits, open_mask))
+
+
+def _u3_entries(theta: float, phi: float, lam: float) -> tuple:
+    """The entries (u00, u01, u10, u11) of u3(theta, phi, lam)."""
+    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return (ct, -cmath.exp(1j * lam) * st, cmath.exp(1j * phi) * st,
+            cmath.exp(1j * (phi + lam)) * ct)
+
+
+def _mul2(x: tuple, y: tuple) -> tuple:
+    """Entries of the 2x2 product x @ y."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _dagger2(x: tuple) -> tuple:
+    return tuple(v.conjugate() for v in (x[0], x[2], x[1], x[3]))
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([
-        [ct, -cmath.exp(1j * lam) * st],
-        [cmath.exp(1j * phi) * st, cmath.exp(1j * (phi + lam)) * ct],
-    ])
+    return np.array(_u3_entries(theta, phi, lam)).reshape(2, 2)
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -118,24 +128,27 @@ def zyz_decompose(u: np.ndarray) -> U3Params:
     theta lands in [0, pi]; at the degenerate poles (theta ~ 0 or pi) the
     undetermined Euler angle is folded into lam and phi is set to 0.
     """
-    return _zyz(check_unitary2(u))
+    return _zyz(*check_unitary2(u).ravel().tolist())
 
 
-def _zyz(u: np.ndarray) -> U3Params:
-    """zyz_decompose of a complex matrix that is unitary by construction (a
-    product of u3 matrices), without re-checking it on the hot path."""
-    a, b = abs(u[0, 0]), abs(u[1, 0])
+def _zyz(u00: complex, u01: complex, u10: complex, u11: complex) -> U3Params:
+    """zyz_decompose of the entries of a matrix that is unitary by
+    construction (a product of u3 matrices), without re-checking it."""
+    a, b = abs(u00), abs(u10)
     theta = 2.0 * math.atan2(b, a)
     if b < 1e-12:       # diagonal: rotation about Z only
-        phase = cmath.phase(u[0, 0])
-        phi, lam = 0.0, cmath.phase(u[1, 1]) - phase
+        phase = cmath.phase(u00)
+        phi, lam = 0.0, cmath.phase(u11) - phase
     elif a < 1e-12:     # anti-diagonal
-        phase = cmath.phase(u[1, 0])
-        phi, lam = 0.0, cmath.phase(-u[0, 1]) - phase
+        phase = cmath.phase(u10)
+        phi, lam = 0.0, cmath.phase(-u01) - phase
     else:
-        phase = cmath.phase(u[0, 0])
-        phi = cmath.phase(u[1, 0]) - phase
-        lam = cmath.phase(u[1, 1]) - phase - phi
+        # Three angles fit three entry phases; let the fourth, which follows,
+        # be a small entry's (u11 or u01), so its error stays small.
+        phase = cmath.phase(u00)
+        phi = cmath.phase(u10) - phase
+        lam = (cmath.phase(u11) - phase - phi if a >= b
+               else cmath.phase(-u01) - phase)
     theta = min(max(theta, 0.0), PI)
     return U3Params(theta, canonical_angle(phi), canonical_angle(lam),
                     canonical_angle(phase))
@@ -143,21 +156,28 @@ def _zyz(u: np.ndarray) -> U3Params:
 
 def compose_u3(first: U3Params, second: U3Params) -> U3Params:
     """Parameters of the fused gate applying `first` then `second`."""
-    return _zyz(second.matrix() @ first.matrix())
+    m = _mul2(_u3_entries(second.theta, second.phi, second.lam),
+              _u3_entries(first.theta, first.phi, first.lam))
+    g = cmath.exp(1j * (first.global_phase + second.global_phase))
+    return _zyz(*(g * x for x in m))
+
+
+def _u3_angles(inst: Instruction) -> tuple[float, float, float]:
+    k = inst.kind
+    if k is _U3:
+        return inst.params
+    if k is _U2:
+        return (PI / 2, *inst.params)
+    if k is _U1:
+        return (0.0, 0.0, inst.params[0])
+    if k in _NAMED_U3:
+        return _NAMED_U3[k]
+    raise ValueError(f"{k.value} is not a single-qubit unitary gate")
 
 
 def as_u3params(inst: Instruction) -> U3Params:
     """u3 view of any single-qubit unitary instruction."""
-    k = inst.kind
-    if k is GateKind.U3:
-        return U3Params(*inst.params)
-    if k is GateKind.U2:
-        return U3Params(PI / 2, inst.params[0], inst.params[1])
-    if k is GateKind.U1:
-        return U3Params(0.0, 0.0, inst.params[0])
-    if k in _NAMED_U3:
-        return U3Params(*_NAMED_U3[k])
-    raise ValueError(f"{k.value} is not a single-qubit unitary gate")
+    return U3Params(*_u3_angles(inst))
 
 
 def u3params_instruction(p: U3Params, q: int) -> Instruction | None:
@@ -179,13 +199,13 @@ def pure_state_vector(theta: float, phi: float) -> np.ndarray:
 
 def pure_to_zero_gate(theta: float, phi: float) -> U3Params:
     """Gate sending the pure state (theta, phi) back to |0>, up to phase."""
-    return _zyz(u3_matrix(theta, phi, 0.0).conj().T)
+    return _zyz(*_dagger2(_u3_entries(theta, phi, 0.0)))
 
 
 def pure_to_pure_gate(src: tuple[float, float], dst: tuple[float, float]) -> U3Params:
     """Gate sending pure state src to pure state dst, up to phase."""
-    m = u3_matrix(dst[0], dst[1], 0.0) @ u3_matrix(src[0], src[1], 0.0).conj().T
-    return _zyz(m)
+    return _zyz(*_mul2(_u3_entries(dst[0], dst[1], 0.0),
+                       _dagger2(_u3_entries(src[0], src[1], 0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +333,6 @@ def _open_control_wrap(inst: Instruction) -> list[Instruction]:
 
 
 def _decompose_step(inst: Instruction) -> list[Instruction]:
-    K = GateKind
     kind = inst.kind
     if inst.open_mask:
         return _open_control_wrap(inst)
@@ -321,20 +340,20 @@ def _decompose_step(inst: Instruction) -> list[Instruction]:
         p = U3Params(*_NAMED_U3[kind])
         out = u3params_instruction(p, inst.qubits[0])
         return [out] if out else []
-    if kind is K.CZ:
+    if kind is _CZ:
         a, b = inst.qubits
-        return [_i(K.H, (b,)), _i(K.CX, (a, b)), _i(K.H, (b,))]
-    if kind is K.SWAP:
+        return [_i(_H, (b,)), _i(_CX, (a, b)), _i(_H, (b,))]
+    if kind is _SWAP:
         return swap_to_cx(*inst.qubits)
-    if kind is K.SWAPZ:
+    if kind is _SWAPZ:
         return swapz_to_cx(*inst.qubits)
-    if kind is K.CCX:
+    if kind is _CCX:
         return ccx_to_cx(*inst.qubits)
-    if kind is K.CSWAP:
+    if kind is _CSWAP:
         return cswap_to_ccx(*inst.qubits)
-    if kind is K.CU3:
+    if kind is _CU3:
         return cu3_to_cx(*inst.params, *inst.qubits)
-    if kind is K.MCX:
+    if kind is _MCX:
         controls, target = inst.qubits[:-1], inst.qubits[-1]
         if len(controls) <= 2:
             return [_make_mcx(controls, target)]
@@ -382,26 +401,27 @@ def _is_canonical_u(inst: Instruction) -> bool:
 def merge_1q_runs(c: Circuit) -> Circuit:
     """Fuse each maximal run of single-qubit gates on a wire into one u-gate.
 
+    A run's closed-form 2x2 product is decomposed (ZYZ) once, at its end.
     BARRIER/MEASURE/RESET/ANNOT and multi-qubit gates break runs; a merged
     gate within EPS_ANGLE of the identity is dropped.  A run of one gate
     that is already the cheapest u-gate for itself (see `_is_canonical_u`)
-    is passed through as it is, without the compose and re-emit round trip,
-    which would rebuild the same instruction.
+    is passed through as it is, without the decompose and re-emit round
+    trip, which would rebuild the same instruction.
     """
     out: list[Instruction] = []
-    # Per wire: the run's first gate as it came, or the fused U3Params once
-    # a second gate has joined it.
-    pending: dict[int, Instruction | U3Params] = {}
+    # Per wire: the run's first gate as it came, or the entries of the run's
+    # product once a second gate has joined it.
+    pending: dict[int, Instruction | tuple] = {}
 
     def flush(q: int):
-        p = pending.pop(q, None)
-        if p is None:
-            return
+        p = pending.pop(q)
         if isinstance(p, Instruction):
             if _is_canonical_u(p):
                 out.append(p)
                 return
             p = as_u3params(p)
+        else:
+            p = _zyz(*p)
         inst = u3params_instruction(p, q)
         if inst is not None:
             out.append(inst)
@@ -414,11 +434,12 @@ def merge_1q_runs(c: Circuit) -> Circuit:
                 pending[q] = inst
             else:
                 if isinstance(p, Instruction):
-                    p = as_u3params(p)
-                pending[q] = compose_u3(p, as_u3params(inst))
+                    p = _u3_entries(*_u3_angles(p))
+                pending[q] = _mul2(_u3_entries(*_u3_angles(inst)), p)
         else:
             for q in inst.qubits:
-                flush(q)
+                if q in pending:
+                    flush(q)
             out.append(inst)
     for q in sorted(pending):
         flush(q)
@@ -428,28 +449,26 @@ def merge_1q_runs(c: Circuit) -> Circuit:
 def cancel_adjacent_cx(c: Circuit) -> Circuit:
     """Drop adjacent identical CX pairs (same control/target, nothing between
     them on either wire)."""
-    out: list[Instruction] = []
-    alive: list[bool] = []
-    last_on_wire: dict[int, list[int]] = {}
+    out: list[Instruction | None] = []
+    top = [-1] * c.n_qubits  # per wire: index in `out` of its last kept gate
+    below: dict[int, tuple[int, int]] = {}  # kept CX -> its wires' tops before it
+    cancelled = False
 
     for inst in c.instructions:
-        if inst.kind is GateKind.CX and not inst.open_mask:
+        if inst.kind is _CX and not inst.open_mask:
             a, b = inst.qubits
-            sa = last_on_wire.get(a)
-            sb = last_on_wire.get(b)
-            ia = sa[-1] if sa else None
-            ib = sb[-1] if sb else None
-            if ia is not None and ia == ib and out[ia] == inst:
-                alive[ia] = False
-                sa.pop()
-                sb.pop()
+            i = top[a]
+            if i >= 0 and i == top[b] and out[i] == inst:
+                out[i] = None
+                top[a], top[b] = below.pop(i)
+                cancelled = True
                 continue
+            below[len(out)] = (top[a], top[b])
         idx = len(out)
         out.append(inst)
-        alive.append(True)
         for q in inst.qubits:
-            last_on_wire.setdefault(q, []).append(idx)
-    return c.replace(inst for inst, keep in zip(out, alive) if keep)
+            top[q] = idx
+    return c.replace([g for g in out if g is not None] if cancelled else out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 
 from rpoc import Circuit, GateKind, Instruction
 from rpoc.analysis import BasisState
-from rpoc.synth import as_u3params, compose_u3, u3params_instruction
+from rpoc.synth import as_u3params, u3params_instruction, zyz_decompose
 
 TWO_PI = 2.0 * math.pi
 
@@ -373,28 +373,41 @@ def random_full_circuit(rng: random.Random, n: int, length: int,
     return c
 
 
-def ref_merge_1q_runs(c: Circuit) -> Circuit:
-    """rpoc.synth.merge_1q_runs without its one-gate pass-through: every run,
-    one gate long or longer, is composed into U3Params and re-emitted by
-    u3params_instruction."""
+def ref_merge_1q_runs(c: Circuit) -> tuple[Circuit, list[list[Instruction]]]:
+    """rpoc.synth.merge_1q_runs by numpy and without its one-gate
+    pass-through: the u3 matrices (`as_u3params`) of a run of two or more
+    gates are multiplied with `@` and the product goes through
+    zyz_decompose; a lone gate keeps its own u3 angles; either is re-emitted
+    by u3params_instruction.  Also returns, per output instruction, the run
+    fused into it ([] for an instruction that is not a single-qubit gate)."""
     out: list[Instruction] = []
-    pending = {}
+    runs: list[list[Instruction]] = []
+    pending: dict[int, list[Instruction]] = {}
 
     def flush(q: int) -> None:
-        p = pending.pop(q, None)
-        inst = None if p is None else u3params_instruction(p, q)
+        run = pending.pop(q, None)
+        if not run:
+            return
+        if len(run) == 1:
+            p = as_u3params(run[0])
+        else:
+            m = as_u3params(run[0]).matrix()
+            for g in run[1:]:
+                m = as_u3params(g).matrix() @ m
+            p = zyz_decompose(m)
+        inst = u3params_instruction(p, q)
         if inst is not None:
             out.append(inst)
+            runs.append(run)
 
     for inst in c.instructions:
         if inst.is_1q:
-            q = inst.qubits[0]
-            p = as_u3params(inst)
-            pending[q] = compose_u3(pending[q], p) if q in pending else p
+            pending.setdefault(inst.qubits[0], []).append(inst)
         else:
             for q in inst.qubits:
                 flush(q)
             out.append(inst)
+            runs.append([])
     for q in sorted(pending):
         flush(q)
-    return c.replace(out)
+    return c.replace(out), runs

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from rpoc import (Circuit, EPS_ANGLE, GateKind, Instruction, ParseError,
                   angles_equal, canonical_angle, count_gates, cx_count, depth,
                   emit_program, parse_program)
-from rpoc.synth import swap_to_cx, swapz_to_cx
+from rpoc.synth import _i, swap_to_cx, swapz_to_cx
 
 from helpers import depth_oracle, random_circuit
 
@@ -269,3 +271,59 @@ class TestInstructionValidation:
     def test_open_mask_only_on_control_gates(self):
         with pytest.raises(ValueError):
             Instruction(GateKind.SWAP, (0, 1), open_mask=(True, False))
+
+
+class TestInstructionTuple:
+    # (constructor arguments, the canonical fields the constructor stores)
+    CASES = [
+        ((GateKind.CX, (0, 1)), (GateKind.CX, (0, 1), (), (), ())),
+        ((GateKind.U3, [2], (0.5, -0.25, 7.0)),
+         (GateKind.U3, (2,), (0.5, canonical_angle(-0.25), canonical_angle(7.0)),
+          (), ())),
+        ((GateKind.MEASURE, (1,), (), (0,)), (GateKind.MEASURE, (1,), (), (0,), ())),
+        ((GateKind.CX, (0, 1), (), (), (False,)), (GateKind.CX, (0, 1), (), (), ())),
+        ((GateKind.CCX, (0, 1, 2), (), (), (False, True)),
+         (GateKind.CCX, (1, 0, 2), (), (), (True, False))),
+        ((GateKind.MCX, (0, 1, 2, 3), (), (), (0, 1, 0)),
+         (GateKind.MCX, (0, 1, 2, 3), (), (), (False, True, False))),
+    ]
+
+    @pytest.mark.parametrize("args,fields", CASES)
+    def test_unchecked_equals_checked(self, args, fields):
+        inst, raw = Instruction(*args), _i(*fields)
+        assert type(raw) is Instruction
+        assert raw == inst and hash(raw) == hash(inst)
+        assert (inst.kind, inst.qubits, inst.params, inst.clbits,
+                inst.open_mask) == fields
+
+    @pytest.mark.parametrize("args,fields", CASES)
+    def test_pickle_and_copy_round_trip(self, args, fields):
+        inst = Instruction(*args)
+        for back in (pickle.loads(pickle.dumps(inst)), copy.copy(inst),
+                     copy.deepcopy(inst)):
+            assert type(back) is Instruction and back == inst
+            assert back.controls == inst.controls and back.is_1q == inst.is_1q
+
+    def test_attributes_cannot_be_assigned(self):
+        inst = Instruction(GateKind.CX, (0, 1))
+        with pytest.raises(AttributeError):
+            inst.kind = GateKind.CZ
+        with pytest.raises(AttributeError):
+            inst.note = "x"
+
+    @pytest.mark.parametrize("args,message", [
+        ((GateKind.CX, (0,)), "cx takes 2 qubit(s), got 1"),
+        ((GateKind.MCX, (0,)), "mcx needs >= 2 operands"),
+        ((GateKind.BARRIER, ()), "barrier needs >= 1 operands"),
+        ((GateKind.CX, (1, 1)), "duplicate qubit operand in cx"),
+        ((GateKind.U3, (0,), (1.0,)), "u3 takes 3 parameter(s), got 1"),
+        ((GateKind.U1, (0,), (math.nan,)), "u1 parameters must be finite"),
+        ((GateKind.MEASURE, (0,)), "measure takes exactly one classical bit"),
+        ((GateKind.X, (0,), (), (0,)), "x takes no classical bits"),
+        ((GateKind.SWAP, (0, 1), (), (), (True,)), "swap does not support open controls"),
+        ((GateKind.CCX, (0, 1, 2), (), (), (True,)), "open-control mask length must be 2"),
+    ])
+    def test_invalid_fields_rejected(self, args, message):
+        with pytest.raises(ValueError) as e:
+            Instruction(*args)
+        assert str(e.value) == message

@@ -1,6 +1,7 @@
 """Exit codes of the command-line interface: 0 success, 1 verification
 failure, 2 input error."""
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import rpoc
-from rpoc.bench import CSV_HEADER
+from rpoc.bench import CSV_HEADER, gen_qpe
+from rpoc.circuit import emit_program
 from rpoc.cli import main
 
 BELL = "qreg q[2];\nh q[0];\ncx q[0],q[1];\n"
@@ -164,6 +166,28 @@ def test_optimize_output_does_not_depend_on_hash_seed(files, text, extra):
              "sys.exit(main())", "optimize", src, *extra],
             env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
             text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0].startswith("qreg q[")
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+@pytest.mark.parametrize("extra", [[], ["--coupling", "line15"],
+                                   ["--no-qbo", "--no-qpo"]],
+                         ids=["rpo", "routed", "baseline"])
+def test_optimize_output_does_not_depend_on_blas_kernel(files, extra):
+    # Prescott runs on every x86-64 CPU; the default kernel is picked for the
+    # host.  The compile path makes no BLAS call, so the bytes must agree.
+    src = files("qpe10.qasm", emit_program(gen_qpe(10, 357 / 1024)))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(rpoc.__file__).parents[1])
+    outs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from rpoc.cli import main; "
+             "sys.exit(main())", "optimize", src, *extra],
+            env={**env, **kernel}, capture_output=True, text=True, check=True)
         outs.append(run.stdout)
     assert outs[0].startswith("qreg q[")
     assert outs[0] == outs[1]

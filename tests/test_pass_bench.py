@@ -10,10 +10,10 @@ import functools
 import numpy as np
 import pytest
 
-from rpoc import (Circuit, GateKind, PipelineOptions, count_gates, cx_count,
-                  equivalent_up_to_global_phase, gen_grover, gen_qpe,
-                  gen_vqe_ry, line_coupling, merge_1q_runs, pipeline, qbo,
-                  qpo, route, simulate, unroll)
+from rpoc import (Circuit, GateKind, PipelineOptions, cancel_adjacent_cx,
+                  count_gates, cx_count, equivalent_up_to_global_phase,
+                  gen_grover, gen_qpe, gen_vqe_ry, line_coupling,
+                  merge_1q_runs, pipeline, qbo, qpo, route, simulate, unroll)
 
 from helpers import ref_simulate
 
@@ -71,6 +71,15 @@ def test_route(benchmark, circuit):
     assert count_gates(out, GateKind.SWAP) == ROUTE_SWAPS[circuit]
     assert cx_count(out) == cx_count(c)
     benchmark(route, c, LINE15, 0)
+
+
+def test_cancel_adjacent_cx_routed_grover6(benchmark):
+    # The routed SWAPs unrolled: 744 + 3 * 959 = 3,621 CX in.
+    c = unroll(route(UNROLLED["grover6"](), LINE15, seed=0)[0])
+    out = cancel_adjacent_cx(c)
+    assert cx_count(c) == 3621 and cx_count(out) == 3549
+    assert len(c) - len(out) == 3621 - 3549
+    benchmark(cancel_adjacent_cx, c)
 
 
 def test_simulate_routed_grover6(benchmark):

@@ -323,6 +323,37 @@ def _runs_circuit(draw) -> Circuit:
     return c
 
 
+def _canonical_u(inst: Instruction) -> bool:
+    """A u2, a u1 off the identity, or a u3 with theta off 0 and pi/2."""
+    if inst.kind is GateKind.U2:
+        return True
+    if inst.kind is GateKind.U1:
+        return not angles_equal(inst.params[0], 0.0)
+    return inst.kind is GateKind.U3 and not (
+        angles_equal(inst.params[0], 0.0) or angles_equal(inst.params[0], PI / 2))
+
+
+def _assert_matches_reference_merge(c: Circuit) -> None:
+    """merge_1q_runs(c) against helpers.ref_merge_1q_runs: the same kinds
+    and qubits in the same order; a canonical one-gate run and every
+    instruction that is not a single-qubit gate kept as the same object;
+    every other fused gate equal to the reference's up to global phase,
+    within 1e-12."""
+    got = merge_1q_runs(c).instructions
+    ref, runs = ref_merge_1q_runs(c)
+    assert ([(i.kind, i.qubits) for i in got]
+            == [(i.kind, i.qubits) for i in ref.instructions])
+    for g, r, run in zip(got, ref.instructions, runs):
+        if not run:
+            assert g is r
+            continue
+        if len(run) == 1 and _canonical_u(run[0]):
+            assert g is run[0]
+        a, b = matrix_1q(g.kind, g.params), matrix_1q(r.kind, r.params)
+        overlap = np.vdot(b, a)
+        assert np.max(np.abs(a - overlap / abs(overlap) * b)) <= 1e-12
+
+
 class TestMerge1q:
     def test_xx_cancels(self):
         c = Circuit(1)
@@ -397,12 +428,12 @@ class TestMerge1q:
             assert len(once.instructions) <= len(c.instructions)
             assert merge_1q_runs(once) == once
 
-    # A canonical one-gate run is passed through as it is; the result must
-    # equal composing and re-emitting every run.
+    # A canonical one-gate run is passed through as it is; every other run
+    # must match the numpy product of its gates, decomposed once.
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(c=_runs_circuit())
     def test_pass_through_equals_reference_merge(self, c):
-        assert merge_1q_runs(c) == ref_merge_1q_runs(c)
+        _assert_matches_reference_merge(c)
 
     @pytest.mark.parametrize("kind,params,kept", [
         (GateKind.U2, (0.0, 0.0), True),
@@ -419,7 +450,7 @@ class TestMerge1q:
         c.append(Instruction(kind, (0,), params))
         out = merge_1q_runs(c).instructions
         assert (bool(out) and out[0] is c.instructions[0]) is kept
-        assert merge_1q_runs(c) == ref_merge_1q_runs(c)
+        _assert_matches_reference_merge(c)
 
 
 class TestCancelCX:
@@ -447,6 +478,21 @@ class TestCancelCX:
         for _ in range(4):
             c.cx(0, 1)
         assert cancel_adjacent_cx(c).instructions == []
+
+    def test_nested_pairs_collapse_in_one_call(self):
+        # Each cancelled pair uncovers the gates below it on both wires.
+        c = Circuit(3)
+        c.cx(0, 2)
+        c.cx(0, 1)
+        c.cx(1, 2)
+        c.cx(1, 2)
+        c.cx(0, 1)
+        c.cx(0, 2)
+        assert cancel_adjacent_cx(c).instructions == []
+        c.h(1)
+        c.cx(0, 1)
+        c.cx(0, 1)
+        assert [i.kind for i in cancel_adjacent_cx(c)] == [GateKind.H]
 
     def test_idempotent(self):
         import random as pyrandom
