@@ -1,22 +1,54 @@
 """Quantum-circuit optimizing compiler built on static per-qubit state
-tracking, with a brute-force statevector oracle certifying every rewrite."""
+tracking, with a brute-force statevector oracle certifying every rewrite.
+
+Importing rpoc loads no numpy: the oracle and bench names resolve on first
+use (PEP 562), and those two modules import it.
+"""
 
 from .circuit import (Circuit, EPS_ANGLE, GateKind, Instruction, ParseError,
-                      angles_equal, canonical_angle, count_1q, count_gates,
-                      cx_count, depth, emit_program, parse_program)
+                      VerificationError, angles_equal, canonical_angle, count_1q,
+                      count_gates, cx_count, depth, emit_program, parse_program)
 from .synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx, compose_u3,
                     merge_1q_runs, prepare_two_qubit_state, pure_to_pure_gate,
                     pure_to_zero_gate, u3_matrix, unroll, zyz_decompose)
 from .analysis import (BasisState, Tracker, basis_of, classify_pure_as_basis,
                        pure_transition)
-from .oracle import (AnnotationError, EquivalenceReport, ResetError,
-                     equivalent_up_to_global_phase, reduced_qubit_state,
-                     simulate)
 from .passes import (CouplingMap, PipelineOptions, line_coupling, grid_coupling,
                      pipeline, qbo, qpo, resolve_coupling, route)
-from .bench import (BenchSpec, ReportRow, VerificationError, gen_bv, gen_grover,
-                    gen_qpe, gen_qv_like, gen_vqe_ry, grover_success_probability,
-                    median_summary, rows_to_csv, run_bench)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Lazy name -> the module that defines it (each module maps to itself).
+_LAZY = {name: module for module, names in (
+    ("oracle", ("oracle", "AnnotationError", "EquivalenceReport", "ResetError",
+                "equivalent_up_to_global_phase", "reduced_qubit_state",
+                "simulate")),
+    ("bench", ("bench", "BenchSpec", "ReportRow", "gen_bv", "gen_grover",
+               "gen_qpe", "gen_qv_like", "gen_vqe_ry",
+               "grover_success_probability", "median_summary", "rows_to_csv",
+               "run_bench"))) for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f".{module}", __name__)
+    return value if name == module else getattr(value, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = sorted([
+    "Circuit", "EPS_ANGLE", "GateKind", "Instruction", "ParseError",
+    "VerificationError", "angles_equal", "canonical_angle", "count_1q",
+    "count_gates", "cx_count", "depth", "emit_program", "parse_program",
+    "DEFAULT_BASIS", "U3Params", "cancel_adjacent_cx", "compose_u3",
+    "merge_1q_runs", "prepare_two_qubit_state", "pure_to_pure_gate",
+    "pure_to_zero_gate", "u3_matrix", "unroll", "zyz_decompose",
+    "BasisState", "Tracker", "basis_of", "classify_pure_as_basis",
+    "pure_transition", "CouplingMap", "PipelineOptions", "line_coupling",
+    "grid_coupling", "pipeline", "qbo", "qpo", "resolve_coupling", "route",
+    "analysis", "circuit", "passes", "synth", *_LAZY])
 __version__ = "0.1.0"

@@ -35,9 +35,12 @@ class BasisState(Enum):
     TOP = "top"
 
 
+# Module-level names: reading a member off the class runs EnumType.__getattr__.
+_ZERO, _ONE, _PLUS, _MINUS, _PLUS_I, _MINUS_I, _TOP = BasisState
+
 # phi of the four equator rays (theta = pi/2); |0> and |1> are the poles.
-_EQUATOR = ((BasisState.PLUS, 0.0), (BasisState.MINUS, PI),
-            (BasisState.PLUS_I, PI / 2), (BasisState.MINUS_I, 3 * PI / 2))
+_EQUATOR = ((_PLUS, 0.0), (_MINUS, PI), (_PLUS_I, PI / 2),
+            (_MINUS_I, 3 * PI / 2))
 
 GROUND = (0.0, 0.0)  # every wire's initial state, |0>
 
@@ -69,20 +72,20 @@ def classify_pure_as_basis(theta: float, phi: float) -> BasisState:
     """Snap a pure state onto one of the six tracked rays, else TOP."""
     theta, phi = canonical_pure(theta, phi)
     if angles_equal(theta, 0.0):
-        return BasisState.ZERO
+        return _ZERO
     if angles_equal(theta, PI):
-        return BasisState.ONE
+        return _ONE
     if angles_equal(theta, PI / 2):
         for s, ray_phi in _EQUATOR:
             if angles_equal(phi, ray_phi):
                 return s
-    return BasisState.TOP
+    return _TOP
 
 
 def basis_of(s: tuple[float, float] | None) -> BasisState:
     """The tracked ray a pure state lies on, TOP when unknown or off-ray."""
     if s is None:
-        return BasisState.TOP
+        return _TOP
     return classify_pure_as_basis(*s)
 
 

@@ -15,22 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Circuit, GateKind, Instruction, canonical_angle, count_1q,
-                      cx_count, depth, emit_program)
+from .circuit import (Circuit, GateKind, Instruction, VerificationError,
+                      canonical_angle, count_1q, cx_count, depth, emit_program)
 from .oracle import MAX_QUBITS, equivalent_up_to_global_phase, simulated_width
 from .passes import PipelineOptions, pipeline, resolve_coupling
 from .synth import mcx_vchain
 
 TWO_PI = 2.0 * math.pi
-
-
-class VerificationError(RuntimeError):
-    """An optimized circuit failed oracle verification."""
-
-    def __init__(self, message: str, original_text: str, optimized_text: str):
-        super().__init__(message)
-        self.original_text = original_text
-        self.optimized_text = optimized_text
 
 
 # ---------------------------------------------------------------------------

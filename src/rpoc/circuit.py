@@ -50,6 +50,15 @@ class ParseError(ValueError):
         self.msg = msg
 
 
+class VerificationError(RuntimeError):
+    """An optimized circuit failed oracle verification."""
+
+    def __init__(self, message: str, original_text: str, optimized_text: str):
+        super().__init__(message)
+        self.original_text = original_text
+        self.optimized_text = optimized_text
+
+
 class GateKind(Enum):
     ID = "id"
     X = "x"

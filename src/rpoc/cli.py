@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: optimize, verify, bench, stats.  Exit codes: 0 success,
-1 verification failure, 2 input error.
+1 verification failure, 2 input error.  Only verify, bench and optimize
+--blocks load numpy.
 """
 from __future__ import annotations
 
@@ -9,9 +10,8 @@ import argparse
 import sys
 from collections import Counter
 
-from .bench import BenchSpec, VerificationError, median_summary, rows_to_csv, run_bench
-from .circuit import ParseError, count_1q, cx_count, depth, emit_program, parse_program
-from .oracle import equivalent_up_to_global_phase
+from .circuit import (ParseError, VerificationError, count_1q, cx_count, depth,
+                      emit_program, parse_program)
 from .passes import PipelineOptions, pipeline, resolve_coupling
 
 
@@ -42,6 +42,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import equivalent_up_to_global_phase
     a = _read_circuit(args.a)
     b = _read_circuit(args.b)
     # A routed `optimize` output carries its layout: compare the other file
@@ -65,6 +66,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import BenchSpec, median_summary, rows_to_csv, run_bench
     rows = []
     for n in _parse_range(args.n):
         spec = BenchSpec(algorithm=args.alg, n=n, reps=args.reps,

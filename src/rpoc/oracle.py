@@ -100,8 +100,10 @@ def _mix(s0: np.ndarray, s1: np.ndarray, m: np.ndarray) -> None:
 def _apply_1q(state: np.ndarray, m: np.ndarray, q: int) -> None:
     v = state.reshape(1 << q, 2, -1)
     # q = 0 is excluded: an unbatched matmul is one BLAS call, which may
-    # spread a large state over threads and then runs ~50x slower.
-    if q and v.shape[2] >= _MATMUL_MIN_BLOCK:
+    # spread a large state over threads and then runs ~50x slower.  A
+    # diagonal m (u1, z, s, t) skips it: _mix scales the two halves.
+    if (q and v.shape[2] >= _MATMUL_MIN_BLOCK
+            and (m[0, 1] != 0 or m[1, 0] != 0)):
         v[...] = m @ v
     else:
         _mix(v[:, 0], v[:, 1], m)

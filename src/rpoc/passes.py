@@ -19,6 +19,8 @@ preserve its action on the tracked inputs, up to global phase; so a
 rewritten SWAP exchanges the states tracked before it, whatever it emits.
 Every rule is covered by a brute-force equivalence test over all input
 classes; nothing here is trusted without the oracle's sign-off.
+
+numpy is imported lazily, by qpo's block resynthesis and `simulate` below.
 """
 from __future__ import annotations
 
@@ -27,21 +29,24 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import (BasisState, Tracker, basis_of, is_zero, pure_transition,
-                       vector_to_pure)
+                       vector_to_pure, _ZERO, _ONE, _PLUS, _MINUS, _TOP)
 from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal, _CX,
                       _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _BARRIER)
-from .oracle import simulate
 from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cancel_adjacent_cx,
                     cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
                     pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
                     swapz_to_cx, u3params_instruction, unroll, _i, _make_mcx,
                     _open_control_wrap, _KEEP_ALWAYS)
 
-_B = BasisState
 _K = GateKind
+
+
+def simulate(*args, **kwargs):
+    """`oracle.simulate`, imported on first call (the oracle loads numpy)."""
+    from .oracle import simulate
+    return simulate(*args, **kwargs)
+
 
 # ---------------------------------------------------------------------------
 # The SWAP rule, shared by both passes
@@ -130,12 +135,12 @@ def qbo(c: Circuit) -> Circuit:
     def visit_cz(inst: Instruction) -> None:
         a, b = inst.qubits
         sa, sb = ray(a), ray(b)
-        if sa is _B.ZERO or sb is _B.ZERO:
+        if sa is _ZERO or sb is _ZERO:
             return
-        if sa is _B.ONE:
+        if sa is _ONE:
             visit(_i(_K.Z, (b,)))
             return
-        if sb is _B.ONE:
+        if sb is _ONE:
             visit(_i(_K.Z, (a,)))
             return
         keep(inst)
@@ -145,22 +150,22 @@ def qbo(c: Circuit) -> Circuit:
         # the pre-rewrite states are exchanged whatever it emits.  Only ray
         # states count as known here; qpo uses the rest.
         a, b = swap.qubits
-        sa, sb = (tr.states[q] if ray(q) is not _B.TOP else None
+        sa, sb = (tr.states[q] if ray(q) is not _TOP else None
                   for q in (a, b))
         out.extend(swap_rule(sa, sb, a, b))
         tr.swap(a, b)
 
     def visit_mcx(inst: Instruction) -> None:
         controls, target = inst.qubits[:-1], inst.qubits[-1]
-        if any(ray(q) is _B.ZERO for q in controls):
+        if any(ray(q) is _ZERO for q in controls):
             return
-        if ray(target) is _B.PLUS:
+        if ray(target) is _PLUS:
             return
-        keep_controls = tuple(q for q in controls if ray(q) is not _B.ONE)
+        keep_controls = tuple(q for q in controls if ray(q) is not _ONE)
         if len(keep_controls) < len(controls):
             visit(_make_mcx(keep_controls, target))
             return
-        if ray(target) is _B.MINUS:
+        if ray(target) is _MINUS:
             # Phase kickback: a controlled-Z among the controls, target on
             # the last control (any choice is valid; fixed for determinism).
             if len(controls) == 1:
@@ -177,12 +182,12 @@ def qbo(c: Circuit) -> Circuit:
 
     def visit_cswap(inst: Instruction) -> None:
         cq, t1, t2 = inst.qubits
-        if ray(cq) is _B.ZERO:
+        if ray(cq) is _ZERO:
             return
-        if ray(cq) is _B.ONE:
+        if ray(cq) is _ONE:
             visit_swaplike(_i(_K.SWAP, (t1, t2)))
             return
-        if ray(t1) is not _B.TOP or ray(t2) is not _B.TOP:
+        if ray(t1) is not _TOP or ray(t2) is not _TOP:
             # Known swap target: decompose so the first CX can be reduced.
             visit_all(cswap_to_ccx(cq, t1, t2))
             return
@@ -190,9 +195,9 @@ def qbo(c: Circuit) -> Circuit:
 
     def visit_cu3(inst: Instruction) -> None:
         cq, tq = inst.qubits
-        if ray(cq) is _B.ZERO:
+        if ray(cq) is _ZERO:
             return
-        if ray(cq) is _B.ONE:
+        if ray(cq) is _ONE:
             visit(_i(_K.U3, (tq,), inst.params))
             return
         keep(inst)
@@ -267,6 +272,7 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
             if sa is not None and sb is not None:
                 members, cost = collect_block(i, a, b)
                 if cost >= 2:
+                    import numpy as np
                     sub = Circuit(2).replace(
                         _remap(insts[j], {a: 0, b: 1}) for j in members)
                     init = np.kron(pure_state_vector(*sa), pure_state_vector(*sb))

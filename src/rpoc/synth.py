@@ -6,15 +6,18 @@ as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup,
 and two-qubit state preparation from known product inputs.
 
 The 1q algebra is closed-form over the four entries of a 2x2 matrix: no numpy
-or BLAS runs on the compile path outside --blocks (u3_matrix is the oracle's).
+or BLAS runs on the compile path outside --blocks.  The helpers that take or
+return arrays, which only the oracle and --blocks call, import numpy lazily.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .circuit import (GATES_1Q, Circuit, GateKind, Instruction, angles_equal,
                       canonical_angle, _H, _U1, _U2, _U3, _CX, _CZ, _SWAP, _SWAPZ,
@@ -47,20 +50,22 @@ def _dagger2(x: tuple) -> tuple:
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+    import numpy as np
     return np.array(_u3_entries(theta, phi, lam)).reshape(2, 2)
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_GATE_1Q_MATS = {
-    GateKind.ID: np.eye(2, dtype=complex),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, cmath.exp(1j * PI / 4)]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, cmath.exp(-1j * PI / 4)]], dtype=complex),
+# Exact entries of the named single-qubit gates.
+_GATE_1Q_ENTRIES = {
+    GateKind.ID: (1, 0, 0, 1),
+    GateKind.X: (0, 1, 1, 0),
+    GateKind.Y: (0, -1j, 1j, 0),
+    GateKind.Z: (1, 0, 0, -1),
+    GateKind.H: (_SQ2, _SQ2, _SQ2, -_SQ2),
+    GateKind.S: (1, 0, 0, 1j),
+    GateKind.SDG: (1, 0, 0, -1j),
+    GateKind.T: (1, 0, 0, cmath.exp(1j * PI / 4)),
+    GateKind.TDG: (1, 0, 0, cmath.exp(-1j * PI / 4)),
 }
 
 # Exact u3 parameters of the named single-qubit gates.
@@ -79,8 +84,9 @@ _NAMED_U3 = {
 
 def matrix_1q(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
     """2x2 matrix of a single-qubit gate kind."""
-    if kind in _GATE_1Q_MATS:
-        return _GATE_1Q_MATS[kind]
+    if kind in _GATE_1Q_ENTRIES:
+        import numpy as np
+        return np.array(_GATE_1Q_ENTRIES[kind], dtype=complex).reshape(2, 2)
     if kind is GateKind.U1:
         return u3_matrix(0.0, 0.0, params[0])
     if kind is GateKind.U2:
@@ -91,6 +97,7 @@ def matrix_1q(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
 
 
 def check_unitary2(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+    import numpy as np
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
@@ -193,6 +200,7 @@ def u3params_instruction(p: U3Params, q: int) -> Instruction | None:
 
 def pure_state_vector(theta: float, phi: float) -> np.ndarray:
     """Statevector cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
+    import numpy as np
     return np.array([math.cos(theta / 2.0),
                      cmath.exp(1j * phi) * math.sin(theta / 2.0)])
 
@@ -485,6 +493,7 @@ def prepare_two_qubit_state(target: np.ndarray,
     Built from the Schmidt form of the target: local singular bases on each
     wire around a single entangler when the Schmidt rank is 2.
     """
+    import numpy as np
     for name, st in (("input0", input0), ("input1", input1)):
         if st is None or len(st) != 2:
             raise ValueError(f"{name} must be a known pure state (theta, phi)")

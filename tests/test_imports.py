@@ -1,0 +1,143 @@
+"""Import boundary: `import rpoc` and the compile path load no numpy.
+
+numpy is imported only where dense linear algebra runs: the oracle (verify,
+bench), qpo's block resynthesis (optimize --blocks) and gen_qv_like's RNG.
+Each check runs in a fresh interpreter, since this one has numpy loaded.
+"""
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import rpoc
+from rpoc import (PipelineOptions, emit_program, gen_qpe, gen_qv_like,
+                  line_coupling, pipeline)
+
+SRC = str(Path(rpoc.__file__).parents[1])
+QPE10 = gen_qpe(10, 357 / 1024)
+
+# rpoc.__all__ before the oracle and bench names became lazy.
+PUBLIC_NAMES = [
+    "AnnotationError", "BasisState", "BenchSpec", "Circuit", "CouplingMap",
+    "DEFAULT_BASIS", "EPS_ANGLE", "EquivalenceReport", "GateKind",
+    "Instruction", "ParseError", "PipelineOptions", "ReportRow", "ResetError",
+    "Tracker", "U3Params", "VerificationError", "analysis", "angles_equal",
+    "basis_of", "bench", "cancel_adjacent_cx", "canonical_angle", "circuit",
+    "classify_pure_as_basis", "compose_u3", "count_1q", "count_gates",
+    "cx_count", "depth", "emit_program", "equivalent_up_to_global_phase",
+    "gen_bv", "gen_grover", "gen_qpe", "gen_qv_like", "gen_vqe_ry",
+    "grid_coupling", "grover_success_probability", "line_coupling",
+    "median_summary", "merge_1q_runs", "oracle", "parse_program", "passes",
+    "pipeline", "prepare_two_qubit_state", "pure_to_pure_gate",
+    "pure_to_zero_gate", "pure_transition", "qbo", "qpo",
+    "reduced_qubit_state", "resolve_coupling", "route", "rows_to_csv",
+    "run_bench", "simulate", "synth", "u3_matrix", "unroll", "zyz_decompose",
+]
+
+# Every config of the routed and unrouted benchmark workloads, less blocks.
+CONFIGS = [(coupling, on) for coupling in (None, "line15")
+           for on in (False, True)]
+
+
+def run_fresh(code: str, *args: str) -> list:
+    """Run `code` in a new interpreter importing rpoc from the sources; it
+    ends by printing one JSON value, which is returned with whether numpy
+    was loaded: [value, numpy loaded]."""
+    code = textwrap.dedent(code) + (
+        "\nprint(json.dumps([result, 'numpy' in sys.modules]))\n")
+    run = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code, *args],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+        text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def qpe10_file(tmp_path):
+    path = tmp_path / "qpe10.qasm"
+    path.write_text(emit_program(QPE10))
+    return str(path)
+
+
+def test_import_loads_no_numpy():
+    assert run_fresh("import rpoc\nresult = None") == [None, False]
+
+
+def test_pipeline_and_text_boundary_load_no_numpy(qpe10_file):
+    result, numpy_loaded = run_fresh("""
+        from rpoc import PipelineOptions, emit_program, parse_program, pipeline
+        from rpoc.passes import resolve_coupling
+        with open(sys.argv[1]) as f:
+            src = parse_program(f.read())
+        result = []
+        for coupling, on in json.loads(sys.argv[2]):
+            out = pipeline(src, PipelineOptions(
+                coupling=resolve_coupling(coupling), enable_qbo=on,
+                enable_qpo=on))
+            text = emit_program(out)
+            assert emit_program(parse_program(text)) == text
+            result.append(text)
+        """, qpe10_file, json.dumps(CONFIGS))
+    assert not numpy_loaded
+    # The same bytes as in a process that has numpy loaded.
+    cmaps = {None: None, "line15": line_coupling(15)}
+    assert result == [
+        emit_program(pipeline(QPE10, PipelineOptions(
+            coupling=cmaps[coupling], enable_qbo=on, enable_qpo=on)))
+        for coupling, on in CONFIGS]
+
+
+def test_cli_optimize_and_stats_load_no_numpy(qpe10_file):
+    result, numpy_loaded = run_fresh("""
+        import contextlib, io
+        from rpoc.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            result = [main(["optimize", sys.argv[1]]),
+                      main(["optimize", sys.argv[1], "--coupling", "line15"]),
+                      main(["stats", sys.argv[1]])]
+        """, qpe10_file)
+    assert result == [0, 0, 0] and not numpy_loaded
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "{path}", "{path}"],
+    ["optimize", "{path}", "--blocks"],
+], ids=["verify", "optimize_blocks"])
+def test_numpy_commands_still_work(qpe10_file, command):
+    argv = [arg.format(path=qpe10_file) for arg in command]
+    result, _ = run_fresh("""
+        import contextlib, io
+        from rpoc.cli import main
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(sys.argv[1:])
+        result = [code, out.getvalue()]
+        """, *argv)
+    assert result[0] == 0
+    if argv[0] == "verify":
+        assert result[1].startswith("EQUIVALENT")
+    else:  # block resynthesis leaves qpe10 with no CX
+        assert result[1].startswith("qreg") and "cx " not in result[1]
+
+
+def test_gen_qv_like_still_works():
+    result, _ = run_fresh("""
+        from rpoc import emit_program, gen_qv_like
+        result = emit_program(gen_qv_like(6, 4, seed=3))
+        """)
+    assert result == emit_program(gen_qv_like(6, 4, seed=3))
+
+
+def test_public_names_resolve():
+    result, _ = run_fresh("""
+        import rpoc
+        assert set(rpoc.__all__) <= set(dir(rpoc))
+        for name in rpoc.__all__:
+            getattr(rpoc, name)
+        from rpoc import *
+        result = rpoc.__all__
+        """)
+    assert result == PUBLIC_NAMES

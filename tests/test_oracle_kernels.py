@@ -8,18 +8,26 @@ kernel once and checks its result.  To time them:
 import numpy as np
 import pytest
 
+from rpoc.circuit import GateKind
 from rpoc.oracle import _apply_1q, _exchange, _pair_views
+from rpoc.synth import matrix_1q
 
 from helpers import haar_unitary, random_statevector
 
 
-# Wire 0 and the last wire take the elementwise path, wire 1 the matmul one.
+# Wire 0 and the last wire take the elementwise path, wire 1 the matmul one
+# unless the matrix is diagonal (the "u1-" cases).
+KERNEL_1Q_CASES = [(t, m) for m in ("haar", "u1")
+                   for t in ("low", "second", "high")]
+
+
 @pytest.mark.parametrize("n", [6, 15])
-@pytest.mark.parametrize("target", ["low", "second", "high"])
-def test_1q_kernel(benchmark, n, target):
+@pytest.mark.parametrize("target,matrix", KERNEL_1Q_CASES, ids=[
+    t if m == "haar" else f"{m}-{t}" for t, m in KERNEL_1Q_CASES])
+def test_1q_kernel(benchmark, n, target, matrix):
     q = {"low": 0, "second": 1, "high": n - 1}[target]
     rng = np.random.default_rng(n)
-    m = haar_unitary(rng)
+    m = haar_unitary(rng) if matrix == "haar" else matrix_1q(GateKind.U1, (0.7,))
     state = random_statevector(rng, n)
     t = np.moveaxis(state.reshape([2] * n), q, 0)
     want = np.moveaxis(np.tensordot(m, t, axes=1), 0, q).reshape(-1)
