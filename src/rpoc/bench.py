@@ -4,6 +4,9 @@ Each generator produces a circuit with an analytically known output, so the
 harness can verify every transpilation against the simulator before it
 reports a row.  Rows are raw per-repetition measurements; the CLI reduces
 them to medians.
+
+numpy is imported lazily: by gen_qv_like's RNG and by the oracle, which
+run_bench loads to verify.
 """
 from __future__ import annotations
 
@@ -13,15 +16,19 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .circuit import (Circuit, GateKind, Instruction, VerificationError,
                       canonical_angle, count_1q, cx_count, depth, emit_program)
-from .oracle import MAX_QUBITS, equivalent_up_to_global_phase, simulated_width
 from .passes import PipelineOptions, pipeline, resolve_coupling
 from .synth import mcx_vchain
 
 TWO_PI = 2.0 * math.pi
+
+
+def equivalent_up_to_global_phase(*args, **kwargs):
+    """`oracle.equivalent_up_to_global_phase`, imported on first call (the
+    oracle loads numpy)."""
+    from .oracle import equivalent_up_to_global_phase
+    return equivalent_up_to_global_phase(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +187,7 @@ def gen_qv_like(n: int, depth: int, seed: int) -> Circuit:
     u3 dressing around a two-CX sandwich.  Deterministic in the seed."""
     if n < 2:
         raise ValueError("need at least two qubits")
+    import numpy as np
     rng = np.random.default_rng(seed)
     c = Circuit(n)
 
@@ -267,6 +275,7 @@ def run_bench(spec: BenchSpec, verify: bool = True) -> list[ReportRow]:
     failing repetition aborts the run.  verify=True verifies every row the
     oracle can simulate and flags the rest `verified=False`; verify=False
     skips the oracle and flags every row."""
+    from .oracle import MAX_QUBITS, simulated_width
     cmap = resolve_coupling(spec.coupling)
     circ = build_circuit(spec)
     rows: list[ReportRow] = []

@@ -5,9 +5,9 @@ interleave it with rewriting in a single in-order traversal, so a removed
 gate never clobbers the states it would have destroyed:
 
 - qbo: reads each wire's state as one of the six basis rays or TOP
-  (`basis_of`) and applies its rules for CX (through the multi-controlled-X
-  rule), CZ, CCX/MCX, SWAP/SWAPZ, CSWAP and CU3; it drops a single-qubit
-  gate that fixes its wire's known state.
+  (`basis_of`) and applies `_qbo_rule`, one rule per gate kind, to CX
+  (through the multi-controlled-X rule), CZ, CCX/MCX, SWAPZ, CSWAP and
+  CU3; it drops a single-qubit gate that fixes its wire's known state.
 - qpo: uses the tracked pure states as they are: it strength-reduces SWAPs
   on known states, rewrites controlled-SWAPs with known targets, and
   optionally re-synthesizes two-qubit blocks with known inputs into a
@@ -15,8 +15,9 @@ gate never clobbers the states it would have destroyed:
 
 Both passes reduce SWAPs with the one `swap_rule`; qbo passes it only the
 states that lie on a ray.  Rewrites change the circuit's unitary but
-preserve its action on the tracked inputs, up to global phase; so a
-rewritten SWAP exchanges the states tracked before it, whatever it emits.
+preserve its action on the tracked inputs, up to global phase.  So after a
+SWAP qbo exchanges the two states tracked before it, whatever the rule
+emits, while qpo steps its tracker through the gates the rule emits.
 Every rule is covered by a brute-force equivalence test over all input
 classes; nothing here is trusted without the oracle's sign-off.
 
@@ -28,8 +29,9 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
-from .analysis import (BasisState, Tracker, basis_of, is_zero, pure_transition,
+from .analysis import (Tracker, basis_of, is_zero, pure_transition,
                        vector_to_pure, _ZERO, _ONE, _PLUS, _MINUS, _TOP)
 from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal, _CX,
                       _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _BARRIER)
@@ -77,136 +79,87 @@ def swap_rule(sa: tuple[float, float] | None, sb: tuple[float, float] | None,
 # Basis-state pass
 # ---------------------------------------------------------------------------
 
+def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
+    """qbo's rewrite of a multi-qubit gate given the tracked states: None
+    keeps it, a list replaces it (and is rewritten in turn).  Each rule acts
+    as the gate it replaces on the operands' basis states, up to global
+    phase.  A CX is the one-control case of the multi-controlled-X rule."""
+    k, qs = inst.kind, inst.qubits
+    if inst.open_mask:
+        return _open_control_wrap(inst)
+    if k is _SWAPZ:
+        # Unverifiable zero designation (qbo takes the validated one as a
+        # SWAP): fall back to the definition.
+        return swapz_to_cx(*qs)
+    if k is _CZ:
+        ra, rb = (basis_of(states[q]) for q in qs)
+        return ([] if ra is _ZERO or rb is _ZERO
+                else [_i(_K.Z, qs[1:])] if ra is _ONE
+                else [_i(_K.Z, qs[:1])] if rb is _ONE else None)
+    if k is _CX or k is _CCX or k is _MCX:
+        controls, target = qs[:-1], qs[-1]
+        rays = [basis_of(states[q]) for q in controls]
+        rt = basis_of(states[target])
+        kept = tuple(q for q, r in zip(controls, rays) if r is not _ONE)
+        last = controls[-1:]
+        # |-> target: phase kickback, a controlled-Z among the controls with
+        # the target on the last one (any choice is valid; fixed for
+        # determinism).
+        return ([] if _ZERO in rays or rt is _PLUS
+                else [_make_mcx(kept, target)] if len(kept) < len(controls)
+                else None if rt is not _MINUS
+                else [_i(_K.Z, controls)] if len(controls) == 1
+                else [_i(_K.CZ, controls)] if len(controls) == 2
+                else [_i(_K.H, last), _make_mcx(controls[:-1], last[0]),
+                      _i(_K.H, last)])
+    if k is _CSWAP:
+        rc, r1, r2 = (basis_of(states[q]) for q in qs)
+        # Known swap target: decompose so the first CX can be reduced.
+        return ([] if rc is _ZERO
+                else [_i(_K.SWAP, qs[1:])] if rc is _ONE
+                else cswap_to_ccx(*qs) if r1 is not _TOP or r2 is not _TOP
+                else None)
+    if k is _CU3:
+        rc = basis_of(states[qs[0]])
+        return ([] if rc is _ZERO
+                else [_i(_K.U3, qs[1:], inst.params)] if rc is _ONE else None)
+    return None
+
+
 def qbo(c: Circuit) -> Circuit:
     """Basis-state rewrite pass: one in-order traversal that interleaves
     state tracking with strength reduction of CX/CZ/SWAP/SWAPZ, Toffoli-style
-    multi-controlled gates and controlled swaps.  A CX is the one-control
-    case of the multi-controlled-X rule; SWAPs go through `swap_rule` with
-    the operands' ray states.  CX count never increases."""
+    multi-controlled gates and controlled swaps (`_qbo_rule`).  A 1q gate
+    that fixes its wire's known state is dropped; SWAPs go through
+    `swap_rule` with the operands' ray states.  CX count never increases."""
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
-
-    def keep(inst: Instruction) -> None:
-        out.append(inst)
-        tr.step(inst)
-
-    def ray(q: int) -> BasisState:
-        return basis_of(tr.states[q])
-
-    def visit_all(insts: list[Instruction]) -> None:
-        for sub in insts:
-            visit(sub)
-
-    def visit(inst: Instruction) -> None:
-        k = inst.kind
-        if k in _KEEP_ALWAYS:
-            keep(inst)
-            return
-        if inst.open_mask:
-            visit_all(_open_control_wrap(inst))
-            return
-        if inst.is_1q:
-            q = inst.qubits[0]
-            s = tr.states[q]
+    states = tr.states
+    todo = c.instructions[::-1]
+    while todo:
+        inst = todo.pop()
+        k, qs = inst.kind, inst.qubits
+        if k in GATES_1Q:
+            s = states[qs[0]]
             if s is not None:
                 new = pure_transition(s, as_u3params(inst))
                 if angles_equal(new[0], s[0]) and angles_equal(new[1], s[1]):
-                    return  # the gate fixes the tracked state: drop it
-                tr.states[q] = new
+                    continue  # the gate fixes the tracked state: drop it
+                states[qs[0]] = new
             out.append(inst)
-            return
-        if k is _CZ:
-            visit_cz(inst)
-        elif k is _SWAP or (k is _SWAPZ and is_zero(tr.states[inst.qubits[1]])):
-            # A validated SWAPZ is semantically a SWAP.
-            visit_swaplike(inst)
-        elif k is _SWAPZ:
-            # Unverifiable zero designation: fall back to the definition.
-            visit_all(swapz_to_cx(*inst.qubits))
-        elif k is _CX or k is _CCX or k is _MCX:
-            visit_mcx(inst)
-        elif k is _CSWAP:
-            visit_cswap(inst)
-        elif k is _CU3:
-            visit_cu3(inst)
+        elif k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
+            # A validated SWAPZ is a SWAP.  The rule acts as the SWAP on its
+            # tracked inputs, so the states are exchanged whatever it emits.
+            # Only ray states count as known here; qpo uses the rest.
+            sa, sb = (states[q] if basis_of(states[q]) is not _TOP else None
+                      for q in qs)
+            out.extend(swap_rule(sa, sb, *qs))
+            tr.swap(*qs)
+        elif k in _KEEP_ALWAYS or (rewrite := _qbo_rule(inst, states)) is None:
+            out.append(inst)
+            tr.step(inst)
         else:
-            keep(inst)
-
-    def visit_cz(inst: Instruction) -> None:
-        a, b = inst.qubits
-        sa, sb = ray(a), ray(b)
-        if sa is _ZERO or sb is _ZERO:
-            return
-        if sa is _ONE:
-            visit(_i(_K.Z, (b,)))
-            return
-        if sb is _ONE:
-            visit(_i(_K.Z, (a,)))
-            return
-        keep(inst)
-
-    def visit_swaplike(swap: Instruction) -> None:
-        # The rule acts as the SWAP it replaces on its tracked inputs, so
-        # the pre-rewrite states are exchanged whatever it emits.  Only ray
-        # states count as known here; qpo uses the rest.
-        a, b = swap.qubits
-        sa, sb = (tr.states[q] if ray(q) is not _TOP else None
-                  for q in (a, b))
-        out.extend(swap_rule(sa, sb, a, b))
-        tr.swap(a, b)
-
-    def visit_mcx(inst: Instruction) -> None:
-        controls, target = inst.qubits[:-1], inst.qubits[-1]
-        if any(ray(q) is _ZERO for q in controls):
-            return
-        if ray(target) is _PLUS:
-            return
-        keep_controls = tuple(q for q in controls if ray(q) is not _ONE)
-        if len(keep_controls) < len(controls):
-            visit(_make_mcx(keep_controls, target))
-            return
-        if ray(target) is _MINUS:
-            # Phase kickback: a controlled-Z among the controls, target on
-            # the last control (any choice is valid; fixed for determinism).
-            if len(controls) == 1:
-                visit(_i(_K.Z, (controls[0],)))
-            elif len(controls) == 2:
-                visit(_i(_K.CZ, controls))
-            else:
-                last = controls[-1]
-                visit(_i(_K.H, (last,)))
-                visit(_make_mcx(controls[:-1], last))
-                visit(_i(_K.H, (last,)))
-            return
-        keep(inst)
-
-    def visit_cswap(inst: Instruction) -> None:
-        cq, t1, t2 = inst.qubits
-        if ray(cq) is _ZERO:
-            return
-        if ray(cq) is _ONE:
-            visit_swaplike(_i(_K.SWAP, (t1, t2)))
-            return
-        if ray(t1) is not _TOP or ray(t2) is not _TOP:
-            # Known swap target: decompose so the first CX can be reduced.
-            visit_all(cswap_to_ccx(cq, t1, t2))
-            return
-        keep(inst)
-
-    def visit_cu3(inst: Instruction) -> None:
-        cq, tq = inst.qubits
-        if ray(cq) is _ZERO:
-            return
-        if ray(cq) is _ONE:
-            visit(_i(_K.U3, (tq,), inst.params))
-            return
-        keep(inst)
-
-    visit_all(c.instructions)
-    # Every visitor that recurses does so through the `visit` cell; emptying
-    # it breaks the closure cycles, so `out` and the tracker are freed here
-    # instead of piling up until a full garbage collection.
-    del visit
+            todo.extend(reversed(rewrite))
     return c.replace(out)
 
 
@@ -466,7 +419,7 @@ class PipelineOptions:
     enable_qbo: bool = True
     enable_qpo: bool = True
     enable_block_resynth: bool = False
-    basis: frozenset = DEFAULT_BASIS
+    basis: ClassVar[frozenset] = DEFAULT_BASIS  # the target gates; not an option
     random_layout: bool = False
 
 
@@ -484,7 +437,7 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     tracked state, so qbo (at most twice) and qpo (once) are not re-run.
     Deterministic for fixed (circuit, options)."""
     opts = opts or PipelineOptions()
-    basis = frozenset(opts.basis)
+    basis = opts.basis
     # SWAP/SWAPZ stay compound until after the pure-state pass, which is the
     # only consumer that can strength-reduce them; the cleanup unrolls the
     # survivors.

@@ -1,7 +1,8 @@
 """Import boundary: `import rpoc` and the compile path load no numpy.
 
 numpy is imported only where dense linear algebra runs: the oracle (verify,
-bench), qpo's block resynthesis (optimize --blocks) and gen_qv_like's RNG.
+run_bench), qpo's block resynthesis (optimize --blocks) and gen_qv_like's
+RNG; the other circuit generators load none.
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
 import json
@@ -14,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import rpoc
-from rpoc import (PipelineOptions, emit_program, gen_qpe, gen_qv_like,
-                  line_coupling, pipeline)
+from rpoc import (PipelineOptions, emit_program, gen_bv, gen_grover, gen_qpe,
+                  gen_qv_like, gen_vqe_ry, line_coupling, pipeline)
 
 SRC = str(Path(rpoc.__file__).parents[1])
 QPE10 = gen_qpe(10, 357 / 1024)
@@ -121,6 +122,21 @@ def test_numpy_commands_still_work(qpe10_file, command):
         assert result[1].startswith("EQUIVALENT")
     else:  # block resynthesis leaves qpe10 with no CX
         assert result[1].startswith("qreg") and "cx " not in result[1]
+
+
+def test_generators_load_no_numpy():
+    result, numpy_loaded = run_fresh("""
+        from rpoc import emit_program, gen_bv, gen_grover, gen_qpe, gen_vqe_ry
+        result = [emit_program(c) for c in (
+            gen_bv(5, "10110", "boolean"), gen_qpe(4, 5 / 16),
+            gen_grover(4, 11, 1, use_ancilla=True, annotate=True),
+            gen_vqe_ry(4, 2, [0.3 * k for k in range(12)]))]
+        """)
+    assert not numpy_loaded
+    assert result == [emit_program(c) for c in (
+        gen_bv(5, "10110", "boolean"), gen_qpe(4, 5 / 16),
+        gen_grover(4, 11, 1, use_ancilla=True, annotate=True),
+        gen_vqe_ry(4, 2, [0.3 * k for k in range(12)]))]
 
 
 def test_gen_qv_like_still_works():

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -846,3 +847,33 @@ class TestPipeline:
             c.measure(q, q)
         out = pipeline(c, PipelineOptions(coupling=line_coupling(5), seed=2))
         assert equivalent_up_to_global_phase(c, out).equivalent
+
+    def test_basis_is_fixed(self):
+        assert PipelineOptions().basis == DEFAULT_BASIS
+        with pytest.raises(TypeError):
+            PipelineOptions(basis=DEFAULT_BASIS)
+
+    def test_compile_steps_leave_no_cyclic_garbage(self):
+        # Each pass is freed by reference counting alone: with the collector
+        # off, a collection after any step finds nothing unreachable.
+        from rpoc import gen_bv, gen_grover, gen_qpe
+        circuits = [gen_bv(12, "101101110010", "boolean"), gen_qpe(6, 45 / 64),
+                    gen_grover(4, 11, 1, use_ancilla=True, annotate=True)]
+        circuits += [random_full_circuit(random.Random(seed), 5, 40)
+                     for seed in range(4)]
+        steps = [qbo, qpo, functools.partial(qpo, resynth_blocks=True),
+                 unroll, merge_1q_runs, cancel_adjacent_cx]
+        for cmap in (None, line_coupling(15)):
+            for on, blocks in ((False, False), (True, False), (True, True)):
+                steps.append(functools.partial(pipeline, opts=PipelineOptions(
+                    coupling=cmap, enable_qbo=on, enable_qpo=on,
+                    enable_block_resynth=blocks)))
+        gc.collect()
+        gc.disable()
+        try:
+            for c in circuits:
+                for step in steps:
+                    step(c)
+                    assert gc.collect() == 0, (step, emit_program(c))
+        finally:
+            gc.enable()
