@@ -9,9 +9,21 @@ wire stays |0> from start to end, so it factors out of every fidelity and
 outcome distribution.  Gate kernels update the state in place through
 reshaped views, one length-2 axis per wire the gate acts on.  Within one
 simulate() call the view pair of each multi-qubit gate key (kind family,
-axes, open-control mask) and the matrix of each (1q kind, params) are built
+axes, open-control mask) and the entries of each (1q kind, params) are built
 once and reused; since the views alias the one state buffer, every update
 is made in place and the buffer is never replaced.
+
+CX, SWAP and SWAPZ run lazily, in a CX frame (routed output is mostly CX
+networks with phases on parities).  Simulated axis a holds the parity of
+the stored index bits rows[a], so these gates only edit `rows`, an
+invertible matrix over GF(2), and join a queue.  A diagonal 1q gate on a
+wire whose row covers several stored bits scales the amplitudes where that
+row has odd parity.  A 1q gate, ANNOT or RESET on a wire that is exactly
+one stored axis, which no other row uses, acts on that axis.  Anything else
+(another 1q gate, a multi-qubit gate other than a closed-control CX, the
+end of the circuit) first brings the stored state up to date in place: a
+short queue is replayed gate by gate, a long one is applied as one gather.
+MEASURE only records its wire.
 
 Conventions: qubit 0 is the high-order bit of the amplitude index; measured
 circuits yield an exact outcome distribution keyed by classical-bit strings
@@ -25,17 +37,26 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import (GATES_1Q, Circuit, GateKind, _U3, _CX, _CZ, _CU3, _SWAP,
+from .circuit import (GATES_1Q, Circuit, GateKind, _CX, _CZ, _CU3, _SWAP,
                       _SWAPZ, _CCX, _MCX, _CSWAP, _RESET, _ANNOT, _MEASURE, _BARRIER)
-from .synth import matrix_1q, pure_state_vector
+from .synth import _GATE_1Q_ENTRIES, _u3_angles, _u3_entries, pure_state_vector
 
 MAX_QUBITS = 16
 DEFAULT_TOL = 1e-9
 # The 1q kernel applies its matrix with one batched matmul over the
-# (prefix, target bit, suffix) view when the suffix blocks hold at least this
-# many amplitudes; on shorter blocks (high target wires) matmul degrades, so
-# the two halves are updated elementwise instead.
+# (prefix, target bit, suffix) view when the state holds at most
+# _MATMUL_MAX_STATE amplitudes, or when the suffix blocks hold at least
+# _MATMUL_MIN_BLOCK; on short blocks of a larger state (high target wires)
+# matmul degrades, so the two halves are updated elementwise instead.
+_MATMUL_MAX_STATE = 256
 _MATMUL_MIN_BLOCK = 16
+# A CX frame whose queue holds at most this many CX/SWAP gates is brought up
+# to date by replaying them through _exchange; a longer one by one gather.
+_REPLAY_MAX = 4
+# simulate() caches the odd-parity indices of each row it scales (4 bytes per
+# amplitude); it empties the cache once the rows held cover more amplitudes
+# than this (8 MB).
+_ODD_CACHE_AMPS = 1 << 21
 
 
 class AnnotationError(ValueError):
@@ -64,8 +85,9 @@ class EquivalenceReport:
 
 def touched_wires(c: Circuit) -> list[int]:
     """Sorted wires that some non-barrier instruction acts on."""
-    return sorted({q for inst in c.instructions
-                   if inst.kind is not GateKind.BARRIER for q in inst.qubits})
+    tuples = {inst.qubits for inst in c.instructions
+              if inst.kind is not GateKind.BARRIER}
+    return sorted({q for qs in tuples for q in qs})
 
 
 def _sub(state: np.ndarray, n: int, fixed) -> np.ndarray:
@@ -82,31 +104,37 @@ def _sub(state: np.ndarray, n: int, fixed) -> np.ndarray:
     return state.reshape(shape)[tuple(index)]
 
 
-def _mix(s0: np.ndarray, s1: np.ndarray, m: np.ndarray) -> None:
-    """(s0, s1) <- m @ (s0, s1), in place."""
-    if m[0, 1] == 0 and m[1, 0] == 0:
-        if m[0, 0] != 1:
-            s0 *= m[0, 0]
-        if m[1, 1] != 1:
-            s1 *= m[1, 1]
+def _mix(s0: np.ndarray, s1: np.ndarray, e: tuple) -> None:
+    """(s0, s1) <- u @ (s0, s1), in place; e = (u00, u01, u10, u11) as
+    Python numbers."""
+    u00, u01, u10, u11 = e
+    if u01 == 0 and u10 == 0:
+        if u00 != 1:
+            s0 *= u00
+        if u11 != 1:
+            s1 *= u11
         return
-    t = m[0, 0] * s0
-    t += m[0, 1] * s1
-    s1 *= m[1, 1]
-    s1 += m[1, 0] * s0
+    t = u00 * s0
+    t += u01 * s1
+    s1 *= u11
+    s1 += u10 * s0
     s0[...] = t
 
 
-def _apply_1q(state: np.ndarray, m: np.ndarray, q: int) -> None:
+def _apply_1q(state: np.ndarray, e: tuple, q: int) -> None:
+    """The 1q gate with entries e = (u00, u01, u10, u11) on axis q, in
+    place."""
     v = state.reshape(1 << q, 2, -1)
-    # q = 0 is excluded: an unbatched matmul is one BLAS call, which may
-    # spread a large state over threads and then runs ~50x slower.  A
-    # diagonal m (u1, z, s, t) skips it: _mix scales the two halves.
-    if (q and v.shape[2] >= _MATMUL_MIN_BLOCK
-            and (m[0, 1] != 0 or m[1, 0] != 0)):
-        v[...] = m @ v
+    # On a state larger than _MATMUL_MAX_STATE, q = 0 is excluded: an
+    # unbatched matmul is one BLAS call, which may spread a large state over
+    # threads and then runs ~50x slower.  A diagonal gate (u1, z, s, t)
+    # skips matmul: _mix scales the two halves.
+    if ((e[1] != 0 or e[2] != 0)
+            and (state.size <= _MATMUL_MAX_STATE
+                 or (q and v.shape[2] >= _MATMUL_MIN_BLOCK))):
+        v[...] = np.array(e).reshape(2, 2) @ v
     else:
-        _mix(v[:, 0], v[:, 1], m)
+        _mix(v[:, 0], v[:, 1], e)
 
 
 def _pair_views(state: np.ndarray, n: int, swap: bool, qs: tuple[int, ...],
@@ -135,6 +163,19 @@ def _exchange(a: np.ndarray, b: np.ndarray) -> None:
     b[...] = tmp
 
 
+def _gather_index(cols: list[int], n: int) -> np.ndarray:
+    """g[x] = the XOR of cols[a] over the axes a set in index x (axis 0 is
+    the high bit): the stored index of basis state x under a CX frame whose
+    inverse matrix has columns `cols`."""
+    g = np.empty(1 << n, dtype=np.intp)
+    g[0] = 0
+    k = 1
+    for c in reversed(cols):
+        np.bitwise_xor(g[:k], c, out=g[k:2 * k])
+        k *= 2
+    return g
+
+
 def reduced_qubit_state(sv: np.ndarray, q: int) -> np.ndarray:
     """2x2 density matrix of qubit q: partial trace over all other qubits."""
     n = int(round(np.log2(sv.size)))
@@ -160,9 +201,8 @@ def _do_reset(state: np.ndarray, q: int, wire: int, position: int) -> None:
             f"reset on entangled/mixed qubit {wire} at instruction {position} "
             f"(trace distance to nearest pure state {td:.3e})")
     # Rotate the qubit's pure state onto |0>.
-    m = np.array([[top[0].conjugate(), top[1].conjugate()],
-                  [-top[1], top[0]]])
-    _apply_1q(state, m, q)
+    a, b = complex(top[0]), complex(top[1])
+    _apply_1q(state, (a.conjugate(), b.conjugate(), -b, a), q)
     state /= np.linalg.norm(state)
 
 
@@ -209,8 +249,17 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
     used_clbits: set[int] = set()
     # Per-call caches (see the module docstring): the views alias `state`,
     # so it is only ever updated in place.
+    axes_of: dict[tuple, tuple[int, ...]] = {}
     views: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    mats: dict[tuple, np.ndarray] = {}
+    entries: dict[tuple, tuple] = {}
+    odd: dict[int, np.ndarray] = {}   # row -> indices of odd parity
+    bits: dict[int, np.ndarray] = {}  # stored bit -> is it set, per index
+    # The CX frame (see the module docstring): rows[a] is the row of matrix
+    # R, cols[a] the column of its inverse, as bit masks of the stored index;
+    # `queue` holds the view keys of the CX/SWAP gates R is made of.
+    ident = [1 << (width - 1 - a) for a in range(width)]
+    rows, cols = ident[:], ident[:]
+    queue: list[tuple] = []
 
     def pair(swap: bool, qs: tuple[int, ...], open_mask=()):
         key = (swap, qs, open_mask)
@@ -219,18 +268,98 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
             ab = views[key] = _pair_views(state, width, swap, qs, open_mask)
         return ab
 
+    def sync() -> None:
+        """Bring the stored state up to date with the frame; R becomes I."""
+        if rows != ident:
+            if len(queue) <= _REPLAY_MAX:
+                for key in queue:
+                    _exchange(*pair(*key))
+            else:
+                state[...] = state[_gather_index(cols, width)]
+            rows[:] = ident
+            cols[:] = ident
+        queue.clear()
+
+    def own_axis(a: int) -> int:
+        """The stored axis that axis a is exactly, when no other row uses
+        it; otherwise sync() and a."""
+        r = rows[a]
+        if not queue or (r & (r - 1) == 0
+                         and sum([x & r != 0 for x in rows]) == 1):
+            return width - r.bit_length()
+        sync()
+        return a
+
+    def odd_parity(r: int) -> np.ndarray:
+        idx = odd.get(r)
+        if idx is None:
+            if len(odd) << width > _ODD_CACHE_AMPS:
+                odd.clear()
+            p = None
+            rest = r
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                x = bits.get(b)
+                if x is None:
+                    x = bits[b] = np.zeros(1 << width, dtype=bool)
+                    x.reshape(-1, 2, b)[:, 1] = True
+                p = x if p is None else p ^ x
+            idx = odd[r] = np.flatnonzero(p)
+        return idx
+
     for pos, inst in enumerate(c.instructions):
         k = inst.kind
         if k is _BARRIER:
             continue
-        for q in inst.qubits:
-            if q in measured:
-                raise ValueError(
-                    f"instruction {pos} touches qubit {q} after measurement "
-                    "(mid-circuit measurement is not supported)")
-        qs = tuple([axis[q] for q in inst.qubits])
-        if min(qs) < 0:
-            raise ValueError(f"instruction {pos} touches a wire that is not simulated")
+        if measured:
+            for q in inst.qubits:
+                if q in measured:
+                    raise ValueError(
+                        f"instruction {pos} touches qubit {q} after measurement "
+                        "(mid-circuit measurement is not supported)")
+        qs = axes_of.get(inst.qubits)
+        if qs is None:
+            qs = tuple([axis[q] for q in inst.qubits])
+            if min(qs) < 0:
+                raise ValueError(f"instruction {pos} touches a wire that is not simulated")
+            axes_of[inst.qubits] = qs
+        if k is _CX and not inst.open_mask:
+            t, u = qs
+            rows[u] ^= rows[t]
+            cols[t] ^= cols[u]
+            queue.append((False, qs, ()))
+            continue
+        if k in GATES_1Q:
+            key = (k, inst.params)
+            e = entries.get(key)
+            if e is None:
+                e = entries[key] = (_GATE_1Q_ENTRIES.get(k)
+                                    or _u3_entries(*_u3_angles(inst)))
+            r = rows[qs[0]]
+            if e[1] != 0 or e[2] != 0:
+                _apply_1q(state, e, own_axis(qs[0]))
+            elif not r & (r - 1):  # diagonal on one stored bit
+                _apply_1q(state, e, width - r.bit_length())
+            else:  # diagonal on the parity of several stored bits
+                if e[0] != 1:
+                    state *= e[0]
+                if e[3] != e[0]:
+                    state[odd_parity(r)] *= e[3] / e[0]
+            continue
+        if k is _SWAP or k is _SWAPZ:
+            a, b = qs
+            if k is _SWAP:
+                rows[a], rows[b] = rows[b], rows[a]
+                cols[a], cols[b] = cols[b], cols[a]
+                queue.append((True, qs, ()))
+            else:  # swapz a, z = cx(a, z); cx(z, a)
+                rows[b] ^= rows[a]
+                cols[a] ^= cols[b]
+                rows[a] ^= rows[b]
+                cols[b] ^= cols[a]
+                queue += ((False, qs, ()), (False, (b, a), ()))
+            continue
         if k is _MEASURE:
             b = inst.clbits[0]
             if b in used_clbits:
@@ -239,36 +368,27 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
             measured[inst.qubits[0]] = b
             continue
         if k is _ANNOT:
-            rho = reduced_qubit_state(state, qs[0])
+            rho = reduced_qubit_state(state, own_axis(qs[0]))
             td = trace_distance_to_pure(rho, pure_state_vector(*inst.params))
             if td > 1e-8:
                 raise AnnotationError(inst.qubits[0], pos, td)
             continue
         if k is _RESET:
-            _do_reset(state, qs[0], inst.qubits[0], pos)
+            _do_reset(state, own_axis(qs[0]), inst.qubits[0], pos)
             continue
-        if k in GATES_1Q:
-            key = (k, inst.params)
-            m = mats.get(key)
-            if m is None:
-                m = mats[key] = matrix_1q(k, inst.params)
-            _apply_1q(state, m, qs[0])
-            continue
+        sync()
         if k is _CX or k is _CCX or k is _MCX:
             _exchange(*pair(False, qs, inst.open_mask))
         elif k is _CZ:
             both = pair(False, qs)[1]   # control and target set
             both *= -1.0
-        elif k is _SWAP or k is _CSWAP:
+        elif k is _CSWAP:
             _exchange(*pair(True, qs))
-        elif k is _SWAPZ:
-            a, z = qs
-            _exchange(*pair(False, (a, z)))
-            _exchange(*pair(False, (z, a)))
         elif k is _CU3:
-            _mix(*pair(False, qs), matrix_1q(_U3, inst.params))
+            _mix(*pair(False, qs), _u3_entries(*inst.params))
         else:  # pragma: no cover - all kinds handled above
             raise ValueError(f"cannot simulate {k.value}")
+    sync()
 
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:

@@ -82,20 +82,6 @@ _NAMED_U3 = {
 }
 
 
-def matrix_1q(kind: GateKind, params: tuple[float, ...] = ()) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate kind."""
-    if kind in _GATE_1Q_ENTRIES:
-        import numpy as np
-        return np.array(_GATE_1Q_ENTRIES[kind], dtype=complex).reshape(2, 2)
-    if kind is GateKind.U1:
-        return u3_matrix(0.0, 0.0, params[0])
-    if kind is GateKind.U2:
-        return u3_matrix(PI / 2, params[0], params[1])
-    if kind is GateKind.U3:
-        return u3_matrix(*params)
-    raise ValueError(f"{kind.value} is not a single-qubit unitary gate")
-
-
 def check_unitary2(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     import numpy as np
     u = np.asarray(u, dtype=complex)

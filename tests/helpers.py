@@ -21,6 +21,17 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
+def spy_calls(monkeypatch, module, names) -> list[str]:
+    """Wrap the functions `names` of `module` (for the monkeypatch's
+    lifetime) so each call appends its name to the returned list."""
+    calls: list[str] = []
+    for name in names:
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: (
+            calls.append(name), f(*a))[1])
+    return calls
+
+
 def random_statevector(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return v / np.linalg.norm(v)
@@ -147,11 +158,14 @@ def partial_trace_oracle(sv: np.ndarray, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reference simulator: full 2^n gate matrices built by index arithmetic.
-# Shares no code with rpoc.oracle (or rpoc.synth); for n <= REF_MAX_QUBITS.
+# Reference simulator: each gate's full 2^n x 2^n matrix, built by index
+# arithmetic as its nonzero entries and applied as a sparse matrix-vector
+# product.  Shares no code with rpoc.oracle (or rpoc.synth); for n <=
+# REF_SIM_MAX_QUBITS.  REF_MAX_QUBITS is the width of the small corpora.
 # ---------------------------------------------------------------------------
 
 REF_MAX_QUBITS = 6
+REF_SIM_MAX_QUBITS = 10
 
 
 def _ref_u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -174,7 +188,8 @@ _REF_NAMED = {
 }
 
 
-def ref_matrix_1q(kind: GateKind, params: tuple[float, ...]) -> np.ndarray:
+def ref_matrix_1q(kind: GateKind, params: tuple[float, ...] = ()
+                  ) -> np.ndarray:
     if kind in _REF_NAMED:
         return np.array(_REF_NAMED[kind], dtype=complex)
     if kind is GateKind.U1:
@@ -193,44 +208,56 @@ def _set_bit(i: int, q: int, n: int, b: int) -> int:
     return (i | mask) if b else (i & ~mask)
 
 
-def ref_gate_matrix(inst: Instruction, n: int) -> np.ndarray:
-    """The full 2^n x 2^n unitary of one gate; qubit 0 is the high bit."""
+def ref_gate_entries(inst: Instruction, n: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries (rows, cols, values) of one gate's 2^n x 2^n
+    unitary, every column at once; qubit 0 is the high bit.  SWAPZ has no
+    entries of its own: ref_apply applies its two defining CX."""
     k, qs = inst.kind, inst.qubits
-    if k is GateKind.SWAPZ:  # defined as cx(a, z); cx(z, a)
-        a, z = qs
-        return (ref_gate_matrix(Instruction(GateKind.CX, (z, a)), n)
-                @ ref_gate_matrix(Instruction(GateKind.CX, (a, z)), n))
-    dim = 1 << n
-    u = np.zeros((dim, dim), dtype=complex)
+    col = np.arange(1 << n)
+
+    def bit(q: int) -> np.ndarray:
+        return (col >> (n - 1 - q)) & 1
+
     if inst.is_1q or k is GateKind.CU3:
         m = ref_matrix_1q(GateKind.U3 if k is GateKind.CU3 else k, inst.params)
-    for col in range(dim):
-        if inst.is_1q or k is GateKind.CU3:
-            q = qs[-1]
-            if k is GateKind.CU3 and not _bit(col, qs[0], n):
-                u[col, col] = 1.0
-                continue
-            for b in (0, 1):
-                u[_set_bit(col, q, n, b), col] += m[b, _bit(col, q, n)]
-        elif k in (GateKind.CX, GateKind.CCX, GateKind.MCX):
-            mask = inst.open_mask or (False,) * (len(qs) - 1)
-            fires = all(_bit(col, c, n) == (0 if o else 1)
-                        for c, o in zip(qs[:-1], mask))
-            t = qs[-1]
-            row = _set_bit(col, t, n, 1 - _bit(col, t, n)) if fires else col
-            u[row, col] = 1.0
-        elif k is GateKind.CZ:
-            u[col, col] = -1.0 if _bit(col, qs[0], n) and _bit(col, qs[1], n) else 1.0
-        elif k in (GateKind.SWAP, GateKind.CSWAP):
-            a, b = qs[-2:]
-            row = col
-            if k is GateKind.SWAP or _bit(col, qs[0], n):
-                row = _set_bit(_set_bit(col, a, n, _bit(col, b, n)), b, n,
-                               _bit(col, a, n))
-            u[row, col] = 1.0
-        else:
-            raise ValueError(f"no reference matrix for {k.value}")
-    return u
+        mask = 1 << (n - 1 - qs[-1])
+        act = bit(qs[0]) == 1 if k is GateKind.CU3 else np.ones(col.size, bool)
+        c, b = col[act], bit(qs[-1])[act]
+        idle = col[~act]
+        return (np.concatenate([c & ~mask, c | mask, idle]),
+                np.concatenate([c, c, idle]),
+                np.concatenate([m[0, b], m[1, b], np.ones(idle.size)]))
+    if k in (GateKind.CX, GateKind.CCX, GateKind.MCX):
+        mask = inst.open_mask or (False,) * (len(qs) - 1)
+        fires = np.ones(col.size, bool)
+        for c, o in zip(qs[:-1], mask):
+            fires &= bit(c) == (0 if o else 1)
+        row = np.where(fires, col ^ (1 << (n - 1 - qs[-1])), col)
+        return row, col, np.ones(col.size)
+    if k is GateKind.CZ:
+        return col, col, np.where(bit(qs[0]) & bit(qs[1]), -1.0, 1.0)
+    if k in (GateKind.SWAP, GateKind.CSWAP):
+        a, b = qs[-2:]
+        sa, sb = n - 1 - a, n - 1 - b
+        row = ((col & ~((1 << sa) | (1 << sb)))
+               | (bit(b) << sa) | (bit(a) << sb))
+        if k is GateKind.CSWAP:
+            row = np.where(bit(qs[0]) == 1, row, col)
+        return row, col, np.ones(col.size)
+    raise ValueError(f"no reference entries for {k.value}")
+
+
+def ref_apply(inst: Instruction, state: np.ndarray, n: int) -> np.ndarray:
+    """The unitary of one gate (ref_gate_entries) times state."""
+    if inst.kind is GateKind.SWAPZ:  # defined as cx(a, z); cx(z, a)
+        a, z = inst.qubits
+        state = ref_apply(Instruction(GateKind.CX, (a, z)), state, n)
+        return ref_apply(Instruction(GateKind.CX, (z, a)), state, n)
+    rows, cols, vals = ref_gate_entries(inst, n)
+    out = np.zeros(1 << n, dtype=complex)
+    np.add.at(out, rows, vals * state[cols])
+    return out
 
 
 def ref_pure_params(rho: np.ndarray) -> tuple[float, float] | None:
@@ -246,7 +273,7 @@ def ref_pure_params(rho: np.ndarray) -> tuple[float, float] | None:
 
 def ref_simulate(c: Circuit, initial_state: np.ndarray | None = None
                  ) -> np.ndarray | dict[str, float]:
-    """Same contract as rpoc.oracle.simulate, by dense matrix products.
+    """Same contract as rpoc.oracle.simulate, by gate matrix products.
 
     Raises ValueError for a mid-circuit measurement, a reused clbit, a
     failed annotation or a reset on an entangled wire.  A reset maps the
@@ -254,7 +281,7 @@ def ref_simulate(c: Circuit, initial_state: np.ndarray | None = None
     may differ from the oracle's.
     """
     n = c.n_qubits
-    assert n <= REF_MAX_QUBITS
+    assert n <= REF_SIM_MAX_QUBITS
     dim = 1 << n
     if initial_state is None:
         state = np.zeros(dim, dtype=complex)
@@ -291,7 +318,7 @@ def ref_simulate(c: Circuit, initial_state: np.ndarray | None = None
                               + np.conj(top[1]) * state[_set_bit(i, q, n, 1)])
             state = out / np.linalg.norm(out)
         else:
-            state = ref_gate_matrix(inst, n) @ state
+            state = ref_apply(inst, state, n)
     if not measured:
         return state
     dist: dict[str, float] = {}

@@ -12,10 +12,10 @@ from rpoc import (BasisState, Circuit, GateKind, Instruction, Tracker,
 from rpoc.analysis import canonical_pure, vector_to_pure
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
 from rpoc.passes import qbo
-from rpoc.synth import as_u3params, matrix_1q, pure_state_vector
+from rpoc.synth import as_u3params, pure_state_vector
 
 from helpers import (partial_trace_oracle, random_circuit, random_full_circuit,
-                     ref_simulate)
+                     ref_matrix_1q, ref_simulate)
 
 PI = math.pi
 B = BasisState
@@ -106,7 +106,7 @@ class TestBasisTransition:
 
     def test_t_from_plus_is_top(self):
         # Independent check: T|+> overlaps none of the six rays.
-        v = matrix_1q(GateKind.T) @ _ray_vector(B.PLUS)
+        v = ref_matrix_1q(GateKind.T) @ _ray_vector(B.PLUS)
         assert all(abs(abs(np.vdot(v, _ray_vector(s))) - 1) > 1e-3
                    for s in _SIX)
         assert _after(B.PLUS, GateKind.T) is B.TOP
@@ -212,7 +212,7 @@ class TestPureTransition:
         named = [GateKind.X, GateKind.Y, GateKind.Z, GateKind.H, GateKind.S,
                  GateKind.SDG, GateKind.T, GateKind.TDG]
         for s, kind in itertools.product(_SIX, named):
-            v = matrix_1q(kind) @ _ray_vector(s)
+            v = ref_matrix_1q(kind) @ _ray_vector(s)
             want = classify_pure_as_basis(*vector_to_pure(v))
             assert _after(s, kind) is want, (s, kind)
 

@@ -6,14 +6,17 @@ import pytest
 
 from rpoc import (AnnotationError, Circuit, GateKind, Instruction, ResetError,
                   equivalent_up_to_global_phase, reduced_qubit_state, simulate)
+from rpoc import oracle
+from rpoc.bench import gen_grover
 from rpoc.oracle import (MAX_QUBITS, expand_statevector, simulated_width,
                          total_variation_distance, touched_wires,
                          trace_distance_to_pure)
+from rpoc.passes import PipelineOptions, line_coupling, pipeline
 from rpoc.synth import pure_state_vector
 
-from helpers import (REF_MAX_QUBITS, partial_trace_oracle, random_circuit,
-                     random_full_circuit, random_statevector, ref_embed,
-                     ref_simulate)
+from helpers import (REF_MAX_QUBITS, TWO_PI, partial_trace_oracle,
+                     random_circuit, random_full_circuit, random_statevector,
+                     ref_embed, ref_pure_params, ref_simulate, spy_calls)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -440,6 +443,172 @@ class TestAgainstReference:
             _assert_same(simulate(c, initial_state=init),
                          ref_simulate(c, initial_state=init), False)
             assert np.array_equal(init, keep)
+
+
+def _cx_run_circuit(rng: random.Random, n: int, length: int) -> Circuit:
+    """Random circuit of CX runs with phases between them: closed and
+    open-control cx, swap, swapz onto a |0> wire, u1/z/s/t/sdg/tdg, and
+    u2/u3/h/x.  Right after a CX run, a wire of its last gate may get a
+    MEASURE (then no later gate touches it), or an ANNOT or RESET where the
+    wire is pure (by reference simulation)."""
+    c = Circuit(n, n)
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    live = list(range(n))        # wires not measured
+    zero = set(range(n))         # wires known to hold |0>
+    phases = [GateKind.U1, GateKind.Z, GateKind.S, GateKind.T, GateKind.SDG,
+              GateKind.TDG]
+    mixers = [GateKind.U2, GateKind.U3, GateKind.H, GateKind.X]
+    n_params = {GateKind.U1: 1, GateKind.U2: 2, GateKind.U3: 3}
+
+    def add(inst: Instruction) -> None:
+        nonlocal state
+        if inst.kind is not GateKind.MEASURE:
+            step = Circuit(n)
+            step.append(inst)
+            state = ref_simulate(step, initial_state=state)
+        c.append(inst)
+
+    def add_1q(kinds: list[GateKind]) -> None:
+        q, k = rng.choice(live), rng.choice(kinds)
+        add(Instruction(k, (q,), [rng.uniform(0, TWO_PI)
+                                  for _ in range(n_params.get(k, 0))]))
+        zero.discard(q)
+
+    while len(c.instructions) < length:
+        last = None
+        for _ in range(rng.choice([1, 1, 2, 3, 2 * n + 1, 3 * n])):
+            r = rng.random()
+            if r < 0.2:
+                add_1q(phases)
+                continue
+            a, b = rng.sample(live, 2)
+            if r < 0.75:
+                last = Instruction(GateKind.CX, (a, b))
+            elif r < 0.82:
+                last = Instruction(GateKind.CX, (a, b), open_mask=(True,))
+            elif r < 0.92:
+                last = Instruction(GateKind.SWAP, (a, b))
+            else:
+                z = [q for q in live if q in zero and q != a]
+                if not z:
+                    continue
+                b = rng.choice(z)
+                last = Instruction(GateKind.SWAPZ, (a, b))
+            add(last)
+            zero.difference_update(last.qubits)
+            if last.kind is GateKind.SWAPZ:
+                zero.add(a)
+        if last is not None and rng.random() < 0.4:
+            q = rng.choice(last.qubits)
+            r = rng.random()
+            if r < 0.2 and len(live) > 2:
+                add(Instruction(GateKind.MEASURE, (q,), clbits=(q,)))
+                live.remove(q)
+                zero.discard(q)
+                continue
+            pure = ref_pure_params(partial_trace_oracle(state, q))
+            if pure is not None:
+                if r < 0.6:
+                    add(Instruction(GateKind.ANNOT, (q,), pure))
+                else:
+                    add(Instruction(GateKind.RESET, (q,)))
+                    zero.add(q)
+                continue
+        add_1q(mixers)
+    return c.replace(c.instructions[:length])
+
+
+class TestCXFrame:
+    """The CX frame of simulate(): CX, SWAP and SWAPZ edit a GF(2) matrix
+    and the state is brought up to date only when a gate needs it."""
+
+    def test_cx_run_corpus_matches_reference(self):
+        rng = random.Random(45)
+        kinds = set()
+        for i in range(60):
+            n = 2 + i % 9
+            c = _cx_run_circuit(rng, n, rng.randint(50, 300))
+            kinds.update((inst.kind, bool(inst.open_mask))
+                         for inst in c.instructions)
+            _assert_same(simulate(c), ref_simulate(c), _has_reset(c))
+        assert kinds >= {(k, False) for k in (
+            GateKind.CX, GateKind.SWAP, GateKind.SWAPZ, GateKind.MEASURE,
+            GateKind.ANNOT, GateKind.RESET, GateKind.U1, GateKind.U3)}
+        assert (GateKind.CX, True) in kinds
+
+    def test_parity_cache_bound(self, monkeypatch):
+        # With no room for cached odd-parity indices, every diagonal gate on
+        # a parity rebuilds them.
+        monkeypatch.setattr(oracle, "_ODD_CACHE_AMPS", 0)
+        rng = random.Random(47)
+        for n in (3, 7):
+            c = _cx_run_circuit(rng, n, 200)
+            _assert_same(simulate(c), ref_simulate(c), _has_reset(c))
+
+    @pytest.mark.parametrize("case,want", [
+        ("ladder-h", ["_gather_index", "_apply_1q"]),
+        ("cx-h", ["_exchange", "_apply_1q"]),
+        ("cx-u1", ["_exchange"]),
+        ("cx-h-idle", ["_apply_1q", "_exchange"]),
+    ])
+    def test_paths(self, monkeypatch, case, want):
+        # ladder-h: a CX ladder longer than 2 * width, then h on a wire that
+        # other rows share: one gather.  cx-h: one CX then h on its target:
+        # the CX is replayed.  cx-u1: u1 on the target's parity, no update
+        # until the end.  cx-h-idle: h on a wire that is its own stored axis
+        # acts there, before the end replays the CX.
+        n = 4
+        c = Circuit(n)
+        if case == "ladder-h":
+            for i in range(2 * n + 1):
+                c.cx(i % (n - 1), i % (n - 1) + 1)
+            c.h(0)
+        else:
+            c.cx(0, 1)
+            {"cx-h": lambda: c.h(1), "cx-u1": lambda: c.u1(0.4, 1),
+             "cx-h-idle": lambda: c.h(2)}[case]()
+        init = random_statevector(np.random.default_rng(46), n)
+        calls = spy_calls(monkeypatch, oracle,
+                          ("_apply_1q", "_exchange", "_gather_index"))
+        got = simulate(c, initial_state=init)
+        assert calls == want
+        _assert_same(got, ref_simulate(c, initial_state=init), False)
+
+    def test_routed_grover_mutants_are_told_apart(self):
+        # A frame fault would act on the source and the output alike, so
+        # every one-gate mutant of a routed output must still be caught:
+        # each deleted CX and each u1 angle moved by 1e-3 gets the
+        # reference's fidelity, and is reported inequivalent wherever the
+        # reference tells it apart.  Some mutants are equivalent from
+        # |0...0> (a u1 on a wire still at |0> is a global phase).
+        src = gen_grover(4, 6, 1)
+        out = pipeline(src, PipelineOptions(coupling=line_coupling(6)))
+        layout = out.layout
+        src = src.replace([i for i in src.instructions
+                           if i.kind is not GateKind.MEASURE])
+        insts = [i for i in out.instructions if i.kind is not GateKind.MEASURE]
+        want = ref_embed(ref_simulate(src), out.n_qubits, layout)
+        told_apart = mutants = 0
+        for j, inst in enumerate(insts):
+            if inst.kind is GateKind.CX:
+                mutated = []
+            elif inst.kind is GateKind.U1:
+                mutated = [Instruction(GateKind.U1, inst.qubits,
+                                       (inst.params[0] + 1e-3,))]
+            else:
+                continue
+            m = out.replace(insts[:j] + mutated + insts[j + 1:])
+            ref_fid = abs(np.vdot(want, ref_simulate(m))) ** 2
+            rep = equivalent_up_to_global_phase(src, m, perm=layout)
+            assert abs(rep.fidelity - ref_fid) <= 1e-12
+            if ref_fid < 1.0 - 1e-9:
+                assert not rep.equivalent
+                told_apart += 1
+            mutants += 1
+        assert equivalent_up_to_global_phase(src, out.replace(insts),
+                                             perm=layout).equivalent
+        assert mutants > 100 and told_apart >= 0.9 * mutants
 
 
 class TestTouchedWires:

@@ -8,15 +8,21 @@ kernel once and checks its result.  To time them:
 import numpy as np
 import pytest
 
-from rpoc.circuit import GateKind
-from rpoc.oracle import _apply_1q, _exchange, _pair_views
-from rpoc.synth import matrix_1q
+from rpoc import oracle
+from rpoc.circuit import Circuit, GateKind
+from rpoc.oracle import _apply_1q, _exchange, _pair_views, simulate
 
-from helpers import haar_unitary, random_statevector
+from helpers import haar_unitary, random_statevector, ref_matrix_1q, spy_calls
 
 
-# Wire 0 and the last wire take the elementwise path, wire 1 the matmul one
-# unless the matrix is diagonal (the "u1-" cases).
+def _entries(m: np.ndarray) -> tuple:
+    return tuple(complex(x) for x in m.reshape(-1))
+
+
+# A state of at most 256 amplitudes (n = 6) takes the matmul path on every
+# wire; on a larger one (n = 15) wire 0 and the last wire take the
+# elementwise path and wire 1 the matmul one.  A diagonal matrix (the "u1-"
+# cases) scales the two halves on every wire.
 KERNEL_1Q_CASES = [(t, m) for m in ("haar", "u1")
                    for t in ("low", "second", "high")]
 
@@ -24,17 +30,24 @@ KERNEL_1Q_CASES = [(t, m) for m in ("haar", "u1")
 @pytest.mark.parametrize("n", [6, 15])
 @pytest.mark.parametrize("target,matrix", KERNEL_1Q_CASES, ids=[
     t if m == "haar" else f"{m}-{t}" for t, m in KERNEL_1Q_CASES])
-def test_1q_kernel(benchmark, n, target, matrix):
+def test_1q_kernel(benchmark, monkeypatch, n, target, matrix):
     q = {"low": 0, "second": 1, "high": n - 1}[target]
     rng = np.random.default_rng(n)
-    m = haar_unitary(rng) if matrix == "haar" else matrix_1q(GateKind.U1, (0.7,))
+    m = (haar_unitary(rng) if matrix == "haar"
+         else ref_matrix_1q(GateKind.U1, (0.7,)))
     state = random_statevector(rng, n)
     t = np.moveaxis(state.reshape([2] * n), q, 0)
     want = np.moveaxis(np.tensordot(m, t, axes=1), 0, q).reshape(-1)
     got = state.copy()
-    _apply_1q(got, m, q)
+    with monkeypatch.context() as mp:
+        mixed = spy_calls(mp, oracle, ("_mix",))  # none on the matmul path
+        _apply_1q(got, _entries(m), q)
+    if matrix == "u1":
+        assert len(mixed) == 1  # never matmul: _mix scales the halves
+    else:
+        assert bool(mixed) == (n == 15 and target != "second")
     assert np.allclose(got, want, atol=1e-12)
-    benchmark(_apply_1q, state, m, q)
+    benchmark(_apply_1q, state, _entries(m), q)
 
 
 @pytest.mark.parametrize("n", [6, 15])
@@ -51,3 +64,49 @@ def test_controlled_x_kernel(benchmark, n, target):
     assert np.array_equal(got, want)
     # simulate() builds the views once per call and gate key, then reuses them.
     benchmark(_exchange, *_pair_views(state, n, False, (c, t), ()))
+
+
+def _frame_reference(c: Circuit, state: np.ndarray) -> np.ndarray:
+    """c applied to state by index permutation (cx) and tensordot (1q)."""
+    n = c.n_qubits
+    i = np.arange(2 ** n)
+    for inst in c.instructions:
+        if inst.kind is GateKind.CX:
+            ctl, tgt = inst.qubits
+            fires = (i >> (n - 1 - ctl)) & 1 == 1
+            state = state[np.where(fires, i ^ (1 << (n - 1 - tgt)), i)]
+        else:
+            q = inst.qubits[0]
+            t = np.moveaxis(state.reshape([2] * n), q, 0)
+            m = ref_matrix_1q(inst.kind, inst.params)
+            state = np.moveaxis(np.tensordot(m, t, axes=1), 0, q).reshape(-1)
+    return state
+
+
+def _frame_circuit(n: int) -> Circuit:
+    """A 3n-CX ladder over wires 0..n-2, then h on wire n-1, which is still
+    its own stored axis, and u1 on wire n-2, a parity of several stored bits;
+    then h on wire 0, which brings the state up to date by one gather, and
+    u1 on wire 1 after one more CX (a replayed queue at the end)."""
+    c = Circuit(n)
+    for i in range(3 * n):
+        c.cx(i % (n - 2), i % (n - 2) + 1)
+    c.h(n - 1)
+    c.u1(0.7, n - 2)
+    c.h(0)
+    c.cx(0, 1)
+    c.u1(0.3, 1)
+    return c
+
+
+@pytest.mark.parametrize("n", [6, 15])
+def test_cx_frame(benchmark, monkeypatch, n):
+    c = _frame_circuit(n)
+    init = random_statevector(np.random.default_rng(n), n)
+    want = _frame_reference(c, init)
+    with monkeypatch.context() as mp:
+        calls = spy_calls(mp, oracle, ("_gather_index", "_exchange"))
+        got = simulate(c, initial_state=init)
+    assert calls == ["_gather_index", "_exchange"]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    benchmark(simulate, c, initial_state=init)

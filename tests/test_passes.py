@@ -15,8 +15,9 @@ from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
                   unroll)
 from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
-                        matrix_1q, merge_1q_runs, zyz_decompose)
-from helpers import random_circuit, random_full_circuit, two_wire_cases
+                        merge_1q_runs, zyz_decompose)
+from helpers import (random_circuit, random_full_circuit, ref_matrix_1q,
+                     two_wire_cases)
 
 PI = math.pi
 B = BasisState
@@ -125,7 +126,7 @@ class TestQBO:
         # state on none of the six rays: qbo tracks psi and drops V, but
         # keeps a rotation about any other axis.
         u = U3Params(0.7, 0.3, 0.0).matrix()
-        about_psi = zyz_decompose(u @ matrix_1q(GateKind.T) @ u.conj().T)
+        about_psi = zyz_decompose(u @ ref_matrix_1q(GateKind.T) @ u.conj().T)
         for v, kept in ((about_psi, 1), (U3Params(1.1, 0.0, 0.0), 2)):
             c = Circuit(1)
             c.u3(0.7, 0.3, 0.0, 0)

@@ -14,12 +14,12 @@ from rpoc import (Circuit, GateKind, Instruction, U3Params,
 from rpoc.circuit import count_1q
 from rpoc.oracle import equivalent_up_to_global_phase
 from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
-                        cu3_to_cx, matrix_1q, mcx_gray_code, mcx_vchain,
+                        cu3_to_cx, mcx_gray_code, mcx_vchain,
                         pure_state_vector, swap_to_cx, swapz_to_cx,
                         u3params_instruction)
 
-from helpers import (haar_unitary, random_statevector, ref_merge_1q_runs,
-                     ref_simulate)
+from helpers import (haar_unitary, random_statevector, ref_matrix_1q,
+                     ref_merge_1q_runs, ref_simulate)
 
 PI = math.pi
 
@@ -39,7 +39,7 @@ class TestZYZ:
         assert angles_equal(p.lam, 0) and angles_equal(p.global_phase, 0)
 
     def test_hadamard(self):
-        p = zyz_decompose(matrix_1q(GateKind.H))
+        p = zyz_decompose(ref_matrix_1q(GateKind.H))
         # Reconstruction oracle: compare entrywise against u3(pi/2, 0, pi).
         assert angles_equal(p.theta, PI / 2)
         assert angles_equal(p.phi, 0)
@@ -89,7 +89,7 @@ class TestCompose:
         assert mats_close(q.matrix(), p.matrix())
 
     def test_h_h_is_identity(self):
-        h = zyz_decompose(matrix_1q(GateKind.H))
+        h = zyz_decompose(ref_matrix_1q(GateKind.H))
         assert compose_u3(h, h).is_identity()
 
     def test_random_against_matrix_product(self):
@@ -349,7 +349,7 @@ def _assert_matches_reference_merge(c: Circuit) -> None:
             continue
         if len(run) == 1 and _canonical_u(run[0]):
             assert g is run[0]
-        a, b = matrix_1q(g.kind, g.params), matrix_1q(r.kind, r.params)
+        a, b = ref_matrix_1q(g.kind, g.params), ref_matrix_1q(r.kind, r.params)
         overlap = np.vdot(b, a)
         assert np.max(np.abs(a - overlap / abs(overlap) * b)) <= 1e-12
 
@@ -605,9 +605,9 @@ class TestEmissionPicker:
         assert inst.kind is GateKind.U3
 
     def test_named_gate_params_match_matrices(self):
-        for kind, mat in ((GateKind.X, matrix_1q(GateKind.X)),
-                          (GateKind.H, matrix_1q(GateKind.H)),
-                          (GateKind.S, matrix_1q(GateKind.S)),
-                          (GateKind.TDG, matrix_1q(GateKind.TDG))):
+        for kind, mat in ((GateKind.X, ref_matrix_1q(GateKind.X)),
+                          (GateKind.H, ref_matrix_1q(GateKind.H)),
+                          (GateKind.S, ref_matrix_1q(GateKind.S)),
+                          (GateKind.TDG, ref_matrix_1q(GateKind.TDG))):
             p = as_u3params(Instruction(kind, (0,)))
             assert mats_close(p.matrix(), mat)
