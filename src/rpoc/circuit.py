@@ -8,6 +8,8 @@ open_mask), validated once, where it enters: the Instruction constructor,
 the Circuit builder and parse_program.  Passes build theirs unchecked
 (synth._i, Circuit.replace), so what a pass sets must already be canonical:
 in-range int tuples, finite angles in [0, 2*pi), normalized masks.
+parse_program reads its text in one pass and appends each statement as it
+is read, so its ParseError names the first bad statement.
 """
 from __future__ import annotations
 
@@ -327,6 +329,11 @@ def depth(c: Circuit) -> int:
 # pi expressions (`pi`, `pi/2`, `-pi/4`, `k*pi/m`).  Open controls use a
 # leading-`o` prefix, one `o` per open control counted left to right
 # (`ocx`, `occx`, `ooccx`); mcx takes a per-position list `mcx[oc...c]`.
+#
+# parse_program reads the text once.  Each statement is parsed and appended
+# to the circuit as soon as it is read, so the first bad statement is the
+# one reported.  The helpers raise plain ValueError; the one try/except
+# around each statement turns that into a ParseError at its line and column.
 # ---------------------------------------------------------------------------
 
 # "// layout 3,0,1,2": the routed circuit's logical->physical permutation.
@@ -335,171 +342,149 @@ _OPERAND_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]")
 _STMT_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\[\s*([a-zA-Z]*)\s*\])?"
     r"\s*(?:\(([^)]*)\))?\s*(.*)$", re.DOTALL)
+_MEASURE_RE = re.compile(r"(.+?)\s*->\s*(.+)")
 _PI_RE = re.compile(r"^([+-]?)\s*(?:(\d+)\s*\*\s*)?pi\s*(?:/\s*(\d+))?$")
 
 
-def _parse_angle(tok: str, line: int, col: int) -> float:
+def _parse_angle(tok: str) -> float:
     tok = tok.strip()
     m = _PI_RE.match(tok)
     if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        k = int(m.group(2)) if m.group(2) else 1
-        d = int(m.group(3)) if m.group(3) else 1
-        if d == 0:
-            raise ParseError("division by zero in angle", line, col)
-        return sign * k * math.pi / d
+        sign, k, d = m.groups()
+        if d is not None and int(d) == 0:
+            raise ValueError("division by zero in angle")
+        return (-1.0 if sign == "-" else 1.0) * int(k or 1) * math.pi / int(d or 1)
     try:
         return float(tok)
     except ValueError:
-        raise ParseError(f"bad angle expression {tok!r}", line, col) from None
+        raise ValueError(f"bad angle expression {tok!r}") from None
+
+
+def _operands(rest: str) -> list[tuple[str, int]]:
+    """The `name[index]` operands of a comma-separated list."""
+    out = []
+    for part in rest.split(",") if rest.strip() else ():
+        m = _OPERAND_RE.fullmatch(part.strip())
+        if not m:
+            raise ValueError(f"bad operand {part.strip()!r}")
+        out.append((m.group(1), int(m.group(2))))
+    return out
 
 
 _NAME_TO_KIND = {k.value: k for k in GateKind}
 
 
+def _instruction(name: str, bracket: str | None, paramstr: str | None,
+                 rest: str, qname: str, cname: str | None) -> Instruction:
+    """The gate or measure statement `name[bracket](paramstr) rest`, over
+    registers named qname and cname (None before a creg declaration)."""
+    if name == "measure":
+        mm = _MEASURE_RE.fullmatch(rest.strip())
+        if paramstr is not None or not mm:
+            raise ValueError("measure syntax is 'measure q[i] -> c[j];'")
+        qops, cops = _operands(mm.group(1)), _operands(mm.group(2))
+        if len(qops) != 1 or len(cops) != 1:
+            raise ValueError("measure takes one qubit and one clbit")
+        if cname is None:
+            raise ValueError("measure before creg declaration")
+        if qops[0][0] != qname or cops[0][0] != cname:
+            raise ValueError("unknown register name")
+        return Instruction(_MEASURE, (qops[0][1],), clbits=(cops[0][1],))
+
+    # One leading `o` per open control; no gate name starts with `o`.
+    kind = _NAME_TO_KIND.get(name.lstrip("o"))
+    if kind is None:
+        raise ValueError(f"unknown statement {name!r}")
+    if bracket and kind is not _MCX:
+        raise ValueError("polarity brackets are only valid on mcx")
+    params = () if paramstr is None else tuple(
+        map(_parse_angle, paramstr.split(",")))
+    qubits = []
+    for regname, idx in _operands(rest):
+        if regname != qname:
+            raise ValueError(f"unknown register {regname!r}")
+        qubits.append(idx)
+
+    n_open_prefix = len(name) - len(kind.value)
+    mask: tuple[bool, ...] = ()
+    if bracket:
+        if (len(bracket) != n_controls(kind, len(qubits))
+                or set(bracket) - {"o", "c"}):
+            raise ValueError("mcx polarity list must be one o/c per control")
+        mask = tuple(ch == "o" for ch in bracket)
+    elif n_open_prefix:  # only here: a bare `mcx;` has -1 controls
+        nc = n_controls(kind, len(qubits))
+        if n_open_prefix > nc:
+            raise ValueError("more open-control prefixes than controls")
+        mask = tuple(i < n_open_prefix for i in range(nc))
+    return Instruction(kind, qubits, params, open_mask=mask)
+
+
 def parse_program(text: str) -> Circuit:
     """Parse circuit text.  Raises ParseError with line/column on bad input."""
-    qreg: tuple[str, int] | None = None
-    creg: tuple[str, int] | None = None
+    circuit: Circuit | None = None  # made at the qreg declaration
+    qname = cname = None
+    n_clbits = 0
     layout: tuple[int, list[int]] | None = None  # (line, permutation)
-    pending: list[tuple[int, int, str]] = []  # (line, col, statement)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _LAYOUT_RE.fullmatch(raw.strip())
-        if m:
-            if layout is not None:
-                raise ParseError("duplicate layout line", lineno, 1)
-            layout = (lineno, [int(x) for x in m.group(1).split(",")])
+        code = raw.split("//", 1)[0].rstrip()
+        if not code:
+            m = _LAYOUT_RE.fullmatch(raw.strip())
+            if m:
+                if layout is not None:
+                    raise ParseError("duplicate layout line", lineno, 1)
+                layout = (lineno, [int(x) for x in m.group(1).split(",")])
             continue
-        code = raw.split("//", 1)[0]
-        if not code.strip():
-            continue
-        if not code.rstrip().endswith(";"):
-            raise ParseError("missing ';'", lineno, len(code.rstrip()))
+        if not code.endswith(";"):
+            raise ParseError("missing ';'", lineno, len(code))
         pos = 0
         for piece in code.split(";"):
-            if piece.strip():
-                col = pos + (len(piece) - len(piece.lstrip())) + 1
-                pending.append((lineno, col, piece.strip()))
-            pos += len(piece) + 1
+            start, pos = pos, pos + len(piece) + 1
+            stmt = piece.strip()
+            if not stmt:
+                continue
+            try:
+                m = _STMT_RE.match(stmt)
+                if not m:
+                    raise ValueError(f"cannot parse statement {stmt!r}")
+                name, bracket, paramstr, rest = m.groups()
+                name = name.lower()
+                if name in ("openqasm", "include"):  # tolerated headers
+                    continue
+                if name in ("qreg", "creg"):
+                    decl = _OPERAND_RE.fullmatch((stmt.split(None, 1) + [""])[1])
+                    if not decl:
+                        raise ValueError(f"bad register declaration {stmt!r}")
+                    size = int(decl.group(2))
+                    if size < 1:
+                        raise ValueError("register size must be >= 1")
+                    if (qname if name == "qreg" else cname) is not None:
+                        raise ValueError(f"duplicate {name} declaration")
+                    if name == "qreg":
+                        qname, circuit = decl.group(1), Circuit(size, n_clbits)
+                    else:
+                        cname, n_clbits = decl.group(1), size
+                        if circuit is not None:
+                            circuit.n_clbits = size
+                    continue
+                if circuit is None:
+                    raise ValueError("statement before qreg declaration")
+                circuit.append(_instruction(name, bracket, paramstr, rest,
+                                            qname, cname))
+            except ValueError as e:
+                col = start + len(piece) - len(piece.lstrip()) + 1
+                raise ParseError(str(e), lineno, col) from None
 
-    insts: list[tuple[int, int, Instruction]] = []
-
-    def operands(rest: str, line: int, col: int) -> list[tuple[str, int]]:
-        out = []
-        rest = rest.strip()
-        if not rest:
-            return out
-        for part in rest.split(","):
-            m = _OPERAND_RE.fullmatch(part.strip())
-            if not m:
-                raise ParseError(f"bad operand {part.strip()!r}", line, col)
-            out.append((m.group(1), int(m.group(2))))
-        return out
-
-    for line, col, stmt in pending:
-        m = _STMT_RE.match(stmt)
-        if not m:
-            raise ParseError(f"cannot parse statement {stmt!r}", line, col)
-        name, bracket, paramstr, rest = m.groups()
-        name = name.lower()
-
-        if name in ("openqasm", "include"):  # tolerated headers
-            continue
-        if name in ("qreg", "creg"):
-            parts = stmt.split(None, 1)
-            decl = _OPERAND_RE.fullmatch(parts[1].strip()) if len(parts) == 2 else None
-            if not decl:
-                raise ParseError(f"bad register declaration {stmt!r}", line, col)
-            reg = (decl.group(1), int(decl.group(2)))
-            if reg[1] < 1:
-                raise ParseError("register size must be >= 1", line, col)
-            if name == "qreg":
-                if qreg is not None:
-                    raise ParseError("duplicate qreg declaration", line, col)
-                qreg = reg
-            else:
-                if creg is not None:
-                    raise ParseError("duplicate creg declaration", line, col)
-                creg = reg
-            continue
-
-        if qreg is None:
-            raise ParseError("statement before qreg declaration", line, col)
-
-        if name == "measure":
-            mm = re.fullmatch(r"(.+?)\s*->\s*(.+)", rest.strip())
-            if paramstr is not None or not mm:
-                raise ParseError("measure syntax is 'measure q[i] -> c[j];'", line, col)
-            qops = operands(mm.group(1), line, col)
-            cops = operands(mm.group(2), line, col)
-            if len(qops) != 1 or len(cops) != 1:
-                raise ParseError("measure takes one qubit and one clbit", line, col)
-            if creg is None:
-                raise ParseError("measure before creg declaration", line, col)
-            if qops[0][0] != qreg[0] or cops[0][0] != creg[0]:
-                raise ParseError("unknown register name", line, col)
-            insts.append((line, col, Instruction(
-                GateKind.MEASURE, (qops[0][1],), clbits=(cops[0][1],))))
-            continue
-
-        # Open-control prefix: strip leading o's until a known name remains.
-        n_open_prefix = 0
-        base = name
-        while base not in _NAME_TO_KIND and base.startswith("o"):
-            base = base[1:]
-            n_open_prefix += 1
-        if base not in _NAME_TO_KIND:
-            raise ParseError(f"unknown statement {name!r}", line, col)
-        kind = _NAME_TO_KIND[base]
-        if bracket and kind is not GateKind.MCX:
-            raise ParseError("polarity brackets are only valid on mcx", line, col)
-
-        params = ()
-        if paramstr is not None:
-            params = tuple(_parse_angle(p, line, col) for p in paramstr.split(","))
-        qops = operands(rest, line, col)
-        for regname, idx in qops:
-            if regname != qreg[0]:
-                raise ParseError(f"unknown register {regname!r}", line, col)
-        qubits = tuple(idx for _, idx in qops)
-
-        nc = n_controls(kind, len(qubits))
-        mask: tuple[bool, ...] = ()
-        if bracket:
-            if len(bracket) != nc or set(bracket) - {"o", "c"}:
-                raise ParseError("mcx polarity list must be one o/c per control",
-                                 line, col)
-            mask = tuple(ch == "o" for ch in bracket)
-        elif n_open_prefix:
-            if n_open_prefix > nc:
-                raise ParseError("more open-control prefixes than controls", line, col)
-            mask = tuple(i < n_open_prefix for i in range(nc))
-
-        try:
-            insts.append((line, col, Instruction(kind, qubits, params, open_mask=mask)))
-        except ValueError as e:
-            raise ParseError(str(e), line, col) from None
-
-    if qreg is None:
+    if circuit is None:
         raise ParseError("no qreg declaration", 1, 0)
-    circuit = Circuit(qreg[1], creg[1] if creg else 0)
-    for line, col, inst in insts:
-        try:
-            circuit.append(inst)
-        except ValueError as e:
-            raise ParseError(str(e), line, col) from None
     if layout is not None:
         line, perm = layout
-        if len(set(perm)) != len(perm) or max(perm) >= qreg[1]:
+        if len(set(perm)) != len(perm) or max(perm) >= circuit.n_qubits:
             raise ParseError("layout must name distinct wires of the qreg",
                              line, 1)
         circuit.layout = perm
     return circuit
-
-
-def _fmt_angle(v: float) -> str:
-    return repr(v)
 
 
 def emit_program(c: Circuit) -> str:
@@ -522,7 +507,7 @@ def emit_program(c: Circuit) -> str:
                 name = "o" * sum(inst.open_mask) + name
         params = ""
         if inst.params:
-            params = "(" + ",".join(_fmt_angle(p) for p in inst.params) + ")"
+            params = "(" + ",".join(map(repr, inst.params)) + ")"
         ops = ",".join(f"q[{q}]" for q in inst.qubits)
         lines.append(f"{name}{params} {ops};")
     return "\n".join(lines) + "\n"

@@ -226,10 +226,10 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                 members, cost = collect_block(i, a, b)
                 if cost >= 2:
                     import numpy as np
-                    sub = Circuit(2).replace(
-                        _remap(insts[j], {a: 0, b: 1}) for j in members)
                     init = np.kron(pure_state_vector(*sa), pure_state_vector(*sb))
-                    target = np.asarray(simulate(sub, initial_state=init))
+                    target = np.asarray(simulate(
+                        c.replace([insts[j] for j in members]), init,
+                        wires=(a, b)))
                     prep = prepare_two_qubit_state(target, sa, sb)
                     for p in prep.instructions:
                         out.append(_remap(p, (a, b)))

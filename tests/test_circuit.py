@@ -119,6 +119,90 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_program(f"qreg q[3]; {stmt}")
 
+    # (text, msg, line, col): one bad statement or line per text.  Columns
+    # are 1-based: a statement's first character, the last character before
+    # a missing ';', column 1 for a layout line, and (1, 0) for no qreg.
+    ERRORS = [
+        ("qreg q[1];\nu1(pi/0) q[0];", "division by zero in angle", 2, 1),
+        ("qreg q[1];\nu1(zork) q[0];", "bad angle expression 'zork'", 2, 1),
+        ("qreg q[1];\nu2(0,) q[0];", "bad angle expression ''", 2, 1),
+        ("qreg q[1];\nx q0;", "bad operand 'q0'", 2, 1),
+        ("qreg q[2];\ncx q[0],,q[1];", "bad operand ''", 2, 1),
+        ("qreg q[1];\n  x q[0]; 1x q[0];",
+         "cannot parse statement '1x q[0]'", 2, 11),
+        ("qreg q;", "bad register declaration 'qreg q'", 1, 1),
+        ("qreg q[1];\ncreg;", "bad register declaration 'creg'", 2, 1),
+        ("qreg q[0];", "register size must be >= 1", 1, 1),
+        ("qreg q[1];\nqreg r[1];", "duplicate qreg declaration", 2, 1),
+        ("creg c[1];\nqreg q[1];\ncreg d[1];", "duplicate creg declaration", 3, 1),
+        ("x q[0];\nqreg q[1];", "statement before qreg declaration", 1, 1),
+        ("qreg q[1];\ncreg c[1];\nmeasure q[0];",
+         "measure syntax is 'measure q[i] -> c[j];'", 3, 1),
+        ("qreg q[1];\ncreg c[1];\nmeasure(0) q[0] -> c[0];",
+         "measure syntax is 'measure q[i] -> c[j];'", 3, 1),
+        ("qreg q[2];\ncreg c[1];\nmeasure q[0],q[1] -> c[0];",
+         "measure takes one qubit and one clbit", 3, 1),
+        ("qreg q[1];\nmeasure q[0] -> c[0];", "measure before creg declaration", 2, 1),
+        ("qreg q[1];\ncreg c[1];\nmeasure q[0] -> d[0];", "unknown register name", 3, 1),
+        ("qreg q[1];\nx r[0];", "unknown register 'r'", 2, 1),
+        ("qreg q[2];\nfrob q[0];", "unknown statement 'frob'", 2, 1),
+        ("qreg q[2];\ncx[o] q[0],q[1];", "polarity brackets are only valid on mcx", 2, 1),
+        ("qreg q[3];\nmcx[oco] q[0],q[1],q[2];",
+         "mcx polarity list must be one o/c per control", 2, 1),
+        ("qreg q[3];\nmcx[ox] q[0],q[1],q[2];",
+         "mcx polarity list must be one o/c per control", 2, 1),
+        ("qreg q[2];\noocx q[0],q[1];", "more open-control prefixes than controls", 2, 1),
+        ("qreg q[1];\nox q[0];", "more open-control prefixes than controls", 2, 1),
+        ("qreg q[1];\nomcx;", "more open-control prefixes than controls", 2, 1),
+        ("", "no qreg declaration", 1, 0),
+        ("OPENQASM 2.0;\ncreg c[1];\n", "no qreg declaration", 1, 0),
+        ("qreg q[1]\n", "missing ';'", 1, 9),
+        ("qreg q[1];\nx q[0];  x q[0]  // note\n", "missing ';'", 2, 15),
+        ("qreg q[1];\n// layout 0\n// layout 0\n", "duplicate layout line", 3, 1),
+        ("qreg q[2];\n// layout 0,0\n", "layout must name distinct wires of the qreg", 2, 1),
+        ("// layout 0,2\nqreg q[2];\n", "layout must name distinct wires of the qreg", 1, 1),
+        # Instruction checks, reported at the statement.
+        ("qreg q[3];\ncx q[0],q[1],q[2];", "cx takes 2 qubit(s), got 3", 2, 1),
+        ("qreg q[2];\ncx q[0],q[0];", "duplicate qubit operand in cx", 2, 1),
+        ("qreg q[1];\nu1(0,0) q[0];", "u1 takes 1 parameter(s), got 2", 2, 1),
+        ("qreg q[1];\nu1(nan) q[0];", "u1 parameters must be finite", 2, 1),
+        ("qreg q[2];\nocu3(1,0,0) q[0],q[1];", "cu3 does not support open controls", 2, 1),
+        ("qreg q[1];\nmcx;", "mcx needs >= 2 operands", 2, 1),
+        ("qreg q[1];\nmcx q[0];", "mcx needs >= 2 operands", 2, 1),
+        ("qreg q[1];\nbarrier;", "barrier needs >= 1 operands", 2, 1),
+        # Width checks, reported at the statement.
+        ("qreg q[2];\nx q[5];", "qubit index 5 out of range for width 2", 2, 1),
+        ("qreg q[2]; h q[0];  x q[5]; // note",
+         "qubit index 5 out of range for width 2", 1, 21),
+        ("qreg q[1];\ncreg c[2];\nmeasure q[0] -> c[2];",
+         "clbit index 2 out of range for width 2", 3, 1),
+        ("creg c[1];\nqreg q[1];\nmeasure q[0] -> c[1];",
+         "clbit index 1 out of range for width 1", 3, 1),
+    ]
+
+    @pytest.mark.parametrize("text, msg, line, col", ERRORS,
+                             ids=[msg for _, msg, _, _ in ERRORS])
+    def test_error_table(self, text, msg, line, col):
+        with pytest.raises(ParseError) as e:
+            parse_program(text)
+        assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
+        assert str(e.value) == f"line {line}, col {col}: {msg}"
+
+    @pytest.mark.parametrize("text, msg, line, col", [
+        ("qreg q[2];\nfrob q[0];\nh q[0]\n", "unknown statement 'frob'", 2, 1),
+        ("qreg q[2];\nx q[5];\nfrob q[0];\n",
+         "qubit index 5 out of range for width 2", 2, 1),
+        ("qreg q[2]; x q[5]; frob q[0];",
+         "qubit index 5 out of range for width 2", 1, 12),
+    ], ids=["before-missing-semicolon", "range-before-later-line",
+            "range-before-later-statement"])
+    def test_first_bad_statement_is_reported(self, text, msg, line, col):
+        # Statements are read in order and each one is checked in full, so
+        # the earliest bad statement wins over later line or range errors.
+        with pytest.raises(ParseError) as e:
+            parse_program(text)
+        assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
+
 
 class TestEmit:
     def test_empty(self):

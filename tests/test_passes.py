@@ -44,6 +44,30 @@ def _cx(c):
     return cx_count(unroll(c))
 
 
+def _nested_cx_pairs() -> Circuit:
+    """60 CX pairs nested around u3(a_k), u3(-a_k) pairs on the control."""
+    angles = [0.1 + 0.01 * k for k in range(60)]
+    c = Circuit(2)
+    for a in angles:
+        c.cx(0, 1)
+        c.u3(a, 0, 0, 0)
+    for a in reversed(angles):
+        c.u3(-a, 0, 0, 0)
+        c.cx(0, 1)
+    return c
+
+
+# qpo's rotations split the SWAP pair that the baseline's adjacent-CX
+# cleanup cancels: baseline 2 CX, rpo 4 (perfbench's ITEM4_REPRO).
+SPLIT_SWAP_PAIR = """\
+qreg q[2];
+u3(4.814499294461411,4.938681377419053,0.08610039599769347) q[1];
+swap q[1],q[0];
+swapz q[1],q[0];
+swap q[1],q[0];
+"""
+
+
 class TestTableCX:
     """The paper's CX table, realized by qbo's multi-controlled-X rule."""
 
@@ -710,6 +734,22 @@ class TestPipeline:
                                                enable_qpo=False))
             assert cx_count(rpo) <= cx_count(base)
 
+    # Known violations of rpo CX <= baseline CX, unrouted.  Each must fail
+    # until a change closes it; then drop its xfail.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known never-worse violation")
+    @pytest.mark.parametrize("make", [
+        lambda: parse_program(SPLIT_SWAP_PAIR),  # baseline 2 CX, rpo 4
+        # qbo drops the outermost first CX, then keeps its partner once the
+        # control is off-ray: baseline 0 CX, rpo 1.
+        _nested_cx_pairs,
+    ], ids=["split-swap-pair", "nested-pairs"])
+    def test_never_worse_known_violation(self, make):
+        c = make()
+        base = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
+        rpo = pipeline(c, PipelineOptions())
+        assert cx_count(rpo) <= cx_count(base)
+
     def test_equivalence_with_resets(self):
         rng = random.Random(14)
         found = 0
@@ -752,14 +792,7 @@ class TestPipeline:
     def test_cleanup_cancels_nested_pairs(self):
         # Each cleanup round merges the innermost u3(a_k), u3(-a_k) pair away
         # and exposes one more adjacent CX pair: 60 rounds to empty.
-        angles = [0.1 + 0.01 * k for k in range(60)]
-        c = Circuit(2)
-        for a in angles:
-            c.cx(0, 1)
-            c.u3(a, 0, 0, 0)
-        for a in reversed(angles):
-            c.u3(-a, 0, 0, 0)
-            c.cx(0, 1)
+        c = _nested_cx_pairs()
         out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         assert equivalent_up_to_global_phase(c, out).equivalent
         assert cx_count(out) == 0
