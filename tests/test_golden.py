@@ -1,0 +1,68 @@
+"""Golden byte-identity check of the compiler's output.
+
+One SHA-256 pins `emit_program(pipeline(...))` over the six suite circuits
+(unrouted and on line15, plus bv12 on grid4x5) and over a fixed seeded
+random corpus (unrouted, on line5, and on a 2x3 grid with a random layout),
+each under the baseline and the rpo configuration.  A change that is meant
+to leave the output alone must leave this digest alone.
+
+A change that does alter the output updates `GOLDEN_SHA256` and says in
+CHANGES.md which operations changed and why.
+
+Block resynthesis (`enable_block_resynth`) is left out: its SVD makes the
+bytes depend on the BLAS kernel.
+"""
+import hashlib
+import random
+
+from rpoc import (PipelineOptions, emit_program, gen_bv, gen_grover, gen_qpe,
+                  gen_qv_like, gen_vqe_ry, grid_coupling, line_coupling,
+                  pipeline)
+
+from helpers import random_circuit
+
+GOLDEN_SHA256 = ("eb0bf6936859ed10cd62d43559d2bdee"
+                 "677a7b912fd9bd99df700cd26b76d39b")
+
+SUITE = {
+    "bv12": lambda: gen_bv(12, "101101001101"),
+    "qpe10": lambda: gen_qpe(10, 357 / 2 ** 10),
+    "grover6": lambda: gen_grover(6, 37, 6),
+    "grover5_anc": lambda: gen_grover(5, 19, 4, use_ancilla=True,
+                                      annotate=True),
+    "vqe_ry12": lambda: gen_vqe_ry(12, 2, [0.1 * k for k in range(36)]),
+    "qv_like10": lambda: gen_qv_like(10, 10, 7),
+}
+CONFIGS = {"baseline": dict(enable_qbo=False, enable_qpo=False), "rpo": {}}
+
+
+def _jobs():
+    """(name, circuit, PipelineOptions keywords) of every compiled job."""
+    line15, grid4x5 = line_coupling(15), grid_coupling(4, 5)
+    for name, make in SUITE.items():
+        yield name, make(), dict(seed=1)
+        yield name + "_line15", make(), dict(coupling=line15, seed=1)
+    yield "bv12_grid4x5", SUITE["bv12"](), dict(coupling=grid4x5, seed=1)
+    rng = random.Random(20201019)
+    line5, grid2x3 = line_coupling(5), grid_coupling(2, 3)
+    for i in range(60):
+        c = random_circuit(rng, rng.randrange(2, 6), rng.randrange(5, 40),
+                           allow_reset=True)
+        yield f"rand{i:02d}", c, dict(seed=i)
+        yield f"rand{i:02d}_line5", c, dict(coupling=line5, seed=i)
+        yield f"rand{i:02d}_grid2x3", c, dict(coupling=grid2x3, seed=i,
+                                               random_layout=True)
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for name, c, kwargs in _jobs():
+        for config, flags in CONFIGS.items():
+            out = pipeline(c, PipelineOptions(**kwargs, **flags))
+            h.update(f"{name}/{config}\n".encode())
+            h.update(emit_program(out).encode())
+    return h.hexdigest()
+
+
+def test_golden_output_digest():
+    assert golden_digest() == GOLDEN_SHA256
