@@ -46,10 +46,15 @@ DEFAULT_TOL = 1e-9
 # The 1q kernel applies its matrix with one batched matmul over the
 # (prefix, target bit, suffix) view when the state holds at most
 # _MATMUL_MAX_STATE amplitudes, or when the suffix blocks hold at least
-# _MATMUL_MIN_BLOCK; on short blocks of a larger state (high target wires)
-# matmul degrades, so the two halves are updated elementwise instead.
+# _MATMUL_MIN_BLOCK (_MATMUL_MIN_BLOCK_WIDE on a state of _MATMUL_WIDE_STATE
+# or more amplitudes); on short blocks of a larger state (high target wires)
+# matmul degrades, so the two halves are updated elementwise instead.  Timed
+# on one BLAS thread: from 11 wires on, 16-amplitude blocks run 1.1-2.3x
+# faster elementwise, and 32-amplitude blocks about even.
 _MATMUL_MAX_STATE = 256
 _MATMUL_MIN_BLOCK = 16
+_MATMUL_WIDE_STATE = 1 << 11
+_MATMUL_MIN_BLOCK_WIDE = 32
 # A CX frame whose queue holds at most this many CX/SWAP gates is brought up
 # to date by replaying them through _exchange; a longer one by one gather.
 _REPLAY_MAX = 4
@@ -129,9 +134,11 @@ def _apply_1q(state: np.ndarray, e: tuple, q: int) -> None:
     # unbatched matmul is one BLAS call, which may spread a large state over
     # threads and then runs ~50x slower.  A diagonal gate (u1, z, s, t)
     # skips matmul: _mix scales the two halves.
+    min_block = (_MATMUL_MIN_BLOCK if state.size < _MATMUL_WIDE_STATE
+                 else _MATMUL_MIN_BLOCK_WIDE)
     if ((e[1] != 0 or e[2] != 0)
             and (state.size <= _MATMUL_MAX_STATE
-                 or (q and v.shape[2] >= _MATMUL_MIN_BLOCK))):
+                 or (q and v.shape[2] >= min_block))):
         v[...] = np.array(e).reshape(2, 2) @ v
     else:
         _mix(v[:, 0], v[:, 1], e)

@@ -273,26 +273,27 @@ class CouplingMap:
         if n_physical < 1:
             raise ValueError("coupling map needs at least one qubit")
         self.n_physical = n_physical
-        norm = set()
-        adj: dict[int, set[int]] = {i: set() for i in range(n_physical)}
+        adj: list[set[int]] = [set() for _ in range(n_physical)]
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError("self-loop in coupling map")
             if not (0 <= a < n_physical and 0 <= b < n_physical):
                 raise ValueError("coupling edge out of range")
-            norm.add((min(a, b), max(a, b)))
             adj[a].add(b)
             adj[b].add(a)
-        self.edges = frozenset(norm)
-        self._adj = {k: tuple(sorted(v)) for k, v in adj.items()}
-        # dist[b] = distances_from(b), filled on first use by shortest_path.
-        self._dist: list[list[int] | None] = [None] * n_physical
+        # Per node: its neighbours as a set (adjacency tests) and sorted (the
+        # deterministic walk order of the searches below).
+        self._nbrs = [frozenset(v) for v in adj]
+        self._adj = [tuple(sorted(v)) for v in adj]
+        # toward[b][x]: x's neighbours one step closer to b, sorted; filled
+        # on first use by shortest_path.
+        self._toward: list[list[tuple[int, ...]] | None] = [None] * n_physical
         if -1 in self.distances_from(0):
             raise ValueError("coupling map is not connected")
 
     def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        return b in self._nbrs[a]
 
     def distances_from(self, src: int) -> list[int]:
         dist = [-1] * self.n_physical
@@ -308,15 +309,16 @@ class CouplingMap:
 
     def shortest_path(self, a: int, b: int, rng: random.Random) -> list[int]:
         """A shortest a->b path; rng breaks ties between equal-length paths."""
-        dist = self._dist[b]
-        if dist is None:
-            dist = self._dist[b] = self.distances_from(b)
+        toward = self._toward[b]
+        if toward is None:
+            dist = self.distances_from(b)
+            toward = self._toward[b] = [
+                tuple(y for y in self._adj[x] if dist[y] == dist[x] - 1)
+                for x in range(self.n_physical)]
         path = [a]
         cur = a
         while cur != b:
-            # Some neighbour is one step closer; _adj lists them sorted.
-            step = dist[cur] - 1
-            options = [y for y in self._adj[cur] if dist[y] == step]
+            options = toward[cur]
             cur = options[0] if len(options) == 1 else rng.choice(options)
             path.append(cur)
         return path
@@ -370,7 +372,11 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
           random_layout: bool = False) -> tuple[Circuit, list[int]]:
     """Map a 1q/2q-gate circuit onto physical wires, inserting SWAPs along
     shortest paths (moving the first operand; seeded tie-breaking).  Returns
-    the routed circuit and the final logical->physical assignment."""
+    the routed circuit and the final logical->physical assignment.
+
+    A two-qubit gate's wires are tested with `CouplingMap.adjacent`, one
+    lookup in a per-node neighbour set, and each remapped operand tuple is
+    built directly from the current assignment."""
     if c.n_qubits > cmap.n_physical:
         raise ValueError(
             f"circuit needs {c.n_qubits} qubits, map has {cmap.n_physical}")
@@ -384,26 +390,32 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
         p2l[pq] = lq
 
     out: list[Instruction] = []
-
-    def do_swap(x: int, y: int) -> None:
-        out.append(_i(_SWAP, (x, y)))
-        lx, ly = p2l[x], p2l[y]
-        p2l[x], p2l[y] = ly, lx
-        if lx >= 0:
-            l2p[lx] = y
-        if ly >= 0:
-            l2p[ly] = x
-
+    adjacent = cmap.adjacent
+    new = tuple.__new__  # synth._i, inlined: one call per instruction
     for inst in c.instructions:
-        if inst.kind is not _BARRIER and len(inst.qubits) != 1:
-            if len(inst.qubits) != 2:
-                raise ValueError("route expects an unrolled circuit (1q/2q gates)")
-            a, b = inst.qubits
-            if not cmap.adjacent(l2p[a], l2p[b]):
-                path = cmap.shortest_path(l2p[a], l2p[b], rng)
-                for x, y in zip(path, path[1:-1]):
-                    do_swap(x, y)
-        out.append(_remap(inst, l2p))
+        kind, qs, params, clbits, mask = inst
+        if len(qs) == 1:
+            out.append(new(Instruction, (kind, (l2p[qs[0]],), params, clbits, mask)))
+            continue
+        if kind is _BARRIER:
+            out.append(new(Instruction, (kind, tuple([l2p[q] for q in qs]),
+                                         params, clbits, mask)))
+            continue
+        if len(qs) != 2:
+            raise ValueError("route expects an unrolled circuit (1q/2q gates)")
+        a, b = qs
+        if not adjacent(l2p[a], l2p[b]):
+            # Move a's wire along a shortest path, next to b's.
+            path = cmap.shortest_path(l2p[a], l2p[b], rng)
+            for x, y in zip(path, path[1:-1]):
+                out.append(new(Instruction, (_SWAP, (x, y), (), (), ())))
+                lx, ly = p2l[x], p2l[y]
+                p2l[x], p2l[y] = ly, lx
+                if lx >= 0:
+                    l2p[lx] = y
+                if ly >= 0:
+                    l2p[ly] = x
+        out.append(new(Instruction, (kind, (l2p[a], l2p[b]), params, clbits, mask)))
 
     return Circuit(cmap.n_physical, c.n_clbits).replace(out), list(l2p)
 

@@ -355,22 +355,39 @@ def _decompose_step(inst: Instruction) -> list[Instruction]:
     raise ValueError(f"cannot decompose {kind.value} into the requested basis")
 
 
+def _unroll_into(out: list[Instruction], insts, keep: frozenset[GateKind],
+                 memo: dict[Instruction, list[Instruction]]) -> None:
+    """Append to `out` each of `insts` whose kind is in `keep`, and the full
+    expansion of every other one, built once and entered in `memo`."""
+    for inst in insts:
+        if inst.kind in keep and not inst.open_mask:
+            out.append(inst)
+            continue
+        expansion = memo.get(inst)
+        if expansion is None:
+            expansion = memo[inst] = []
+            _unroll_into(expansion, _decompose_step(inst), keep, memo)
+        out += expansion
+
+
 def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS) -> Circuit:
     """Decompose every gate into `basis` kinds, which must include u1, u2, u3
     and cx (RESET/ANNOT/MEASURE/BARRIER pass through).  MCX with three or
     more controls uses the ancilla-free `mcx_gray_code`.  Unrolling the
-    output again returns it unchanged."""
+    output again returns it unchanged.
+
+    Each distinct decomposed instruction (same kind, qubits, params and
+    open-control mask) is expanded once per call: a dict local to the call
+    maps it to its full expansion, which repeats reuse.  `_decompose_step`
+    is a pure function of the instruction tuple, and angles are canonical,
+    so equal instructions have identical expansions."""
     basis = frozenset(basis)
     if not {GateKind.U1, GateKind.U2, GateKind.U3, GateKind.CX} <= basis:
         raise ValueError("basis must include u1, u2, u3 and cx")
+    # Only cx, ccx and mcx carry open controls, so no kept-always kind does.
+    keep = basis | _KEEP_ALWAYS
     out: list[Instruction] = []
-    stack = list(reversed(c.instructions))
-    while stack:
-        inst = stack.pop()
-        if inst.kind in _KEEP_ALWAYS or (inst.kind in basis and not inst.open_mask):
-            out.append(inst)
-            continue
-        stack.extend(reversed(_decompose_step(inst)))
+    _unroll_into(out, c.instructions, keep, {})
     return c.replace(out)
 
 

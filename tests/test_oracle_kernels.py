@@ -20,18 +20,21 @@ def _entries(m: np.ndarray) -> tuple:
 
 
 # A state of at most 256 amplitudes (n = 6) takes the matmul path on every
-# wire; on a larger one (n = 15) wire 0 and the last wire take the
-# elementwise path and wire 1 the matmul one.  A diagonal matrix (the "u1-"
-# cases) scales the two halves on every wire.
+# wire.  On a larger one, wire 0 and the last wire take the elementwise path
+# and wire 1 the matmul one; a wire whose suffix blocks hold 16 amplitudes
+# ("block16") takes matmul on 10 wires and the elementwise path from 11 on,
+# and one with 32-amplitude blocks ("block32") takes matmul.  A diagonal
+# matrix (the "u1-" cases) scales the two halves on every wire.
 KERNEL_1Q_CASES = [(t, m) for m in ("haar", "u1")
-                   for t in ("low", "second", "high")]
+                   for t in ("low", "second", "block32", "block16", "high")]
 
 
-@pytest.mark.parametrize("n", [6, 15])
+@pytest.mark.parametrize("n", [6, 10, 11, 15])
 @pytest.mark.parametrize("target,matrix", KERNEL_1Q_CASES, ids=[
     t if m == "haar" else f"{m}-{t}" for t, m in KERNEL_1Q_CASES])
 def test_1q_kernel(benchmark, monkeypatch, n, target, matrix):
-    q = {"low": 0, "second": 1, "high": n - 1}[target]
+    q = {"low": 0, "second": 1, "block32": n - 6, "block16": n - 5,
+         "high": n - 1}[target]
     rng = np.random.default_rng(n)
     m = (haar_unitary(rng) if matrix == "haar"
          else ref_matrix_1q(GateKind.U1, (0.7,)))
@@ -45,7 +48,8 @@ def test_1q_kernel(benchmark, monkeypatch, n, target, matrix):
     if matrix == "u1":
         assert len(mixed) == 1  # never matmul: _mix scales the halves
     else:
-        assert bool(mixed) == (n == 15 and target != "second")
+        elementwise = {"low", "high"} | ({"block16"} if n >= 11 else set())
+        assert bool(mixed) == (n > 6 and target in elementwise)
     assert np.allclose(got, want, atol=1e-12)
     benchmark(_apply_1q, state, _entries(m), q)
 

@@ -55,6 +55,23 @@ MERGED_GATES = {"grover6": 1560, "qpe10": 286}
 ROUTE_SWAPS = {"grover6": 959, "qpe10": 330}
 
 
+# unroll's inputs: grover6 as generated (its MCX, CCX and named 1q gates
+# repeat) and its routed form (959 SWAPs over 744 CX); (gates, CX) out.
+UNROLL_IN = {
+    "grover6": lambda: gen_grover(6, 37, 6),
+    "routed_grover6": lambda: route(UNROLLED["grover6"](), LINE15, seed=0)[0],
+}
+UNROLL_OUT = {"grover6": (1740, 744), "routed_grover6": (4617, 3621)}
+
+
+@pytest.mark.parametrize("circuit", list(UNROLL_IN))
+def test_unroll(benchmark, circuit):
+    c = UNROLL_IN[circuit]()
+    out = unroll(c)
+    assert (len(out), cx_count(out)) == UNROLL_OUT[circuit]
+    benchmark(unroll, c)
+
+
 @pytest.mark.parametrize("circuit", list(UNROLLED))
 def test_merge_1q_runs(benchmark, circuit):
     c = UNROLLED[circuit]()

@@ -580,6 +580,25 @@ class TestCouplingMap:
         m = resolve_coupling(str(p))
         assert m.n_physical == 3 and m.adjacent(1, 2)
 
+    @pytest.mark.parametrize("name", ["line", "grid", "json"])
+    def test_adjacent_exactly_on_edges(self, tmp_path, name):
+        if name == "line":
+            n, edges = 6, [(i, i + 1) for i in range(5)]
+            m = line_coupling(6)
+        elif name == "grid":
+            n = 12  # 3 rows of 4
+            edges = ([(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+                     + [(i, i + 4) for i in range(8)])
+            m = grid_coupling(3, 4)
+        else:
+            n, edges = 5, [(0, 3), (3, 1), (4, 1), (2, 4), (2, 0)]
+            p = tmp_path / "map.json"
+            p.write_text('{"n": 5, "edges": [[0,3],[3,1],[4,1],[2,4],[2,0]]}')
+            m = resolve_coupling(str(p))
+        on = {frozenset(e) for e in edges}
+        for a, b in itertools.product(range(n), repeat=2):
+            assert m.adjacent(a, b) == (frozenset((a, b)) in on), (a, b)
+
     def test_shortest_path(self):
         m = line_coupling(5)
         rng = random.Random(0)
@@ -632,6 +651,26 @@ class TestRoute:
         assert routed.instructions[0].qubits == (layout[0],)
         assert equivalent_up_to_global_phase(c, routed, perm=layout).equivalent
 
+    @pytest.mark.parametrize("random_layout", [False, True])
+    def test_barrier_and_measure_remapped(self, random_layout):
+        # Every gate after the last cx sees the final assignment.
+        c = Circuit(4, 3)
+        c.h(0)
+        c.cx(0, 3)
+        c.barrier(0, 1, 3)
+        c.measure(3, 2)
+        c.measure(1, 0)
+        routed, layout = route(c, line_coupling(5), seed=3,
+                               random_layout=random_layout)
+        assert routed.n_qubits == 5 and routed.n_clbits == 3
+        barrier, m3, m1 = routed.instructions[-3:]
+        assert barrier == Instruction(GateKind.BARRIER,
+                                      (layout[0], layout[1], layout[3]))
+        assert m3 == Instruction(GateKind.MEASURE, (layout[3],), clbits=(2,))
+        assert m1 == Instruction(GateKind.MEASURE, (layout[1],), clbits=(0,))
+        assert random_layout or any(i.kind is GateKind.SWAP
+                                    for i in routed.instructions)
+
     def test_multiqubit_gate_rejected(self):
         c = Circuit(3)
         c.ccx(0, 1, 2)
@@ -650,7 +689,7 @@ class TestRoute:
         assert a == b and la == lb
 
     def test_reused_map_routes_like_a_fresh_one(self):
-        # A map caches the distance tables its shortest paths read; a warm
+        # A map caches the next-hop tables its shortest paths read; a warm
         # cache must draw ties from rng exactly as a cold one does.
         rng = random.Random(7)
         warm = grid_coupling(4, 5)

@@ -11,6 +11,7 @@ from rpoc import (Circuit, GateKind, Instruction, U3Params,
                   merge_1q_runs, prepare_two_qubit_state, pure_to_pure_gate,
                   pure_to_zero_gate, simulate, u3_matrix, unroll,
                   zyz_decompose)
+from rpoc import synth
 from rpoc.circuit import count_1q
 from rpoc.oracle import equivalent_up_to_global_phase
 from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
@@ -18,8 +19,8 @@ from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
                         pure_state_vector, swap_to_cx, swapz_to_cx,
                         u3params_instruction)
 
-from helpers import (haar_unitary, random_statevector, ref_matrix_1q,
-                     ref_merge_1q_runs, ref_simulate)
+from helpers import (haar_unitary, random_full_circuit, random_statevector,
+                     ref_matrix_1q, ref_merge_1q_runs, ref_simulate)
 
 PI = math.pi
 
@@ -234,6 +235,49 @@ class TestDecompositions:
     def test_unroll_requires_cx_basis(self):
         with pytest.raises(ValueError):
             unroll(Circuit(1).h(0), frozenset({GateKind.U3}))
+
+
+SWAP_BASIS = DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ}
+
+
+class TestUnrollMemo:
+    """unroll expands each distinct instruction once per call, so its output
+    must not depend on what else that call, or an earlier one, expanded."""
+
+    @pytest.mark.parametrize("basis", [DEFAULT_BASIS, SWAP_BASIS],
+                             ids=["default", "swap"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_composes_per_instruction(self, basis, seed):
+        c = random_full_circuit(random.Random(seed), 6, 50)
+        c = c.replace(c.instructions + c.instructions[::-1])  # with repeats
+        want = [i for inst in c.instructions
+                for i in unroll(c.replace([inst]), basis).instructions]
+        assert unroll(c, basis).instructions == want
+
+    def test_no_state_between_calls(self):
+        a = random_full_circuit(random.Random(11), 5, 40)
+        b = random_full_circuit(random.Random(12), 5, 40)
+        before = dict(vars(synth))
+        sizes = {k: len(v) for k, v in before.items()
+                 if isinstance(v, (dict, list, set))}
+        first = unroll(a).instructions
+        unroll(b, SWAP_BASIS)
+        assert unroll(a).instructions == first
+        assert vars(synth) == before
+        assert sizes == {k: len(before[k]) for k in sizes}
+
+    def test_repeats_expand_to_equal_copies(self):
+        c = Circuit(6)
+        for _ in range(50):
+            c.mcx(0, 1, 2, 3, 5)
+            c.swap(1, 4)
+        one = unroll(Circuit(6).mcx(0, 1, 2, 3, 5).swap(1, 4)).instructions
+        assert len(one) > 60
+        out = unroll(c)
+        assert out.instructions == one * 50
+        out.instructions[0] = Instruction(GateKind.X, (5,))
+        del out.instructions[len(one):]
+        assert unroll(c).instructions == one * 50
 
 
 def _mcx(k, mask=()):
