@@ -25,7 +25,6 @@ numpy is imported lazily, by qpo's block resynthesis and `simulate` below.
 """
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cancel_adjacent_cx,
                     cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
                     pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
                     swapz_to_cx, u3params_instruction, unroll, _i, _make_mcx,
-                    _open_control_wrap, _KEEP_ALWAYS)
+                    _merge_runs, _open_control_wrap, _KEEP_ALWAYS)
 
 _K = GateKind
 
@@ -333,6 +332,7 @@ class CouplingMap:
 
     @staticmethod
     def from_json_file(path: str) -> "CouplingMap":
+        import json  # its only use: importing rpoc loads no json
         with open(path) as f:
             return CouplingMap.from_dict(json.load(f))
 
@@ -438,16 +438,24 @@ class PipelineOptions:
 def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     """Full optimization pipeline.
 
-    Stage order: basis-state pass; unroll; layout+routing (when a coupling
-    map is given); basis-state pass again (for the routed SWAPs) and unroll
-    keeping SWAP/SWAPZ; 1q-run merging and the pure-state pass; then unroll
-    and merge once, and CX-pair cancellation plus merging until a round
-    cancels no pair.  merge_1q_runs is idempotent on its own output, so that
-    is the fixpoint; each further round removes gates, so it is reached.
-    Stages that cannot change the circuit are skipped: the second unroll
-    without qbo, the pre-qpo merge without qpo.  The cleanup cannot change a
-    tracked state, so qbo (at most twice) and qpo (once) are not re-run.
-    Deterministic for fixed (circuit, options)."""
+    Stage order: basis-state pass; unroll keeping SWAP/SWAPZ; layout+routing
+    (when a coupling map is given); basis-state pass again (for the routed
+    SWAPs) and unroll keeping SWAP/SWAPZ; 1q-run merging and the pure-state
+    pass; unroll to the basis; then merging, and rounds of CX-pair
+    cancellation plus merging until a round cancels no pair or its merge
+    drops no run.  merge_1q_runs is idempotent on its own output, so that is
+    the fixpoint; each further round removes gates, so it is reached.
+
+    Stages that cannot change the circuit are skipped:
+    - without qbo, the second unroll; without qpo, the pre-qpo merge;
+    - with no SWAP or SWAPZ left, the basis unroll, and qpo and the pre-qpo
+      merge unless qpo re-synthesizes blocks: its other rewrites start at a
+      SWAP, SWAPZ or CSWAP, and the first unroll expands every CSWAP;
+    - a round's cancellation after a merge that dropped no run: the previous
+      cancellation left no adjacent CX pair, and only a run fused to the
+      identity can make two CX adjacent.
+    The cleanup cannot change a tracked state, so qbo (at most twice) and
+    qpo (once) are not re-run.  Deterministic for fixed (circuit, options)."""
     opts = opts or PipelineOptions()
     basis = opts.basis
     # SWAP/SWAPZ stay compound until after the pure-state pass, which is the
@@ -464,16 +472,22 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
         cur, layout = route(cur, opts.coupling, opts.seed, opts.random_layout)
     if opts.enable_qbo:
         cur = unroll(qbo(cur), swap_basis)
-    if opts.enable_qpo:
+    kinds = {inst.kind for inst in cur.instructions}
+    swaps = _SWAP in kinds or _SWAPZ in kinds
+    if opts.enable_qpo and (swaps or opts.enable_block_resynth):
         cur = qpo(merge_1q_runs(cur), resynth_blocks=opts.enable_block_resynth)
+    if swaps:
+        cur = unroll(cur, basis)
 
-    cur = merge_1q_runs(unroll(cur, basis))
+    cur = merge_1q_runs(cur)
     while True:
         before = len(cur.instructions)
         cur = cancel_adjacent_cx(cur)
         if len(cur.instructions) == before:
             break
-        cur = merge_1q_runs(cur)
+        cur, dropped = _merge_runs(cur)
+        if not dropped:
+            break
 
     cur.layout = layout
     return cur

@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-from .circuit import (GATES_1Q, Circuit, GateKind, Instruction, angles_equal,
-                      canonical_angle, _H, _U1, _U2, _U3, _CX, _CZ, _SWAP, _SWAPZ,
-                      _CCX, _MCX, _CSWAP, _CU3)
+from .circuit import (EPS_ANGLE, GATES_1Q, TWO_PI, Circuit, GateKind,
+                      Instruction, angles_equal, canonical_angle, _H, _U1, _U2,
+                      _U3, _CX, _CZ, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _CU3)
 
 PI = math.pi
 UNITARY_TOL = 1e-10
@@ -397,64 +397,92 @@ def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS) -> Circuit:
 
 def _is_canonical_u(inst: Instruction) -> bool:
     """True iff u3params_instruction(as_u3params(inst), q) rebuilds `inst`:
-    a u2, a u1 off the identity, or a u3 with theta off 0 and pi/2."""
+    a u2, a u1 off the identity, or a u3 with theta off 0 and pi/2.  Angles
+    are canonical, in [0, 2*pi), so `angles_equal`'s circular tests against
+    0 and pi/2 reduce to these plain comparisons."""
     k = inst.kind
-    if k is GateKind.U2:
+    if k is _U2:
         return True
-    if k is GateKind.U1:
-        return not angles_equal(inst.params[0], 0.0)
-    if k is GateKind.U3:
-        theta = inst.params[0]
-        return not (angles_equal(theta, 0.0) or angles_equal(theta, PI / 2))
+    if k is _U1 or k is _U3:
+        x = inst.params[0]
+        return not (x < EPS_ANGLE or TWO_PI - x < EPS_ANGLE
+                    or (k is _U3 and abs(x - PI / 2) < EPS_ANGLE))
     return False
+
+
+def _fuse(run: list[Instruction]) -> tuple | None:
+    """(kind, params) of the cheapest u-gate realizing the product of `run`,
+    applied in order; None if it is the identity."""
+    if len(run) == 1:
+        p = as_u3params(run[0])
+    else:
+        m = _u3_entries(*_u3_angles(run[0]))
+        for inst in run[1:]:
+            m = _mul2(_u3_entries(*_u3_angles(inst)), m)
+        p = _zyz(*m)
+    inst = u3params_instruction(p, 0)
+    return None if inst is None else (inst.kind, inst.params)
+
+
+def _flush_run(out: list[Instruction], run: list[Instruction], q: int,
+               fused: dict[tuple, tuple | None]) -> bool:
+    """Append the merged gate of wire q's `run` to `out`; True iff the run
+    fused to the identity and was dropped."""
+    if len(run) == 1 and _is_canonical_u(run[0]):
+        out.append(run[0])
+        return False
+    key = tuple([(inst.kind, inst.params) for inst in run])
+    try:
+        g = fused[key]
+    except KeyError:
+        g = fused[key] = _fuse(run)
+    if g is None:
+        return True
+    out.append(_i(g[0], (q,), g[1]))
+    return False
+
+
+def _merge_runs(c: Circuit) -> tuple[Circuit, bool]:
+    """`merge_1q_runs(c)`, and whether it dropped a run (one that fused to
+    the identity)."""
+    out: list[Instruction] = []
+    runs: dict[int, list[Instruction]] = {}  # per wire: its open run
+    fused: dict[tuple, tuple | None] = {}
+    dropped = False
+    for inst in c.instructions:
+        if inst.kind in GATES_1Q:
+            q = inst.qubits[0]
+            run = runs.get(q)
+            if run is None:
+                runs[q] = [inst]
+            else:
+                run.append(inst)
+        else:
+            for q in inst.qubits:
+                run = runs.pop(q, None)
+                if run is not None and _flush_run(out, run, q, fused):
+                    dropped = True
+            out.append(inst)
+    for q in sorted(runs):
+        if _flush_run(out, runs[q], q, fused):
+            dropped = True
+    return c.replace(out), dropped
 
 
 def merge_1q_runs(c: Circuit) -> Circuit:
     """Fuse each maximal run of single-qubit gates on a wire into one u-gate.
 
-    A run's closed-form 2x2 product is decomposed (ZYZ) once, at its end.
     BARRIER/MEASURE/RESET/ANNOT and multi-qubit gates break runs; a merged
     gate within EPS_ANGLE of the identity is dropped.  A run of one gate
     that is already the cheapest u-gate for itself (see `_is_canonical_u`)
-    is passed through as it is, without the decompose and re-emit round
-    trip, which would rebuild the same instruction.
+    is passed through as it is.  Any other run is fused once per distinct
+    run per call (its closed-form 2x2 product decomposed by ZYZ, or a lone
+    gate's u3 angles): a dict local to the call maps the run's (kind,
+    params) sequence to the fused gate's, which each repeat rebuilds on its
+    own wire.  The fused gate is a pure function of that sequence, so
+    repeats come out identical.
     """
-    out: list[Instruction] = []
-    # Per wire: the run's first gate as it came, or the entries of the run's
-    # product once a second gate has joined it.
-    pending: dict[int, Instruction | tuple] = {}
-
-    def flush(q: int):
-        p = pending.pop(q)
-        if isinstance(p, Instruction):
-            if _is_canonical_u(p):
-                out.append(p)
-                return
-            p = as_u3params(p)
-        else:
-            p = _zyz(*p)
-        inst = u3params_instruction(p, q)
-        if inst is not None:
-            out.append(inst)
-
-    for inst in c.instructions:
-        if inst.kind in GATES_1Q:
-            q = inst.qubits[0]
-            p = pending.get(q)
-            if p is None:
-                pending[q] = inst
-            else:
-                if isinstance(p, Instruction):
-                    p = _u3_entries(*_u3_angles(p))
-                pending[q] = _mul2(_u3_entries(*_u3_angles(inst)), p)
-        else:
-            for q in inst.qubits:
-                if q in pending:
-                    flush(q)
-            out.append(inst)
-    for q in sorted(pending):
-        flush(q)
-    return c.replace(out)
+    return _merge_runs(c)[0]
 
 
 def cancel_adjacent_cx(c: Circuit) -> Circuit:

@@ -27,8 +27,8 @@ def spy_calls(monkeypatch, module, names) -> list[str]:
     calls: list[str] = []
     for name in names:
         f = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: (
-            calls.append(name), f(*a))[1])
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name, **kw: (
+            calls.append(name), f(*a, **kw))[1])
     return calls
 
 

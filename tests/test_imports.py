@@ -68,6 +68,16 @@ def test_import_loads_no_numpy():
     assert run_fresh("import rpoc\nresult = None") == [None, False]
 
 
+def test_import_loads_no_json():
+    # Not run_fresh: its child code imports json itself.
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rpoc; print('json' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+        text=True, check=True)
+    assert run.stdout.split() == ["False"]
+
+
 def test_pipeline_and_text_boundary_load_no_numpy(qpe10_file):
     result, numpy_loaded = run_fresh("""
         from rpoc import PipelineOptions, emit_program, parse_program, pipeline

@@ -99,6 +99,31 @@ def test_cancel_adjacent_cx_routed_grover6(benchmark):
     benchmark(cancel_adjacent_cx, c)
 
 
+# pipeline() unrouted, where no SWAP is left to run qpo or the basis unroll
+# on; (gates, CX) out.
+PIPELINE_CONFIGS = {
+    "baseline": PipelineOptions(enable_qbo=False, enable_qpo=False),
+    "rpo": PipelineOptions(),
+}
+PIPELINE_IN = {
+    "grover6": lambda: gen_grover(6, 37, 6),
+    "qpe10": lambda: gen_qpe(10, 357 / 2 ** 10),
+}
+PIPELINE_OUT = {
+    ("grover6", "baseline"): (1560, 744), ("grover6", "rpo"): (1560, 744),
+    ("qpe10", "baseline"): (286, 110), ("qpe10", "rpo"): (286, 110),
+}
+
+
+@pytest.mark.parametrize("config", list(PIPELINE_CONFIGS))
+@pytest.mark.parametrize("circuit", list(PIPELINE_IN))
+def test_pipeline_unrouted(benchmark, circuit, config):
+    c, opts = PIPELINE_IN[circuit](), PIPELINE_CONFIGS[config]
+    out = pipeline(c, opts)
+    assert (len(out), cx_count(out)) == PIPELINE_OUT[(circuit, config)]
+    benchmark(pipeline, c, opts)
+
+
 def test_simulate_routed_grover6(benchmark):
     # rpo's line15 output touches wires 0-5 only; the reference simulator
     # takes it on those six wires, without the terminal measurements.

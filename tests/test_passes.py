@@ -13,11 +13,12 @@ from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
                   equivalent_up_to_global_phase, line_coupling, grid_coupling,
                   parse_program, pipeline, qbo, qpo, route, simulate,
                   unroll)
+from rpoc import passes
 from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                         merge_1q_runs, zyz_decompose)
 from helpers import (random_circuit, random_full_circuit, ref_matrix_1q,
-                     two_wire_cases)
+                     spy_calls, two_wire_cases)
 
 PI = math.pi
 B = BasisState
@@ -761,6 +762,103 @@ class TestPipeline:
             out = pipeline(c, PipelineOptions(coupling=cmap, seed=seed))
             rep = equivalent_up_to_global_phase(c, out, perm=out.layout)
             assert rep.equivalent, emit_program(c)
+
+    # The stages pipeline() runs, by the names it calls them under.
+    STAGES = ("qbo", "unroll", "route", "merge_1q_runs", "_merge_runs", "qpo",
+              "cancel_adjacent_cx")
+    # A SWAP of an entangled wire with |0>: qbo leaves a SWAPZ for qpo.
+    SWAP_SRC = ("qreg q[4];\nh q[0];\ncx q[0],q[1];\nswap q[1],q[2];\n"
+                "cx q[2],q[3];\n")
+
+    def _stages(self, monkeypatch, c, **opts) -> list[str]:
+        calls = spy_calls(monkeypatch, passes, self.STAGES)
+        pipeline(c, PipelineOptions(**opts))
+        return calls
+
+    def test_swap_free_compile_skips_qpo_and_basis_unroll(self, monkeypatch):
+        from rpoc import gen_qpe
+        calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16))
+        assert calls == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
+                         "cancel_adjacent_cx"]
+
+    def test_swaps_left_run_qpo_and_basis_unroll(self, monkeypatch):
+        from rpoc import gen_qpe
+        calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
+                             coupling=line_coupling(5))
+        assert calls[:9] == ["qbo", "unroll", "route", "qbo", "unroll",
+                             "merge_1q_runs", "qpo", "unroll", "merge_1q_runs"]
+        calls = self._stages(monkeypatch, parse_program(self.SWAP_SRC))
+        assert calls[:8] == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
+                             "qpo", "unroll", "merge_1q_runs"]
+
+    def test_swap_free_compile_with_blocks_runs_qpo(self, monkeypatch):
+        from rpoc import gen_qpe
+        calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
+                             enable_block_resynth=True)
+        assert calls[:7] == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
+                             "qpo", "merge_1q_runs"]
+        assert calls.count("unroll") == 2
+
+    @pytest.mark.parametrize("body,rounds", [
+        # The first merge drops the h-h run, so one cancellation removes
+        # both CX pairs; the merge after it fuses the t gates and drops
+        # nothing, so no cancellation follows.
+        ("h q[0]; cx q[0],q[1]; cx q[0],q[1]; t q[1]; cx q[1],q[0]; h q[0];"
+         " h q[0]; cx q[1],q[0]; t q[1];", 1),
+        # The first cancellation uncovers an h-h run; its merge drops it, so
+        # a second cancellation removes the CX pair around it.
+        ("cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1]; h q[1];"
+         " cx q[0],q[1];", 2),
+    ], ids=["one_round", "two_rounds"])
+    def test_cleanup_cancels_again_only_after_a_drop(self, monkeypatch, body,
+                                                     rounds):
+        c = parse_program("qreg q[2]; " + body)
+        calls = self._stages(monkeypatch, c, enable_qbo=False,
+                             enable_qpo=False)
+        assert calls == ["unroll", "merge_1q_runs",
+                         *["cancel_adjacent_cx", "_merge_runs"] * rounds]
+        out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
+        assert cx_count(out) == 0
+
+    @pytest.mark.parametrize("qbo_on", [False, True])
+    def test_skipped_stages_change_nothing(self, qbo_on):
+        # What the SWAP-free skips rest on: with no SWAP or SWAPZ left, qpo
+        # (without blocks) and the basis unroll return their input, and a
+        # second merge returns the first one's output.
+        rng = random.Random(14)
+        swaps = {GateKind.SWAP, GateKind.SWAPZ}
+        swap_basis = DEFAULT_BASIS | swaps
+        swap_free = 0
+        for _ in range(30):
+            c = random_full_circuit(rng, rng.randrange(2, 6),
+                                    rng.randrange(5, 30))
+            # Also without its SWAPs, so most cases are SWAP-free.
+            for src in (c, c.replace([i for i in c.instructions
+                                      if i.kind not in swaps])):
+                cur = unroll(qbo(src) if qbo_on else src, swap_basis)
+                if qbo_on:
+                    cur = unroll(qbo(cur), swap_basis)
+                if swaps & {i.kind for i in cur.instructions}:
+                    continue
+                swap_free += 1
+                merged = merge_1q_runs(cur)
+                assert qpo(merged).instructions == merged.instructions
+                assert unroll(cur).instructions == cur.instructions
+                assert merge_1q_runs(merged).instructions == merged.instructions
+        assert swap_free >= 30
+
+    @pytest.mark.parametrize("config", [
+        dict(enable_qbo=False, enable_qpo=False), dict(),
+        dict(coupling=line_coupling(5)),
+        dict(enable_block_resynth=True)], ids=["baseline", "rpo", "routed",
+                                               "blocks"])
+    def test_output_is_cleanup_fixpoint(self, config):
+        rng = random.Random(15)
+        for seed in range(15):
+            c = random_circuit(rng, rng.randrange(2, 6), rng.randrange(5, 40))
+            out = pipeline(c, PipelineOptions(seed=seed, **config))
+            assert cancel_adjacent_cx(out).instructions == out.instructions
+            assert merge_1q_runs(out).instructions == out.instructions
 
     def test_never_worse_than_baseline(self):
         rng = random.Random(13)

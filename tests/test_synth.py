@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from rpoc import (Circuit, GateKind, Instruction, U3Params,
                   angles_equal, cancel_adjacent_cx, compose_u3, cx_count,
-                  merge_1q_runs, prepare_two_qubit_state, pure_to_pure_gate,
-                  pure_to_zero_gate, simulate, u3_matrix, unroll,
-                  zyz_decompose)
+                  merge_1q_runs, parse_program, prepare_two_qubit_state,
+                  pure_to_pure_gate, pure_to_zero_gate, simulate, u3_matrix,
+                  unroll, zyz_decompose)
 from rpoc import synth
 from rpoc.circuit import count_1q
 from rpoc.oracle import equivalent_up_to_global_phase
@@ -20,7 +20,8 @@ from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
                         u3params_instruction)
 
 from helpers import (haar_unitary, random_full_circuit, random_statevector,
-                     ref_matrix_1q, ref_merge_1q_runs, ref_simulate)
+                     ref_matrix_1q, ref_merge_1q_runs, ref_simulate,
+                     spy_calls)
 
 PI = math.pi
 
@@ -496,6 +497,51 @@ class TestMerge1q:
         assert (bool(out) and out[0] is c.instructions[0]) is kept
         _assert_matches_reference_merge(c)
 
+    @pytest.mark.parametrize("body,dropped,kinds", [
+        ("x q[0]; x q[0];", True, []),
+        ("id q[0];", True, []),
+        ("cx q[0],q[1]; h q[1]; h q[1]; cx q[0],q[1];", True, ["cx", "cx"]),
+        ("u2(0.1,0.2) q[0];", False, ["u2"]),
+        ("x q[0];", False, ["u3"]),
+        ("h q[0]; t q[0];", False, ["u2"]),
+        ("x q[0]; x q[0]; h q[1];", True, ["u2"]),
+    ], ids=["xx", "id", "hh_between_cx", "pass_through", "x", "fused",
+            "xx_and_h"])
+    def test_drop_flag(self, body, dropped, kinds):
+        c = parse_program("qreg q[2]; " + body)
+        out, got = synth._merge_runs(c)
+        assert got is dropped
+        assert [i.kind.value for i in out] == kinds
+        assert out == merge_1q_runs(c)
+
+    def test_each_distinct_run_fused_once_per_call(self, monkeypatch):
+        # The run h-t on four wires, three times over, and x-x twice: two
+        # distinct runs, so two fusions per call, rebuilt on each wire.
+        c = Circuit(4)
+        for _ in range(3):
+            for q in range(4):
+                c.h(q).t(q)
+            c.barrier(0, 1, 2, 3)
+        c.x(1).x(1).barrier(1).x(1).x(1)
+        one = merge_1q_runs(Circuit(1).h(0).t(0)).instructions
+        calls = spy_calls(monkeypatch, synth, ("_fuse",))
+        for _ in range(2):
+            calls.clear()
+            out = merge_1q_runs(c).instructions
+            assert calls == ["_fuse", "_fuse"]
+            fused = [i for i in out if i.kind is not GateKind.BARRIER]
+            assert fused == [i._replace(qubits=(q,)) for _ in range(3)
+                             for q in range(4) for i in one]
+
+    def test_no_state_between_calls(self):
+        a = random_full_circuit(random.Random(13), 5, 40)
+        b = random_full_circuit(random.Random(14), 5, 40)
+        before = dict(vars(synth))
+        first = merge_1q_runs(a).instructions
+        merge_1q_runs(b)
+        assert merge_1q_runs(a).instructions == first
+        assert vars(synth) == before
+
 
 class TestCancelCX:
     def test_adjacent_pair(self):
@@ -547,6 +593,44 @@ class TestCancelCX:
             once = cancel_adjacent_cx(c)
             assert cancel_adjacent_cx(once) == once
             assert equivalent_up_to_global_phase(c, once).equivalent
+
+
+def _cx_dense(rng: random.Random) -> Circuit:
+    """CX among 2-4 wires, and x, h, t and tdg gates whose runs often fuse
+    to the identity, so a merge can uncover CX pairs to cancel."""
+    n = rng.randrange(2, 5)
+    c = Circuit(n)
+    for _ in range(rng.randrange(4, 40)):
+        if rng.random() < 0.5:
+            c.cx(*rng.sample(range(n), 2))
+        else:
+            c.append(Instruction(rng.choice(
+                [GateKind.X, GateKind.H, GateKind.T, GateKind.TDG]),
+                (rng.randrange(n),)))
+    return c
+
+
+CX_DENSE = [_cx_dense(random.Random(seed)) for seed in range(300)]
+
+
+class TestCleanupRound:
+    """pipeline()'s cleanup runs cancel_adjacent_cx after a merge only when
+    that merge dropped a run.  These are the facts that skip rests on."""
+
+    def test_cancel_idempotent(self):
+        for c in CX_DENSE:
+            once = cancel_adjacent_cx(c)
+            assert cancel_adjacent_cx(once).instructions == once.instructions
+
+    def test_nothing_to_cancel_after_merge_without_drop(self):
+        seen = {(False, False): 0, (True, False): 0, (True, True): 0}
+        for c in CX_DENSE:
+            merged, dropped = synth._merge_runs(cancel_adjacent_cx(c))
+            cancels = len(cancel_adjacent_cx(merged)) < len(merged)
+            assert dropped or not cancels, c.instructions
+            seen[dropped, cancels] += 1
+        # Both branches occur, and a drop does at times uncover a pair.
+        assert min(seen.values()) >= 5, seen
 
 
 class TestPureStateGates:

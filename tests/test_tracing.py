@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rpoc import (PipelineOptions, emit_program, gen_bv, gen_grover, gen_qpe,
-                  line_coupling, pipeline)
+                  line_coupling, parse_program, pipeline)
 
 from helpers import random_circuit
 
@@ -22,11 +22,25 @@ CONFIGS = {
 }
 
 
+# Sources with a SWAP, SWAPZ or CSWAP on entangled wires.  Unrouted, the
+# first two still hold a SWAP or SWAPZ after qbo, so pipeline() runs its SWAP
+# stages; the first one's second SWAP has an operand in a known state off the
+# basis rays, which only qpo reduces.  The third holds none.
+SWAP_SOURCES = [
+    "qreg q[4]; h q[0]; cx q[0],q[1]; swap q[1],q[2]; u3(0.3,0.2,0.1) q[3];"
+    " swap q[2],q[3]; cx q[3],q[0];",
+    "qreg q[3]; h q[0]; cx q[0],q[1]; swapz q[1],q[2]; h q[2]; cx q[2],q[0];",
+    "qreg q[3]; h q[0]; cx q[0],q[1]; h q[2]; cswap q[1],q[0],q[2];"
+    " cx q[2],q[1];",
+]
+
+
 def _circuits():
     rng = random.Random(21)
     return [gen_bv(4, "1011", "boolean"), gen_qpe(3, 7 / 8),
             gen_grover(4, 11, 1, use_ancilla=True, annotate=True),
-            random_circuit(rng, 4, 30), random_circuit(rng, 5, 40)]
+            random_circuit(rng, 4, 30), random_circuit(rng, 5, 40),
+            *map(parse_program, SWAP_SOURCES)]
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
