@@ -9,21 +9,38 @@ wire stays |0> from start to end, so it factors out of every fidelity and
 outcome distribution.  Gate kernels update the state in place through
 reshaped views, one length-2 axis per wire the gate acts on.  Within one
 simulate() call the view pair of each multi-qubit gate key (kind family,
-axes, open-control mask) and the entries of each (1q kind, params) are built
-once and reused; since the views alias the one state buffer, every update
-is made in place and the buffer is never replaced.
+axes, open-control mask) and the entries of each 1q gate are built once and
+reused; the views alias the state buffer, so it is updated in place and
+replaced only when it grows.
 
-CX, SWAP and SWAPZ run lazily, in a CX frame (routed output is mostly CX
-networks with phases on parities).  Simulated axis a holds the parity of
+The state grows.  A wire starts as its own 2-vector: its 1q gates are
+multiplied into one 2x2, ANNOT is checked on it and RESET sets it back to
+|0>.  When a multi-qubit gate first touches the wire, the wire joins the
+stored state as its last axis (an outer product); wires that never meet one
+join at the end, and the axes are then put in `wires` order.  With an
+initial state every wire has joined from the start.
+
+A joined wire owes its 1q gates while they can still fold: a diagonal gate
+on a wire that owes nothing is applied at once, a non-diagonal one starts a
+product that later 1q gates multiply into, and the product is applied when
+another gate needs the wire.  A closed CX whose two wires both owe
+non-diagonal gates opens a two-wire block instead: later CX on the same pair
+and the 1q gates between them fold into one 4x4 matrix, and the gates after
+its last CX stay owed.  A gate that touches one of its wires closes it: a
+block of 2 or more CX is applied as one 4x4 kernel, a block of one CX as its
+parts, so that its CX joins the frame below (CX networks with phases between
+them, as in routed output, keep working there).
+
+CX, SWAP and SWAPZ run lazily, in a CX frame.  Axis a holds the parity of
 the stored index bits rows[a], so these gates only edit `rows`, an
 invertible matrix over GF(2), and join a queue.  A diagonal 1q gate on a
 wire whose row covers several stored bits scales the amplitudes where that
-row has odd parity.  A 1q gate, ANNOT or RESET on a wire that is exactly
-one stored axis, which no other row uses, acts on that axis.  Anything else
-(another 1q gate, a multi-qubit gate other than a closed-control CX, the
-end of the circuit) first brings the stored state up to date in place: a
-short queue is replayed gate by gate, a long one is applied as one gather.
-MEASURE only records its wire.
+row has odd parity.  A 1q gate, 4x4 kernel, ANNOT or RESET on wires that are
+each exactly one stored axis, which no other row uses, acts on those axes.
+Anything else (another 1q gate, a multi-qubit gate other than a
+closed-control CX, the end of the circuit) first brings the stored state up
+to date in place: a short queue is replayed gate by gate, a long one is
+applied as one gather.  MEASURE only records its wire.
 
 Conventions: qubit 0 is the high-order bit of the amplitude index; measured
 circuits yield an exact outcome distribution keyed by classical-bit strings
@@ -32,14 +49,16 @@ circuits yield an exact outcome distribution keyed by classical-bit strings
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import (GATES_1Q, Circuit, GateKind, _CX, _CZ, _CU3, _SWAP,
+from .circuit import (Circuit, GateKind, _CX, _CZ, _CU3, _SWAP,
                       _SWAPZ, _CCX, _MCX, _CSWAP, _RESET, _ANNOT, _MEASURE, _BARRIER)
-from .synth import _GATE_1Q_ENTRIES, _u3_angles, _u3_entries, pure_state_vector
+from .synth import (_GATE_1Q_ENTRIES, _mul2, _u3_angles, _u3_entries,
+                    pure_state_vector)
 
 MAX_QUBITS = 16
 DEFAULT_TOL = 1e-9
@@ -62,6 +81,14 @@ _REPLAY_MAX = 4
 # amplitude); it empties the cache once the rows held cover more amplitudes
 # than this (8 MB).
 _ODD_CACHE_AMPS = 1 << 21
+# _apply_2q multiplies at most this many rows of 4 amplitudes per BLAS call.
+_KERNEL_2Q_ROWS = 1 << 12
+# Row permutations of a 4x4 matrix (index: high bit, low bit) that apply a
+# CX after it: control on the low bit (index False) or on the high bit; and
+# the permutation that exchanges the two bits.
+_CX_ROWS = (np.array([0, 3, 2, 1]), np.array([0, 1, 3, 2]))
+_SWAP_BITS = np.array([0, 2, 1, 3])
+_I2 = (1, 0, 0, 1)
 
 
 class AnnotationError(ValueError):
@@ -144,6 +171,33 @@ def _apply_1q(state: np.ndarray, e: tuple, q: int) -> None:
         _mix(v[:, 0], v[:, 1], e)
 
 
+def _kron2(x: tuple, y: tuple) -> np.ndarray:
+    """x (x) y as a 4x4 array, for 2x2 entries x (high bit) and y."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return np.array([[a * e, a * f, b * e, b * f], [a * g, a * h, b * g, b * h],
+                     [c * e, c * f, d * e, d * f], [c * g, c * h, d * g, d * h]],
+                    dtype=complex)
+
+
+def _apply_2q(state: np.ndarray, u: np.ndarray, i: int, j: int) -> None:
+    """The 4x4 gate u on axes i and j (axis i is the high bit of u's
+    index), in place.  The amplitudes are copied out as rows of 4, one per
+    value of the other axes, multiplied by u.T and copied back; past
+    _KERNEL_2Q_ROWS rows the product is batched, so no one BLAS call is
+    large enough to spread over threads."""
+    if i > j:
+        i, j = j, i
+        u = u[_SWAP_BITS][:, _SWAP_BITS]
+    n = state.size.bit_length() - 1
+    p, q, r = 1 << i, 1 << (j - i - 1), 1 << (n - 1 - j)
+    v = state.reshape(p, 2, q, 2, r)
+    x = v.transpose(0, 2, 4, 1, 3).reshape(-1, 4)
+    if len(x) > _KERNEL_2Q_ROWS:
+        x = x.reshape(-1, _KERNEL_2Q_ROWS, 4)
+    v[...] = np.matmul(x, u.T).reshape(p, q, r, 2, 2).transpose(0, 3, 1, 4, 2)
+
+
 def _pair_views(state: np.ndarray, n: int, swap: bool, qs: tuple[int, ...],
                 open_mask: tuple[bool, ...]) -> tuple[np.ndarray, np.ndarray]:
     """In-place views of the two fixed-bit subspaces a gate on axes `qs`
@@ -192,10 +246,25 @@ def reduced_qubit_state(sv: np.ndarray, q: int) -> np.ndarray:
     return np.einsum("aib,ajb->ij", v, v.conj())
 
 
+def _trace_distance_to_pure(r00: float, r01: complex, r11: float,
+                            a: complex, b: complex) -> float:
+    """Trace distance between the one-qubit density matrix
+    [[r00, r01], [r01*, r11]] and the pure state a|0> + b|1>.  Their
+    difference D is a Hermitian 2x2 with eigenvalues mid +- rad, mid =
+    tr(D)/2, so half their absolute sum is max(|mid|, rad)."""
+    d00 = r00 - abs(a) ** 2
+    d11 = r11 - abs(b) ** 2
+    d01 = r01 - a * b.conjugate()
+    mid, half = (d00 + d11) / 2, (d00 - d11) / 2
+    return max(abs(mid), math.sqrt(half * half + abs(d01) ** 2))
+
+
 def trace_distance_to_pure(rho: np.ndarray, vec: np.ndarray) -> float:
-    proj = np.outer(vec, vec.conj())
-    eig = np.linalg.eigvalsh(rho - proj)
-    return 0.5 * float(np.sum(np.abs(eig)))
+    """Trace distance between the one-qubit density matrix rho and the pure
+    state vec."""
+    (r00, r01), (_, r11) = rho.tolist()
+    a, b = np.asarray(vec).tolist()
+    return _trace_distance_to_pure(r00.real, r01, r11.real, a, b)
 
 
 def _do_reset(state: np.ndarray, q: int, wire: int, position: int) -> None:
@@ -244,19 +313,35 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
         if not 0 <= w < n or axis[w] >= 0:
             raise ValueError(f"wires must be distinct wires of the circuit, got {list(wires)}")
         axis[w] = i
+    # where[q] is the stored axis of wire q once it has joined the stored
+    # state (stored axes are in joining order); block[q] the two-wire block
+    # it is in; pend[q] the entries of the 1q gates it owes: all of them
+    # before it joins, those after the last CX of its block, or a run that
+    # started with a non-diagonal gate.  pend[q] is None exactly when wire q
+    # has joined, is in no block and owes nothing; bit q of `owed` is set
+    # exactly when it is not (see the module docstring).
+    block: list = [None] * n
     if initial_state is not None:
         state = np.array(initial_state, dtype=complex).reshape(-1)
         if state.size != 2 ** width:
             raise ValueError("initial state has the wrong dimension")
+        where = axis[:]
+        pend: list = [None] * n
+        owed = 0
     else:
-        state = np.zeros(2 ** width, dtype=complex)
-        state[0] = 1.0
+        state = np.ones(1, dtype=complex)
+        where = [-1] * n
+        pend = [None if a < 0 else _I2 for a in axis]
+        owed = sum([1 << w for w in wires])
+    m = state.size.bit_length() - 1  # stored axes
 
     measured: dict[int, int] = {}  # qubit -> clbit
     used_clbits: set[int] = set()
     # Per-call caches (see the module docstring): the views alias `state`,
-    # so it is only ever updated in place.
+    # so between joins it is only ever updated in place.  cx_of maps the
+    # wires of a closed CX to its axes, their `owed` bits and its view key.
     axes_of: dict[tuple, tuple[int, ...]] = {}
+    cx_of: dict[tuple, tuple] = {}
     views: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     entries: dict[tuple, tuple] = {}
     odd: dict[int, np.ndarray] = {}   # row -> indices of odd parity
@@ -264,15 +349,44 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
     # The CX frame (see the module docstring): rows[a] is the row of matrix
     # R, cols[a] the column of its inverse, as bit masks of the stored index;
     # `queue` holds the view keys of the CX/SWAP gates R is made of.
-    ident = [1 << (width - 1 - a) for a in range(width)]
+    ident = [1 << (m - 1 - a) for a in range(m)]
     rows, cols = ident[:], ident[:]
     queue: list[tuple] = []
+
+    def enter(pos: int, qubits: tuple[int, ...]) -> tuple[int, ...]:
+        """Check that the wires of instruction pos are simulated; for a
+        multi-qubit gate, join them and return their stored axes."""
+        if min([axis[q] for q in qubits]) < 0:
+            raise ValueError(f"instruction {pos} touches a wire that is not simulated")
+        if len(qubits) == 1:
+            return ()
+        for q in qubits:
+            if where[q] < 0:
+                join(q)
+        return tuple([where[q] for q in qubits])
+
+    def join(q: int) -> None:
+        """Append wire q, in the state its 1q gates left it, as the last
+        stored axis."""
+        nonlocal state, m, owed
+        e = pend[q]
+        pend[q] = None
+        owed &= ~(1 << q)
+        state = np.multiply.outer(state, np.array((e[0], e[2]))).reshape(-1)
+        for x in (rows, cols, ident):
+            x[:] = [r << 1 for r in x]
+            x.append(1)
+        views.clear()
+        odd.clear()
+        bits.clear()
+        where[q] = m
+        m += 1
 
     def pair(swap: bool, qs: tuple[int, ...], open_mask=()):
         key = (swap, qs, open_mask)
         ab = views.get(key)
         if ab is None:
-            ab = views[key] = _pair_views(state, width, swap, qs, open_mask)
+            ab = views[key] = _pair_views(state, m, swap, qs, open_mask)
         return ab
 
     def sync() -> None:
@@ -282,7 +396,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 for key in queue:
                     _exchange(*pair(*key))
             else:
-                state[...] = state[_gather_index(cols, width)]
+                state[...] = state[_gather_index(cols, m)]
             rows[:] = ident
             cols[:] = ident
         queue.clear()
@@ -293,14 +407,14 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
         r = rows[a]
         if not queue or (r & (r - 1) == 0
                          and sum([x & r != 0 for x in rows]) == 1):
-            return width - r.bit_length()
+            return m - r.bit_length()
         sync()
         return a
 
     def odd_parity(r: int) -> np.ndarray:
         idx = odd.get(r)
         if idx is None:
-            if len(odd) << width > _ODD_CACHE_AMPS:
+            if len(odd) << m > _ODD_CACHE_AMPS:
                 odd.clear()
             p = None
             rest = r
@@ -309,51 +423,178 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 rest ^= b
                 x = bits.get(b)
                 if x is None:
-                    x = bits[b] = np.zeros(1 << width, dtype=bool)
+                    x = bits[b] = np.zeros(1 << m, dtype=bool)
                     x.reshape(-1, 2, b)[:, 1] = True
                 p = x if p is None else p ^ x
             idx = odd[r] = np.flatnonzero(p)
         return idx
 
+    def apply_1q(e: tuple, a: int) -> None:
+        """The 1q gate with entries e on axis a, through the frame."""
+        nonlocal state
+        r = rows[a]
+        if e[1] != 0 or e[2] != 0:
+            _apply_1q(state, e, own_axis(a))
+        elif not r & (r - 1):  # diagonal on one stored bit
+            _apply_1q(state, e, m - r.bit_length())
+        else:  # diagonal on the parity of several stored bits
+            if e[0] != 1:
+                state *= e[0]
+            if e[3] != e[0]:
+                state[odd_parity(r)] *= e[3] / e[0]
+
+    def cx(t: int, u: int) -> None:
+        rows[u] ^= rows[t]
+        cols[t] ^= cols[u]
+        queue.append((False, (t, u), ()))
+
+    def pay(q: int, a: int) -> None:
+        """Apply what the joined wire q (stored axis a) owes outside any
+        block."""
+        nonlocal owed
+        e = pend[q]
+        pend[q] = None
+        owed &= ~(1 << q)
+        if e is not _I2:
+            apply_1q(e, a)
+
+    def flush(b: list) -> None:
+        """Apply block b (see the module docstring); the 1q gates after its
+        last CX stay owed."""
+        qa, qb, ea, eb, u, (a, z) = b
+        for q, s in ((qa, a), (qb, z)):
+            block[q] = None
+            if pend[q] is _I2:
+                pay(q, s)
+        if u is None:  # one CX: its parts, so that the CX joins the frame
+            apply_1q(ea, a)
+            apply_1q(eb, z)
+            cx(a, z)
+            return
+        sa, sz = own_axis(a), own_axis(z)
+        _apply_2q(state, u, a if not queue else sa, sz)
+
+    def settle(q: int) -> None:
+        """Apply everything the joined wire q owes."""
+        if owed >> q & 1:
+            b = block[q]
+            if b is not None:
+                flush(b)
+            if pend[q] is not None:
+                pay(q, where[q])
+
     for pos, inst in enumerate(c.instructions):
-        k = inst.kind
+        k, qubits, params, _, open_mask = inst
         if k is _BARRIER:
             continue
         if measured:
-            for q in inst.qubits:
+            for q in qubits:
                 if q in measured:
                     raise ValueError(
                         f"instruction {pos} touches qubit {q} after measurement "
                         "(mid-circuit measurement is not supported)")
-        qs = axes_of.get(inst.qubits)
-        if qs is None:
-            qs = tuple([axis[q] for q in inst.qubits])
-            if min(qs) < 0:
-                raise ValueError(f"instruction {pos} touches a wire that is not simulated")
-            axes_of[inst.qubits] = qs
-        if k is _CX and not inst.open_mask:
-            t, u = qs
+        if k is _CX and not open_mask:
+            cq = cx_of.get(qubits)
+            if cq is None:
+                t, u = enter(pos, qubits)
+                cq = cx_of[qubits] = (t, u, (1 << qubits[0]) | (1 << qubits[1]),
+                                      (False, (t, u), ()))
+            t, u, mask, key = cq
+            if owed & mask:
+                qc, qt = qubits
+                b = block[qc]
+                if b is not None and b is block[qt]:
+                    # Fold the owed 1q gates and this CX into the block.
+                    v = b[4]
+                    if v is None:
+                        v = _kron2(b[2], b[3])[_CX_ROWS[True]]
+                    ea, eb = pend[b[0]], pend[b[1]]
+                    if ea is not _I2 or eb is not _I2:
+                        v = _kron2(ea, eb) @ v
+                        pend[b[0]] = pend[b[1]] = _I2
+                    b[4] = v[_CX_ROWS[qc == b[0]]]
+                    continue
+                for b in (b, block[qt]):
+                    if b is not None:
+                        flush(b)
+                ec, et = pend[qc], pend[qt]
+                if (ec is not None and et is not None and (ec[1] != 0 or ec[2] != 0)
+                        and (et[1] != 0 or et[2] != 0)):
+                    # [its wires, what they owed before its first CX, its
+                    # 4x4 once a second CX folds in, their stored axes]
+                    block[qc] = block[qt] = [qc, qt, ec, et, None, (t, u)]
+                    pend[qc] = pend[qt] = _I2
+                    continue
+                if ec is not None:
+                    pay(qc, t)
+                if et is not None:
+                    pay(qt, u)
             rows[u] ^= rows[t]
             cols[t] ^= cols[u]
-            queue.append((False, qs, ()))
+            queue.append(key)
             continue
-        if k in GATES_1Q:
-            key = (k, inst.params)
+        qs = axes_of.get(qubits)
+        if qs is None:
+            qs = axes_of[qubits] = enter(pos, qubits)
+        if not qs and k is not _MEASURE and k is not _ANNOT and k is not _RESET:
+            # A 1q gate.  u1, u2 and u3 differ in their number of params,
+            # and the named gates have none.
+            key = params or k
             e = entries.get(key)
             if e is None:
                 e = entries[key] = (_GATE_1Q_ENTRIES.get(k)
                                     or _u3_entries(*_u3_angles(inst)))
-            r = rows[qs[0]]
-            if e[1] != 0 or e[2] != 0:
-                _apply_1q(state, e, own_axis(qs[0]))
-            elif not r & (r - 1):  # diagonal on one stored bit
-                _apply_1q(state, e, width - r.bit_length())
-            else:  # diagonal on the parity of several stored bits
+            q = qubits[0]
+            p = pend[q]
+            if p is not None:
+                pend[q] = _mul2(e, p)
+            elif e[1] != 0 or e[2] != 0:
+                pend[q] = e
+                owed |= 1 << q
+            else:  # diagonal, on a wire that owes nothing: apply it now
+                r = rows[where[q]]
+                if not r & (r - 1):
+                    _apply_1q(state, e, m - r.bit_length())
+                    continue
+                # apply_1q's parity case, inline: phase networks run it per
+                # gate
                 if e[0] != 1:
                     state *= e[0]
                 if e[3] != e[0]:
-                    state[odd_parity(r)] *= e[3] / e[0]
+                    idx = odd.get(r)
+                    state[odd_parity(r) if idx is None else idx] *= e[3] / e[0]
             continue
+        if k is _MEASURE:
+            b = inst.clbits[0]
+            if b in used_clbits:
+                raise ValueError(f"classical bit {b} measured twice")
+            used_clbits.add(b)
+            measured[qubits[0]] = b
+            continue
+        if k is _ANNOT or k is _RESET:
+            q = qubits[0]
+            if where[q] < 0:  # still its own 2-vector
+                if k is _RESET:
+                    pend[q] = _I2
+                    continue
+                e = pend[q]
+                a0, a1 = e[0], e[2]
+                td = _trace_distance_to_pure(
+                    abs(a0) ** 2, a0 * a1.conjugate(), abs(a1) ** 2,
+                    *pure_state_vector(*params).tolist())
+            else:
+                settle(q)
+                a = own_axis(where[q])
+                if k is _RESET:
+                    _do_reset(state, a, q, pos)
+                    continue
+                td = trace_distance_to_pure(reduced_qubit_state(state, a),
+                                            pure_state_vector(*params))
+            if td > 1e-8:
+                raise AnnotationError(q, pos, td)
+            continue
+        for q in qubits:
+            settle(q)
         if k is _SWAP or k is _SWAPZ:
             a, b = qs
             if k is _SWAP:
@@ -361,41 +602,35 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 cols[a], cols[b] = cols[b], cols[a]
                 queue.append((True, qs, ()))
             else:  # swapz a, z = cx(a, z); cx(z, a)
-                rows[b] ^= rows[a]
-                cols[a] ^= cols[b]
-                rows[a] ^= rows[b]
-                cols[b] ^= cols[a]
-                queue += ((False, qs, ()), (False, (b, a), ()))
-            continue
-        if k is _MEASURE:
-            b = inst.clbits[0]
-            if b in used_clbits:
-                raise ValueError(f"classical bit {b} measured twice")
-            used_clbits.add(b)
-            measured[inst.qubits[0]] = b
-            continue
-        if k is _ANNOT:
-            rho = reduced_qubit_state(state, own_axis(qs[0]))
-            td = trace_distance_to_pure(rho, pure_state_vector(*inst.params))
-            if td > 1e-8:
-                raise AnnotationError(inst.qubits[0], pos, td)
-            continue
-        if k is _RESET:
-            _do_reset(state, own_axis(qs[0]), inst.qubits[0], pos)
+                cx(a, b)
+                cx(b, a)
             continue
         sync()
         if k is _CX or k is _CCX or k is _MCX:
-            _exchange(*pair(False, qs, inst.open_mask))
+            _exchange(*pair(False, qs, open_mask))
         elif k is _CZ:
             both = pair(False, qs)[1]   # control and target set
             both *= -1.0
         elif k is _CSWAP:
             _exchange(*pair(True, qs))
         elif k is _CU3:
-            _mix(*pair(False, qs), _u3_entries(*inst.params))
+            _mix(*pair(False, qs), _u3_entries(*params))
         else:  # pragma: no cover - all kinds handled above
             raise ValueError(f"cannot simulate {k.value}")
+    for b in block:
+        if b is not None and block[b[0]] is b:
+            flush(b)
+    for q, e in enumerate(pend):
+        if e is not None and where[q] >= 0:
+            pay(q, where[q])
     sync()
+    # The wires that never joined join last, then the axes take `wires`' order.
+    for w in wires:
+        if where[w] < 0:
+            join(w)
+    order = [where[w] for w in wires]
+    if order != sorted(order):
+        state = state.reshape([2] * m).transpose(order).reshape(-1)
 
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:

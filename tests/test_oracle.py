@@ -307,6 +307,21 @@ class TestReducedState:
         assert trace_distance_to_pure(np.outer(v0, v0), v1) == pytest.approx(1.0)
         assert trace_distance_to_pure(np.outer(v0, v0), v0) == pytest.approx(0.0)
 
+    def test_trace_distance_matches_eigenvalues(self):
+        # The closed form against half the absolute eigenvalue sum of
+        # rho - |v><v|, for mixed and pure rho.
+        rng = np.random.default_rng(52)
+        for i in range(200):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if i % 2:
+                a[:, 1] = 0.0  # rank one: a pure state
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            want = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - np.outer(v, v.conj()))))
+            assert abs(trace_distance_to_pure(rho, v) - want) <= 1e-12
+
 
 def _relabel(c: Circuit, perm: list[int], n_out: int) -> Circuit:
     """c with wire q moved to perm[q] on an n_out-wire register."""
@@ -443,6 +458,182 @@ class TestAgainstReference:
             _assert_same(simulate(c, initial_state=init),
                          ref_simulate(c, initial_state=init), False)
             assert np.array_equal(init, keep)
+
+    # simulate() keeps a wire as its own 2-vector until a multi-qubit gate
+    # first touches it, and applies a two-wire run of 2 or more CX with its
+    # 1q gates as one 4x4 kernel: the corpus below stresses both.
+
+    @staticmethod
+    def _run_corpus(seed: int, cases: int = 40):
+        rng = random.Random(seed)
+        for i in range(cases):
+            n = 3 + i % 6
+            yield rng, _two_wire_run_circuit(rng, n, rng.randint(0, n - 2),
+                                             rng.randint(20, 80), i % 3 == 0)
+
+    def test_two_wire_runs_match_reference(self, monkeypatch):
+        calls = spy_calls(monkeypatch, oracle, ("_apply_2q",))
+        kinds = set()
+        for _, c in self._run_corpus(48):
+            kinds.update(i.kind for i in c.instructions)
+            _assert_same(simulate(c), ref_simulate(c), _has_reset(c))
+        assert kinds >= {GateKind.CX, GateKind.SWAP, GateKind.SWAPZ,
+                         GateKind.ANNOT, GateKind.RESET, GateKind.MEASURE,
+                         GateKind.U1, GateKind.U2, GateKind.U3, GateKind.H}
+        assert len(calls) > 40  # the corpus fuses many runs
+
+    def test_runs_on_wires_in_any_order_with_idle_ones(self):
+        # `wires` lists every wire, idle ones included, in a random order;
+        # axis i of the result is wire wires[i].
+        for rng, c in self._run_corpus(49, 20):
+            want = ref_simulate(c)
+            if isinstance(want, dict):
+                continue
+            n = c.n_qubits + 2
+            padded = Circuit(n, c.n_clbits)
+            padded.extend(c.instructions)
+            wires = rng.sample(range(n), n)
+            got = simulate(padded, wires=wires)
+            want = ref_embed(want, n, list(range(c.n_qubits)))
+            want = want.reshape([2] * n).transpose(wires).reshape(-1)
+            _assert_same(got, want, _has_reset(c))
+
+    def test_runs_from_initial_state(self):
+        # Every wire joins up front; annotations, resets and measurements
+        # placed for |0...0> are left out.
+        np_rng = np.random.default_rng(50)
+        for _, src in self._run_corpus(50, 20):
+            c = src.replace([i for i in src.instructions if i.kind not in (
+                GateKind.ANNOT, GateKind.RESET, GateKind.MEASURE)])
+            init = random_statevector(np_rng, c.n_qubits)
+            _assert_same(simulate(c, initial_state=init),
+                         ref_simulate(c, initial_state=init), False)
+
+    @pytest.mark.parametrize("n_cx,want", [(1, 0), (2, 1), (3, 1)])
+    def test_one_kernel_per_block(self, monkeypatch, n_cx, want):
+        # u3 u3 cx (u3 u3 cx)... u3 u3 on wires 1 and 2 of a joined state:
+        # a block of 2 or more CX is one 4x4 call, a one-CX block none.
+        rng = np.random.default_rng(51)
+        c = Circuit(3)
+        for i in range(n_cx):
+            c.u3(0.3 + i, 1.1, 0.4, 1)
+            c.u3(2.0, 0.2 + i, 1.3, 2)
+            c.cx(*((1, 2) if i % 2 == 0 else (2, 1)))
+        c.u3(0.9, 0.5, 2.2, 1)
+        c.u3(1.4, 1.7, 0.6, 2)
+        init = random_statevector(rng, 3)
+        calls = spy_calls(monkeypatch, oracle, ("_apply_2q",))
+        got = simulate(c, initial_state=init)
+        assert len(calls) == want
+        _assert_same(got, ref_simulate(c, initial_state=init), False)
+
+    def test_lone_wires_never_join(self, monkeypatch):
+        # Wires with only 1q gates, ANNOT and RESET stay 2-vectors: the
+        # stored state never holds more than the two interacting wires
+        # until the end.
+        c = Circuit(5)
+        for q in range(5):
+            c.u3(0.3 * q + 0.1, 0.2, 0.5, q)
+        c.cx(0, 1)
+        c.reset(2)
+        c.h(2)
+        c.append(Instruction(GateKind.ANNOT, (2,), (math.pi / 2, 0.0)))
+        c.u1(0.7, 3)
+        c.h(0)
+        sizes = []
+        apply_1q = oracle._apply_1q
+        monkeypatch.setattr(oracle, "_apply_1q", lambda state, e, q: (
+            sizes.append(state.size), apply_1q(state, e, q))[1])
+        _assert_same(simulate(c), ref_simulate(c), True)
+        assert sizes == [4]
+
+    def test_lone_annotation_failure(self):
+        c = Circuit(3)
+        c.h(2)
+        c.append(Instruction(GateKind.ANNOT, (2,), (0.0, 0.0)))
+        with pytest.raises(AnnotationError, match="qubit 2 at instruction 1"):
+            simulate(c)
+
+
+def _two_wire_run_circuit(rng: random.Random, n: int, n_lone: int,
+                          length: int, measure: bool) -> Circuit:
+    """Random circuit for the growth and fusion paths of simulate().  Wires
+    0..n_lone-1 never meet a multi-qubit gate: they get 1q gates, ANNOT
+    (params from the reference state), RESET and, with `measure`, a final
+    MEASURE.  The other wires get two-wire runs of 1-3 CX, each CX after
+    non-diagonal gates on both of its wires; CX/u1 phase networks; SWAP; and
+    SWAPZ onto a |0> wire; after a run, ANNOT or RESET where a wire is pure."""
+    c = Circuit(n, n)
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    lone, active = list(range(n_lone)), list(range(n_lone, n))
+    zero = set(active)       # active wires known to hold |0>
+    named = [GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S,
+             GateKind.T, GateKind.SDG]
+
+    def add(inst: Instruction) -> None:
+        nonlocal state
+        step = Circuit(n)
+        step.append(inst)
+        state = ref_simulate(step, initial_state=state)
+        c.append(inst)
+
+    def angles(k: int) -> list[float]:
+        return [rng.uniform(0, TWO_PI) for _ in range(k)]
+
+    def pure_check(q: int) -> None:
+        pure = ref_pure_params(partial_trace_oracle(state, q))
+        if pure is None:
+            return
+        if rng.random() < 0.6:
+            add(Instruction(GateKind.ANNOT, (q,), pure))
+        else:
+            add(Instruction(GateKind.RESET, (q,)))
+            zero.add(q)
+
+    while len(c.instructions) < length:
+        r = rng.random()
+        if r < 0.3 and lone:
+            q, s = rng.choice(lone), rng.random()
+            if s < 0.3:
+                add(Instruction(rng.choice(named), (q,)))
+            elif s < 0.6:
+                k = rng.randint(1, 3)
+                add(Instruction((GateKind.U1, GateKind.U2, GateKind.U3)[k - 1],
+                                (q,), angles(k)))
+            else:
+                pure_check(q)
+            continue
+        a, b = rng.sample(active, 2)
+        zero.difference_update((a, b))
+        if r < 0.65:
+            for _ in range(rng.randint(1, 3)):
+                add(Instruction(GateKind.U3, (a,), angles(3)))
+                add(Instruction(GateKind.U3, (b,), angles(3)))
+                add(Instruction(GateKind.CX, rng.choice([(a, b), (b, a)])))
+            for q in (a, b):
+                if rng.random() < 0.5:
+                    add(Instruction(GateKind.U3, (q,), angles(3)))
+            if rng.random() < 0.3:
+                pure_check(rng.choice((a, b)))
+        elif r < 0.85:
+            for _ in range(rng.randint(1, 6)):
+                a, b = rng.sample(active, 2)
+                zero.difference_update((a, b))
+                add(Instruction(GateKind.CX, (a, b)))
+                add(Instruction(GateKind.U1, (b,), angles(1)))
+        elif r < 0.93 or not zero - {a}:
+            add(Instruction(GateKind.SWAP, (a, b)))
+        else:
+            z = rng.choice(sorted(zero - {a}))
+            add(Instruction(GateKind.SWAPZ, (a, z)))
+            zero.discard(z)
+            zero.add(a)
+    if measure:
+        for q in lone:
+            if rng.random() < 0.7:
+                c.append(Instruction(GateKind.MEASURE, (q,), clbits=(q,)))
+    return c
 
 
 def _cx_run_circuit(rng: random.Random, n: int, length: int) -> Circuit:

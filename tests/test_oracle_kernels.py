@@ -10,7 +10,7 @@ import pytest
 
 from rpoc import oracle
 from rpoc.circuit import Circuit, GateKind
-from rpoc.oracle import _apply_1q, _exchange, _pair_views, simulate
+from rpoc.oracle import _apply_1q, _apply_2q, _exchange, _pair_views, simulate
 
 from helpers import haar_unitary, random_statevector, ref_matrix_1q, spy_calls
 
@@ -70,6 +70,43 @@ def test_controlled_x_kernel(benchmark, n, target):
     benchmark(_exchange, *_pair_views(state, n, False, (c, t), ()))
 
 
+# Pairs of axes for the 4x4 kernel: the two high wires, the two low ones,
+# the first and the last, and a middle pair given low axis first (the kernel
+# then exchanges the matrix's bits).
+KERNEL_2Q_PAIRS = {"high": lambda n: (0, 1), "low": lambda n: (n - 2, n - 1),
+                   "spread": lambda n: (0, n - 1),
+                   "reversed": lambda n: (n - 2, 2)}
+
+
+@pytest.mark.parametrize("n", [6, 10, 13, 16])
+@pytest.mark.parametrize("pair", list(KERNEL_2Q_PAIRS))
+def test_2q_kernel(benchmark, monkeypatch, n, pair):
+    # One matmul of (rows, 4) by (4, 4) while the state has at most
+    # 4 * _KERNEL_2Q_ROWS amplitudes (up to 14 wires); past that the rows are
+    # batched, _KERNEL_2Q_ROWS per BLAS call, so that no one call is large
+    # enough for BLAS to spread it over threads.
+    i, j = KERNEL_2Q_PAIRS[pair](n)
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    u = np.linalg.qr(z)[0]
+    state = random_statevector(rng, n)
+    t = np.tensordot(u.reshape(2, 2, 2, 2), state.reshape([2] * n),
+                     axes=([2, 3], [i, j]))
+    want = np.moveaxis(t, [0, 1], [i, j]).reshape(-1)
+    got = state.copy()
+    shapes = []
+    matmul = np.matmul
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "matmul", lambda a, b: (shapes.append(a.shape),
+                                               matmul(a, b))[1])
+        _apply_2q(got, u, i, j)
+    rows = 1 << (n - 2)
+    assert shapes == ([(rows, 4)] if rows <= oracle._KERNEL_2Q_ROWS else
+                      [(rows // oracle._KERNEL_2Q_ROWS, oracle._KERNEL_2Q_ROWS, 4)])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    benchmark(_apply_2q, state, u, i, j)
+
+
 def _frame_reference(c: Circuit, state: np.ndarray) -> np.ndarray:
     """c applied to state by index permutation (cx) and tensordot (1q)."""
     n = c.n_qubits
@@ -88,10 +125,11 @@ def _frame_reference(c: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def _frame_circuit(n: int) -> Circuit:
-    """A 3n-CX ladder over wires 0..n-2, then h on wire n-1, which is still
-    its own stored axis, and u1 on wire n-2, a parity of several stored bits;
-    then h on wire 0, which brings the state up to date by one gather, and
-    u1 on wire 1 after one more CX (a replayed queue at the end)."""
+    """A 3n-CX ladder over wires 0..n-2, then h on wire n-1, applied at the
+    end where it is still its own stored axis, and u1 on wire n-2, a parity
+    of several stored bits; then h on wire 0, which the next CX brings the
+    state up to date for by one gather, and u1 on wire 1 after that CX (a
+    replayed queue at the end)."""
     c = Circuit(n)
     for i in range(3 * n):
         c.cx(i % (n - 2), i % (n - 2) + 1)

@@ -395,7 +395,11 @@ class TestQBO:
         out = qbo(bv)
         assert cx_count(out) == 0
         assert sum(1 for i in out.instructions if i.kind is GateKind.Z) == 3
-        assert simulate(out) == simulate(bv)
+        # Two different circuits need not round alike: same outcomes, and
+        # probabilities well inside the oracle's 1e-9 tolerance.
+        got, want = simulate(out), simulate(bv)
+        assert got.keys() == want.keys()
+        assert all(abs(got[k] - want[k]) <= 1e-12 for k in want)
 
     def test_cx_monotone_on_random_corpus(self):
         rng = random.Random(1234)
