@@ -47,13 +47,30 @@ def _cmd_verify(args) -> int:
     b = _read_circuit(args.b)
     # A routed `optimize` output carries its layout: compare the other file
     # against it through that permutation, whichever order they come in.
-    if a.layout is not None and b.layout is None:
+    # Two routed outputs are compared from the narrower one.
+    if a.layout is not None and (b.layout is None or a.n_qubits > b.n_qubits):
         a, b = b, a
-    perm = b.layout if a.layout is None else None
+    perm = b.layout if a.layout is None else _layout_perm(a, b)
     report = equivalent_up_to_global_phase(a, b, tol=args.tol, perm=perm)
     verdict = "EQUIVALENT" if report.equivalent else "NOT EQUIVALENT"
     print(f"{verdict}: {report.detail}")
     return 0 if report.equivalent else 1
+
+
+def _layout_perm(a, b) -> list[int]:
+    """The wire map from a to b when both are routed outputs of one source:
+    a's wire a.layout[i] holds the same source wire i as b's wire
+    b.layout[i], and the wires neither layout lists map in order; a is no
+    wider than b."""
+    if len(a.layout) != len(b.layout):
+        raise ValueError(f"layouts of {len(a.layout)} and {len(b.layout)} "
+                         "wires do not fit")
+    perm = [-1] * a.n_qubits
+    for p, q in zip(a.layout, b.layout):
+        perm[p] = q
+    listed = set(b.layout)
+    rest = iter([w for w in range(b.n_qubits) if w not in listed])
+    return [next(rest) if w < 0 else w for w in perm]
 
 
 def _parse_range(text: str) -> list[int]:

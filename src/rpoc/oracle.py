@@ -26,21 +26,19 @@ product that later 1q gates multiply into, and the product is applied when
 another gate needs the wire.  A closed CX whose two wires both owe
 non-diagonal gates opens a two-wire block instead: later CX on the same pair
 and the 1q gates between them fold into one 4x4 matrix, and the gates after
-its last CX stay owed.  A gate that touches one of its wires closes it: a
-block of 2 or more CX is applied as one 4x4 kernel, a block of one CX as its
-parts, so that its CX joins the frame below (CX networks with phases between
-them, as in routed output, keep working there).
+its last CX stay owed.  A gate that touches one of its wires closes it, and
+the block is applied as one 4x4 kernel.
 
 CX, SWAP and SWAPZ run lazily, in a CX frame.  Axis a holds the parity of
 the stored index bits rows[a], so these gates only edit `rows`, an
-invertible matrix over GF(2), and join a queue.  A diagonal 1q gate on a
-wire whose row covers several stored bits scales the amplitudes where that
-row has odd parity.  A 1q gate, 4x4 kernel, ANNOT or RESET on wires that are
-each exactly one stored axis, which no other row uses, acts on those axes.
+invertible matrix over GF(2).  A diagonal 1q gate on a wire whose row
+covers several stored bits scales the amplitudes where that row has odd
+parity.  A 1q gate, 4x4 kernel, ANNOT or RESET on wires that are each
+exactly one stored axis, which no other row uses, acts on those axes.
 Anything else (another 1q gate, a multi-qubit gate other than a
 closed-control CX, the end of the circuit) first brings the stored state up
-to date in place: a short queue is replayed gate by gate, a long one is
-applied as one gather.  MEASURE only records its wire.
+to date in place, by one gather through the inverse matrix.  MEASURE only
+records its wire.
 
 Conventions: qubit 0 is the high-order bit of the amplitude index; measured
 circuits yield an exact outcome distribution keyed by classical-bit strings
@@ -65,18 +63,12 @@ DEFAULT_TOL = 1e-9
 # The 1q kernel applies its matrix with one batched matmul over the
 # (prefix, target bit, suffix) view when the state holds at most
 # _MATMUL_MAX_STATE amplitudes, or when the suffix blocks hold at least
-# _MATMUL_MIN_BLOCK (_MATMUL_MIN_BLOCK_WIDE on a state of _MATMUL_WIDE_STATE
-# or more amplitudes); on short blocks of a larger state (high target wires)
+# _MATMUL_MIN_BLOCK; on short blocks of a larger state (high target wires)
 # matmul degrades, so the two halves are updated elementwise instead.  Timed
 # on one BLAS thread: from 11 wires on, 16-amplitude blocks run 1.1-2.3x
 # faster elementwise, and 32-amplitude blocks about even.
 _MATMUL_MAX_STATE = 256
-_MATMUL_MIN_BLOCK = 16
-_MATMUL_WIDE_STATE = 1 << 11
-_MATMUL_MIN_BLOCK_WIDE = 32
-# A CX frame whose queue holds at most this many CX/SWAP gates is brought up
-# to date by replaying them through _exchange; a longer one by one gather.
-_REPLAY_MAX = 4
+_MATMUL_MIN_BLOCK = 32
 # simulate() caches the odd-parity indices of each row it scales (4 bytes per
 # amplitude); it empties the cache once the rows held cover more amplitudes
 # than this (8 MB).
@@ -161,11 +153,9 @@ def _apply_1q(state: np.ndarray, e: tuple, q: int) -> None:
     # unbatched matmul is one BLAS call, which may spread a large state over
     # threads and then runs ~50x slower.  A diagonal gate (u1, z, s, t)
     # skips matmul: _mix scales the two halves.
-    min_block = (_MATMUL_MIN_BLOCK if state.size < _MATMUL_WIDE_STATE
-                 else _MATMUL_MIN_BLOCK_WIDE)
     if ((e[1] != 0 or e[2] != 0)
             and (state.size <= _MATMUL_MAX_STATE
-                 or (q and v.shape[2] >= min_block))):
+                 or (q and v.shape[2] >= _MATMUL_MIN_BLOCK))):
         v[...] = np.array(e).reshape(2, 2) @ v
     else:
         _mix(v[:, 0], v[:, 1], e)
@@ -339,7 +329,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
     used_clbits: set[int] = set()
     # Per-call caches (see the module docstring): the views alias `state`,
     # so between joins it is only ever updated in place.  cx_of maps the
-    # wires of a closed CX to its axes, their `owed` bits and its view key.
+    # wires of a closed CX to its axes and their `owed` bits.
     axes_of: dict[tuple, tuple[int, ...]] = {}
     cx_of: dict[tuple, tuple] = {}
     views: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -348,10 +338,10 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
     bits: dict[int, np.ndarray] = {}  # stored bit -> is it set, per index
     # The CX frame (see the module docstring): rows[a] is the row of matrix
     # R, cols[a] the column of its inverse, as bit masks of the stored index;
-    # `queue` holds the view keys of the CX/SWAP gates R is made of.
+    # R is the identity when `framed` is false.
     ident = [1 << (m - 1 - a) for a in range(m)]
     rows, cols = ident[:], ident[:]
-    queue: list[tuple] = []
+    framed = False
 
     def enter(pos: int, qubits: tuple[int, ...]) -> tuple[int, ...]:
         """Check that the wires of instruction pos are simulated; for a
@@ -391,21 +381,18 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
 
     def sync() -> None:
         """Bring the stored state up to date with the frame; R becomes I."""
-        if rows != ident:
-            if len(queue) <= _REPLAY_MAX:
-                for key in queue:
-                    _exchange(*pair(*key))
-            else:
-                state[...] = state[_gather_index(cols, m)]
+        nonlocal framed
+        if framed and rows != ident:
+            state[...] = state[_gather_index(cols, m)]
             rows[:] = ident
             cols[:] = ident
-        queue.clear()
+        framed = False
 
     def own_axis(a: int) -> int:
         """The stored axis that axis a is exactly, when no other row uses
         it; otherwise sync() and a."""
         r = rows[a]
-        if not queue or (r & (r - 1) == 0
+        if not framed or (r & (r - 1) == 0
                          and sum([x & r != 0 for x in rows]) == 1):
             return m - r.bit_length()
         sync()
@@ -444,9 +431,10 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 state[odd_parity(r)] *= e[3] / e[0]
 
     def cx(t: int, u: int) -> None:
+        nonlocal framed
         rows[u] ^= rows[t]
         cols[t] ^= cols[u]
-        queue.append((False, (t, u), ()))
+        framed = True
 
     def pay(q: int, a: int) -> None:
         """Apply what the joined wire q (stored axis a) owes outside any
@@ -459,20 +447,15 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
             apply_1q(e, a)
 
     def flush(b: list) -> None:
-        """Apply block b (see the module docstring); the 1q gates after its
-        last CX stay owed."""
-        qa, qb, ea, eb, u, (a, z) = b
+        """Apply block b as one 4x4 kernel; the 1q gates after its last CX
+        stay owed."""
+        qa, qb, u, (a, z) = b
         for q, s in ((qa, a), (qb, z)):
             block[q] = None
             if pend[q] is _I2:
                 pay(q, s)
-        if u is None:  # one CX: its parts, so that the CX joins the frame
-            apply_1q(ea, a)
-            apply_1q(eb, z)
-            cx(a, z)
-            return
         sa, sz = own_axis(a), own_axis(z)
-        _apply_2q(state, u, a if not queue else sa, sz)
+        _apply_2q(state, u, a if not framed else sa, sz)
 
     def settle(q: int) -> None:
         """Apply everything the joined wire q owes."""
@@ -497,22 +480,19 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
             cq = cx_of.get(qubits)
             if cq is None:
                 t, u = enter(pos, qubits)
-                cq = cx_of[qubits] = (t, u, (1 << qubits[0]) | (1 << qubits[1]),
-                                      (False, (t, u), ()))
-            t, u, mask, key = cq
+                cq = cx_of[qubits] = (t, u, (1 << qubits[0]) | (1 << qubits[1]))
+            t, u, mask = cq
             if owed & mask:
                 qc, qt = qubits
                 b = block[qc]
                 if b is not None and b is block[qt]:
                     # Fold the owed 1q gates and this CX into the block.
-                    v = b[4]
-                    if v is None:
-                        v = _kron2(b[2], b[3])[_CX_ROWS[True]]
+                    v = b[2]
                     ea, eb = pend[b[0]], pend[b[1]]
                     if ea is not _I2 or eb is not _I2:
                         v = _kron2(ea, eb) @ v
                         pend[b[0]] = pend[b[1]] = _I2
-                    b[4] = v[_CX_ROWS[qc == b[0]]]
+                    b[2] = v[_CX_ROWS[qc == b[0]]]
                     continue
                 for b in (b, block[qt]):
                     if b is not None:
@@ -520,18 +500,16 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 ec, et = pend[qc], pend[qt]
                 if (ec is not None and et is not None and (ec[1] != 0 or ec[2] != 0)
                         and (et[1] != 0 or et[2] != 0)):
-                    # [its wires, what they owed before its first CX, its
-                    # 4x4 once a second CX folds in, their stored axes]
-                    block[qc] = block[qt] = [qc, qt, ec, et, None, (t, u)]
+                    # [its wires, its 4x4 so far, their stored axes]
+                    block[qc] = block[qt] = [
+                        qc, qt, _kron2(ec, et)[_CX_ROWS[True]], (t, u)]
                     pend[qc] = pend[qt] = _I2
                     continue
                 if ec is not None:
                     pay(qc, t)
                 if et is not None:
                     pay(qt, u)
-            rows[u] ^= rows[t]
-            cols[t] ^= cols[u]
-            queue.append(key)
+            cx(t, u)
             continue
         qs = axes_of.get(qubits)
         if qs is None:
@@ -552,17 +530,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
                 pend[q] = e
                 owed |= 1 << q
             else:  # diagonal, on a wire that owes nothing: apply it now
-                r = rows[where[q]]
-                if not r & (r - 1):
-                    _apply_1q(state, e, m - r.bit_length())
-                    continue
-                # apply_1q's parity case, inline: phase networks run it per
-                # gate
-                if e[0] != 1:
-                    state *= e[0]
-                if e[3] != e[0]:
-                    idx = odd.get(r)
-                    state[odd_parity(r) if idx is None else idx] *= e[3] / e[0]
+                apply_1q(e, where[q])
             continue
         if k is _MEASURE:
             b = inst.clbits[0]
@@ -600,7 +568,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
             if k is _SWAP:
                 rows[a], rows[b] = rows[b], rows[a]
                 cols[a], cols[b] = cols[b], cols[a]
-                queue.append((True, qs, ()))
+                framed = True
             else:  # swapz a, z = cx(a, z); cx(z, a)
                 cx(a, b)
                 cx(b, a)

@@ -129,6 +129,35 @@ def test_verify_routed_output_through_its_layout(files, capsys, text, layout):
     assert capsys.readouterr().out.count("NOT") == 0
 
 
+def test_verify_two_routed_files_through_both_layouts(files, capsys):
+    # Both files hold the source's wire 0 on another physical wire.
+    src = files("src.qasm", "qreg q[3];\nh q[0];\n")
+    a = files("a.qasm", "qreg q[3];\n// layout 1,0,2\nh q[1];\n")
+    b = files("b.qasm", "qreg q[3];\n// layout 2,1,0\nh q[2];\n")
+    wide = files("wide.qasm", "qreg q[5];\n// layout 4,1,3\nh q[4];\n")
+    for x, y in ((src, a), (src, b), (a, b), (b, a), (a, wide), (wide, b)):
+        assert main(["verify", x, y]) == 0, (x, y)
+    assert capsys.readouterr().out.count("NOT") == 0
+    # The optimizing and the baseline pipeline on line5 end in different
+    # layouts: qbo drops the two CX whose controls are known basis states.
+    src = files("in.qasm", "qreg q[5];\nx q[1];\ncx q[1],q[4];\n"
+                "cx q[0],q[3];\nh q[0];\ncx q[0],q[2];\nh q[3];\n"
+                "cx q[3],q[1];\n")
+    outs = [files(f"out{i}.qasm", "") for i in range(2)]
+    assert main(["optimize", src, "--coupling", "line5", "-o", outs[0]]) == 0
+    assert main(["optimize", src, "--coupling", "line5", "--no-qbo",
+                 "--no-qpo", "-o", outs[1]]) == 0
+    layouts = [next(line for line in Path(f).read_text().splitlines()
+                    if line.startswith("// layout")) for f in outs]
+    assert layouts[0] != layouts[1]
+    assert main(["verify", *outs]) == 0
+    assert main(["verify", src, outs[1]]) == 0
+    # Layouts of different lengths do not fit: an input error.
+    short = files("short.qasm", "qreg q[3];\n// layout 1,0\nh q[1];\n")
+    assert main(["verify", a, short]) == 2
+    assert "do not fit" in capsys.readouterr().err
+
+
 # MCX, SWAP, CSWAP and open controls on 6 wires; the routed variant spreads
 # the same gates over the 15 wires of line15, so the router inserts SWAPs.
 _MIXED = """qreg q[{n}];

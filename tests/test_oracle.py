@@ -16,7 +16,8 @@ from rpoc.synth import pure_state_vector
 
 from helpers import (REF_MAX_QUBITS, TWO_PI, partial_trace_oracle,
                      random_circuit, random_full_circuit, random_statevector,
-                     ref_embed, ref_pure_params, ref_simulate, spy_calls)
+                     ref_apply, ref_embed, ref_pure_params, ref_simulate,
+                     spy_calls)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -460,8 +461,8 @@ class TestAgainstReference:
             assert np.array_equal(init, keep)
 
     # simulate() keeps a wire as its own 2-vector until a multi-qubit gate
-    # first touches it, and applies a two-wire run of 2 or more CX with its
-    # 1q gates as one 4x4 kernel: the corpus below stresses both.
+    # first touches it, and applies a two-wire run of CX with its 1q gates
+    # as one 4x4 kernel: the corpus below stresses both.
 
     @staticmethod
     def _run_corpus(seed: int, cases: int = 40):
@@ -509,10 +510,10 @@ class TestAgainstReference:
             _assert_same(simulate(c, initial_state=init),
                          ref_simulate(c, initial_state=init), False)
 
-    @pytest.mark.parametrize("n_cx,want", [(1, 0), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("n_cx,want", [(1, 1), (2, 1), (3, 1)])
     def test_one_kernel_per_block(self, monkeypatch, n_cx, want):
         # u3 u3 cx (u3 u3 cx)... u3 u3 on wires 1 and 2 of a joined state:
-        # a block of 2 or more CX is one 4x4 call, a one-CX block none.
+        # every block is one 4x4 call, a block with one CX too.
         rng = np.random.default_rng(51)
         c = Circuit(3)
         for i in range(n_cx):
@@ -737,18 +738,48 @@ class TestCXFrame:
             c = _cx_run_circuit(rng, n, 200)
             _assert_same(simulate(c), ref_simulate(c), _has_reset(c))
 
+    @pytest.mark.parametrize("n", [4, 6, 15])
+    def test_gather_at_short_queues(self, monkeypatch, n):
+        # Queues of 1-5 CX, SWAP and SWAPZ, each ended by a u3 on a wire of
+        # its last gate: the state is brought up to date by one gather, or
+        # by none when the queue multiplies out to the identity.  The
+        # reference applies each gate's matrix (ref_simulate's gate step,
+        # which also runs past its width limit).
+        rng = random.Random(n)
+        np_rng = np.random.default_rng(n)
+        calls = spy_calls(monkeypatch, oracle, ("_gather_index", "_exchange"))
+        gathers = 0
+        for length in range(1, 6):
+            for kind in (GateKind.CX, GateKind.SWAP, GateKind.SWAPZ, None):
+                c = Circuit(n)
+                for _ in range(length):
+                    k = kind or rng.choice([GateKind.CX, GateKind.SWAP,
+                                            GateKind.SWAPZ])
+                    c.append(Instruction(k, tuple(rng.sample(range(n), 2))))
+                c.u3(*[rng.uniform(0, TWO_PI) for _ in range(3)],
+                     rng.choice(c.instructions[-1].qubits))
+                init = random_statevector(np_rng, n)
+                want = init
+                for inst in c.instructions:
+                    want = ref_apply(inst, want, n)
+                calls.clear()
+                _assert_same(simulate(c, initial_state=init), want, False)
+                assert calls in ([], ["_gather_index"])
+                gathers += len(calls)
+        assert gathers >= 18
+
     @pytest.mark.parametrize("case,want", [
         ("ladder-h", ["_gather_index", "_apply_1q"]),
-        ("cx-h", ["_exchange", "_apply_1q"]),
-        ("cx-u1", ["_exchange"]),
-        ("cx-h-idle", ["_apply_1q", "_exchange"]),
+        ("cx-h", ["_gather_index", "_apply_1q"]),
+        ("cx-u1", ["_gather_index"]),
+        ("cx-h-idle", ["_apply_1q", "_gather_index"]),
     ])
     def test_paths(self, monkeypatch, case, want):
         # ladder-h: a CX ladder longer than 2 * width, then h on a wire that
         # other rows share: one gather.  cx-h: one CX then h on its target:
-        # the CX is replayed.  cx-u1: u1 on the target's parity, no update
-        # until the end.  cx-h-idle: h on a wire that is its own stored axis
-        # acts there, before the end replays the CX.
+        # one gather too.  cx-u1: u1 on the target's parity, no update until
+        # the end.  cx-h-idle: h on a wire that is its own stored axis acts
+        # there, before the end brings the state up to date.
         n = 4
         c = Circuit(n)
         if case == "ladder-h":

@@ -20,10 +20,9 @@ def _entries(m: np.ndarray) -> tuple:
 
 
 # A state of at most 256 amplitudes (n = 6) takes the matmul path on every
-# wire.  On a larger one, wire 0 and the last wire take the elementwise path
-# and wire 1 the matmul one; a wire whose suffix blocks hold 16 amplitudes
-# ("block16") takes matmul on 10 wires and the elementwise path from 11 on,
-# and one with 32-amplitude blocks ("block32") takes matmul.  A diagonal
+# wire.  On a larger one, wire 0, the last wire and a wire whose suffix
+# blocks hold 16 amplitudes ("block16") take the elementwise path, and wire 1
+# and a wire with 32-amplitude blocks ("block32") the matmul one.  A diagonal
 # matrix (the "u1-" cases) scales the two halves on every wire.
 KERNEL_1Q_CASES = [(t, m) for m in ("haar", "u1")
                    for t in ("low", "second", "block32", "block16", "high")]
@@ -48,8 +47,7 @@ def test_1q_kernel(benchmark, monkeypatch, n, target, matrix):
     if matrix == "u1":
         assert len(mixed) == 1  # never matmul: _mix scales the halves
     else:
-        elementwise = {"low", "high"} | ({"block16"} if n >= 11 else set())
-        assert bool(mixed) == (n > 6 and target in elementwise)
+        assert bool(mixed) == (n > 6 and target in {"low", "high", "block16"})
     assert np.allclose(got, want, atol=1e-12)
     benchmark(_apply_1q, state, _entries(m), q)
 
@@ -129,7 +127,7 @@ def _frame_circuit(n: int) -> Circuit:
     end where it is still its own stored axis, and u1 on wire n-2, a parity
     of several stored bits; then h on wire 0, which the next CX brings the
     state up to date for by one gather, and u1 on wire 1 after that CX (a
-    replayed queue at the end)."""
+    second gather at the end)."""
     c = Circuit(n)
     for i in range(3 * n):
         c.cx(i % (n - 2), i % (n - 2) + 1)
@@ -149,6 +147,27 @@ def test_cx_frame(benchmark, monkeypatch, n):
     with monkeypatch.context() as mp:
         calls = spy_calls(mp, oracle, ("_gather_index", "_exchange"))
         got = simulate(c, initial_state=init)
-    assert calls == ["_gather_index", "_exchange"]
+    assert calls == ["_gather_index", "_gather_index"]
+    assert np.max(np.abs(got - want)) <= 1e-12
+    benchmark(simulate, c, initial_state=init)
+
+
+@pytest.mark.parametrize("n", [6, 10, 15])
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_frame_sync(benchmark, monkeypatch, n, length):
+    # A short queue, cx(0, 1) cx(1, 2)..., then h on wire 1, whose row is the
+    # parity of stored bits 0 and 1: the frame syncs by one gather before the
+    # h is applied.  A gate-by-gate replay of short queues would have to beat
+    # these times.
+    c = Circuit(n)
+    for i in range(length):
+        c.cx(i, i + 1)
+    c.h(1)
+    init = random_statevector(np.random.default_rng(n), n)
+    want = _frame_reference(c, init)
+    with monkeypatch.context() as mp:
+        calls = spy_calls(mp, oracle, ("_gather_index", "_exchange"))
+        got = simulate(c, initial_state=init)
+    assert calls == ["_gather_index"]
     assert np.max(np.abs(got - want)) <= 1e-12
     benchmark(simulate, c, initial_state=init)
