@@ -49,11 +49,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import (Circuit, GateKind, _CX, _CZ, _CU3, _SWAP,
+from .circuit import (Circuit, _CX, _CZ, _CU3, _SWAP,
                       _SWAPZ, _CCX, _MCX, _CSWAP, _RESET, _ANNOT, _MEASURE, _BARRIER)
 from .synth import (_GATE_1Q_ENTRIES, _mul2, _u3_angles, _u3_entries,
                     pure_state_vector)
@@ -110,7 +111,7 @@ class EquivalenceReport:
 def touched_wires(c: Circuit) -> list[int]:
     """Sorted wires that some non-barrier instruction acts on."""
     tuples = {inst.qubits for inst in c.instructions
-              if inst.kind is not GateKind.BARRIER}
+              if inst.kind is not _BARRIER}
     return sorted({q for qs in tuples for q in qs})
 
 
@@ -623,13 +624,18 @@ def _distribution(state: np.ndarray, measured: dict[int, int], n_clbits: int,
     if drop:
         probs = probs.sum(axis=drop)
     probs = probs.reshape(-1)
-    dist: dict[str, float] = {}
-    for flat in np.flatnonzero(probs > 1e-15):
-        key = ["0"] * n_clbits
-        for j, q in enumerate(keep):
-            key[measured[q]] = str((flat >> (len(keep) - 1 - j)) & 1)
-        dist["".join(key)] = float(probs[flat])
-    return dist
+    outcomes = np.flatnonzero(probs > 1e-15)
+    # An outcome's kept bits, in axis order, are format(flat, fmt); key
+    # character c is character src[c] of "0" + those bits (0: no kept axis
+    # is measured into clbit c).
+    fmt = f"0{len(keep)}b"
+    src = [0] * n_clbits
+    for j, q in enumerate(keep, 1):
+        src[measured[q]] = j
+    pick = itemgetter(*src)
+    keys = ["".join(pick("0" + format(flat, fmt)))
+            for flat in outcomes.tolist()]
+    return dict(zip(keys, probs[outcomes].tolist()))
 
 
 def total_variation_distance(a: dict[str, float], b: dict[str, float]) -> float:

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import NamedTuple
 
 from .analysis import (Tracker, basis_of, is_zero, pure_transition,
                        vector_to_pure, _ZERO, _ONE, _PLUS, _MINUS, _TOP)
-from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal, _CX,
-                      _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _BARRIER)
+from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal,
+                      _CX, _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP,
+                      _RESET, _ANNOT, _BARRIER)
 from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cancel_adjacent_cx,
                     cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
                     pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
@@ -125,19 +125,29 @@ def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
     return None
 
 
+# Kinds that act even when every operand is TOP: RESET and ANNOT set a known
+# state, and qbo rewrites a SWAPZ it cannot validate.
+_ACT_ON_TOP = frozenset({_RESET, _ANNOT, _SWAPZ})
+
+
 def qbo(c: Circuit) -> Circuit:
     """Basis-state rewrite pass: one in-order traversal that interleaves
     state tracking with strength reduction of CX/CZ/SWAP/SWAPZ, Toffoli-style
     multi-controlled gates and controlled swaps (`_qbo_rule`).  A 1q gate
     that fixes its wire's known state is dropped; SWAPs go through
-    `swap_rule` with the operands' ray states.  CX count never increases."""
+    `swap_rule` with the operands' ray states.  CX count never increases.
+
+    A gate whose operands are all unknown is kept as it is, with no rule or
+    tracker work: every rule needs a known operand, and such a gate leaves
+    its operands unknown.  Open-control gates, SWAPZ, RESET and ANNOT are
+    the exceptions and always take the full path."""
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
     states = tr.states
     todo = c.instructions[::-1]
     while todo:
         inst = todo.pop()
-        k, qs = inst.kind, inst.qubits
+        k, qs, _, _, mask = inst
         if k in GATES_1Q:
             s = states[qs[0]]
             if s is not None:
@@ -146,7 +156,17 @@ def qbo(c: Circuit) -> Circuit:
                     continue  # the gate fixes the tracked state: drop it
                 states[qs[0]] = new
             out.append(inst)
-        elif k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
+            continue
+        # A gate whose operands are all TOP is kept: no rule fires and it
+        # leaves them TOP.  Open controls are rewritten whatever the states.
+        if not (mask or k in _ACT_ON_TOP):
+            for q in qs:
+                if states[q] is not None:
+                    break
+            else:
+                out.append(inst)
+                continue
+        if k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
             # A validated SWAPZ is a SWAP.  The rule acts as the SWAP on its
             # tracked inputs, so the states are exchanged whatever it emits.
             # Only ray states count as known here; qpo uses the rest.
@@ -184,9 +204,13 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     With `resynth_blocks`, maximal two-qubit runs whose inputs are both known
     and that contain two or more CX are replaced by a state-preparation
     circuit with at most one CX.
+    A gate whose operands are all unknown, other than RESET and ANNOT, is
+    kept as it is before any of these tests: none of them can fire, and the
+    gate leaves its operands unknown.
     """
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
+    states = tr.states
     insts = c.instructions
     consumed: set[int] = set()
 
@@ -215,12 +239,20 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     for i, inst in enumerate(insts):
         if i in consumed:
             continue
-        k = inst.kind
+        k, qs = inst.kind, inst.qubits
+        # A gate whose operands are all TOP is kept: no rule fires and it
+        # leaves them TOP.
+        for q in qs:
+            if states[q] is not None:
+                break
+        else:
+            if k is not _RESET and k is not _ANNOT:
+                out.append(inst)
+                continue
 
-        if (resynth_blocks and k in (_K.CX, _K.CZ, _K.SWAP, _K.SWAPZ)
-                and not inst.open_mask):
-            a, b = inst.qubits
-            sa, sb = tr.states[a], tr.states[b]
+        if resynth_blocks and k in _BLOCK_CX_COST and not inst.open_mask:
+            a, b = qs
+            sa, sb = states[a], states[b]
             if sa is not None and sb is not None:
                 members, cost = collect_block(i, a, b)
                 if cost >= 2:
@@ -234,22 +266,21 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                         out.append(_remap(p, (a, b)))
                     u, s, vh = np.linalg.svd(target.reshape(2, 2))
                     if s[1] <= 1e-7:  # product output: states stay known
-                        tr.states[a] = vector_to_pure(u[:, 0])
-                        tr.states[b] = vector_to_pure(vh[0, :])
+                        states[a] = vector_to_pure(u[:, 0])
+                        states[b] = vector_to_pure(vh[0, :])
                     else:
                         tr.set_top((a, b))
                     consumed.update(members)
                     continue
 
-        qs = inst.qubits
-        if k is _K.SWAP or (k is _K.SWAPZ and is_zero(tr.states[qs[1]])):
+        if k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
             # A validated SWAPZ is semantically a SWAP.
-            for new in swap_rule(tr.states[qs[0]], tr.states[qs[1]], *qs):
+            for new in swap_rule(states[qs[0]], states[qs[1]], *qs):
                 keep(new)
-        elif (k is _K.CSWAP and tr.states[qs[1]] is not None
-              and tr.states[qs[2]] is not None):
+        elif (k is _CSWAP and states[qs[1]] is not None
+              and states[qs[2]] is not None):
             cq, t1, t2 = qs
-            p = pure_to_pure_gate(tr.states[t1], tr.states[t2])
+            p = pure_to_pure_gate(states[t1], states[t2])
             if not p.is_identity():
                 pinv = p.inverse()
                 out.append(_i(_K.CU3, (cq, t1), (p.theta, p.phi, p.lam)))
@@ -424,15 +455,14 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0,
 # Pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PipelineOptions:
+class PipelineOptions(NamedTuple):
     coupling: CouplingMap | None = None
     seed: int = 0
     enable_qbo: bool = True
     enable_qpo: bool = True
     enable_block_resynth: bool = False
-    basis: ClassVar[frozenset] = DEFAULT_BASIS  # the target gates; not an option
     random_layout: bool = False
+    basis = DEFAULT_BASIS  # the target gates; a class constant, not an option
 
 
 def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,8 +91,7 @@ def check_unitary2(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class U3Params:
+class U3Params(NamedTuple):
     """u3(theta, phi, lam) angles plus the global phase of the source matrix."""
 
     theta: float

@@ -68,14 +68,24 @@ def test_import_loads_no_numpy():
     assert run_fresh("import rpoc\nresult = None") == [None, False]
 
 
-def test_import_loads_no_json():
-    # Not run_fresh: its child code imports json itself.
+def loaded_by_import(*names: str) -> list[str]:
+    """Which of the modules `names` a fresh `import rpoc` loads.  Not
+    run_fresh: its child code imports json itself."""
     run = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rpoc; print('json' in sys.modules)"],
+        [sys.executable, "-c", "import sys, rpoc\n"
+         "print(*[m for m in sys.argv[1:] if m in sys.modules])", *names],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
         text=True, check=True)
-    assert run.stdout.split() == ["False"]
+    return run.stdout.split()
+
+
+def test_import_loads_no_json():
+    assert loaded_by_import("json") == []
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses imports inspect, which imports ast, dis and tokenize.
+    assert loaded_by_import("dataclasses", "inspect") == []
 
 
 def test_pipeline_and_text_boundary_load_no_numpy(qpe10_file):

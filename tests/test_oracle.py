@@ -121,6 +121,38 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             simulate(c)
 
+    def test_distribution_matches_per_bit_keys(self):
+        # Reference: each key built one clbit character at a time.
+        def ref(state, measured, n_clbits, n):
+            probs = np.abs(state.reshape([2] * n)) ** 2
+            keep = sorted(measured)
+            drop = tuple(q for q in range(n) if q not in measured)
+            if drop:
+                probs = probs.sum(axis=drop)
+            probs = probs.reshape(-1)
+            dist = {}
+            for flat in np.flatnonzero(probs > 1e-15):
+                key = ["0"] * n_clbits
+                for j, q in enumerate(keep):
+                    key[measured[q]] = str((flat >> (len(keep) - 1 - j)) & 1)
+                dist["".join(key)] = float(probs[flat])
+            return dist
+
+        rng = np.random.default_rng(7)
+        pyrng = random.Random(7)
+        for _ in range(200):
+            n = pyrng.randint(1, 7)
+            state = random_statevector(rng, n)
+            if pyrng.random() < 0.5:  # a few amplitudes only
+                state[rng.random(state.size) < 0.7] = 0.0
+                state /= np.linalg.norm(state) or 1.0
+            axes = pyrng.sample(range(n), pyrng.randint(1, n))
+            n_clbits = len(axes) + pyrng.randint(0, 2)
+            measured = dict(zip(axes, pyrng.sample(range(n_clbits), len(axes))))
+            got = oracle._distribution(state, measured, n_clbits, n)
+            want = ref(state, measured, n_clbits, n)
+            assert list(got.items()) == list(want.items())
+
 
 class TestResetAnnot:
     def test_reset_pure_qubit(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
-                  PipelineOptions, cx_count, emit_program,
+                  PipelineOptions, cx_count, emit_program, gen_grover,
                   equivalent_up_to_global_phase, line_coupling, grid_coupling,
                   parse_program, pipeline, qbo, qpo, route, simulate,
                   unroll)
@@ -438,6 +438,106 @@ class TestRewritePassesAddNoCX:
             out = rewrite(c)
             assert cx_count(unroll(out)) <= before, rewrite
             assert equivalent_up_to_global_phase(c, out).equivalent, rewrite
+
+
+# One gate of each multi-qubit kind on wires 0..k-1, and a closed-control
+# twin of each open-control one.
+_MULTI = {
+    "cx": Instruction(GateKind.CX, (0, 1)),
+    "cz": Instruction(GateKind.CZ, (0, 1)),
+    "ccx": Instruction(GateKind.CCX, (0, 1, 2)),
+    "mcx": Instruction(GateKind.MCX, (0, 1, 2, 3)),
+    "cswap": Instruction(GateKind.CSWAP, (0, 1, 2)),
+    "cu3": Instruction(GateKind.CU3, (0, 1), (0.3, 0.2, 0.1)),
+    "swap": Instruction(GateKind.SWAP, (0, 1)),
+    "barrier": Instruction(GateKind.BARRIER, (0, 1, 2)),
+}
+
+
+def _unknown_operands(inst: Instruction) -> Circuit:
+    """`inst` after a prep that entangles each operand with an ancilla, so
+    every operand's tracked state is TOP when it runs."""
+    k = len(inst.qubits)
+    c = Circuit(2 * k)
+    for q in range(k):
+        c.h(k + q)
+        c.cx(k + q, q)
+    return c.extend([inst])
+
+
+class TestUnknownOperands:
+    """qbo and qpo keep a gate whose operands are all TOP as it is, without
+    asking a rule: no rule of either pass fires on such a gate, and TOP
+    absorbs every kind but RESET and ANNOT.  qbo's two exceptions, open
+    controls and an unvalidated SWAPZ, are rewritten whatever the states."""
+
+    @pytest.mark.parametrize("name", list(_MULTI))
+    def test_no_rule_fires(self, name):
+        inst = _MULTI[name]
+        assert passes._qbo_rule(inst, [None] * len(inst.qubits)) is None
+        if inst.kind is GateKind.SWAP:
+            assert passes.swap_rule(None, None, *inst.qubits) == [inst]
+
+    @pytest.mark.parametrize("rewrite", [qbo, qpo], ids=["qbo", "qpo"])
+    @pytest.mark.parametrize("name", list(_MULTI))
+    def test_kept_as_it_is(self, name, rewrite):
+        c = _unknown_operands(_MULTI[name])
+        out = rewrite(c)
+        assert out.instructions == c.instructions
+        assert out.instructions[-1] is c.instructions[-1]
+
+    @pytest.mark.parametrize("rewrite", [qbo, qpo], ids=["qbo", "qpo"])
+    def test_reset_and_annot_restate_an_unknown_wire(self, rewrite):
+        # RESET (|0>) or ANNOT (|1>) makes TOP wire 0 known, so its SWAP
+        # with TOP wire 1 becomes a SWAPZ: one CX fewer.
+        for restate in (Instruction(GateKind.RESET, (0,)),
+                        Instruction(GateKind.ANNOT, (0,), (PI, 0.0))):
+            c = _unknown_operands(Instruction(GateKind.SWAP, (0, 1)))
+            c.instructions.insert(-1, restate)
+            assert _cx(rewrite(c)) == _cx(c) - 1, restate.kind
+
+    def test_qpo_keeps_open_controls_and_swapz(self):
+        for inst in (Instruction(GateKind.CX, (0, 1), open_mask=(True,)),
+                     Instruction(GateKind.SWAPZ, (0, 1))):
+            c = _unknown_operands(inst)
+            assert qpo(c).instructions == c.instructions
+
+    def test_qbo_rewrites_open_controls(self):
+        c = _unknown_operands(
+            Instruction(GateKind.CCX, (0, 1, 2), open_mask=(True, False)))
+        tail = qbo(c).instructions[len(c) - 1:]
+        assert tail == [Instruction(GateKind.X, (0,)),
+                        Instruction(GateKind.CCX, (0, 1, 2)),
+                        Instruction(GateKind.X, (0,))]
+        assert equivalent_up_to_global_phase(c, qbo(c)).equivalent
+
+    def test_qbo_rewrites_unvalidated_swapz(self):
+        c = _unknown_operands(Instruction(GateKind.SWAPZ, (0, 1)))
+        out = qbo(c)
+        tail = out.instructions[len(c) - 1:]
+        assert {i.kind for i in tail} == {GateKind.CX}
+        assert cx_count(out) == cx_count(c) + 2
+        assert equivalent_up_to_global_phase(c, out).equivalent
+
+    def test_qbo_asks_rules_only_with_a_known_operand(self, monkeypatch):
+        # Routed grover6: after its first entangling gates nearly every
+        # operand is TOP; the rule must not see such a gate, but must still
+        # see the ones with a known operand.
+        c, _ = route(unroll(gen_grover(6, 37, 6)), line_coupling(15), seed=0)
+        seen = []
+        rule = passes._qbo_rule
+
+        def spy(inst, states):
+            seen.append(any(states[q] is not None for q in inst.qubits))
+            return rule(inst, states)
+
+        monkeypatch.setattr(passes, "_qbo_rule", spy)
+        out = qbo(c)
+        assert seen and all(seen)
+        multi = sum(len(i.qubits) > 1 for i in c.instructions)
+        assert len(seen) < multi // 10
+        monkeypatch.undo()
+        assert out.instructions == qbo(c).instructions
 
 
 class TestQPO:
