@@ -421,11 +421,14 @@ def _instruction(name: str, bracket: str | None, paramstr: str | None,
 
 
 def parse_program(text: str) -> Circuit:
-    """Parse circuit text.  Raises ParseError with line/column on bad input."""
+    """Parse circuit text.  Raises ParseError with line/column on bad input.
+    A statement that parsed and appended is parsed once per call: its repeats
+    append the same instruction, range check and all."""
     circuit: Circuit | None = None  # made at the qreg declaration
     qname = cname = None
     n_clbits = 0
     layout: tuple[int, list[int]] | None = None  # (line, permutation)
+    memo: dict[str, Instruction] = {}  # statement -> its parsed instruction
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("//", 1)[0].rstrip()
@@ -445,6 +448,10 @@ def parse_program(text: str) -> Circuit:
             if not stmt:
                 continue
             try:
+                inst = memo.get(stmt)
+                if inst is not None:
+                    circuit.append(inst)
+                    continue
                 m = _STMT_RE.match(stmt)
                 if not m:
                     raise ValueError(f"cannot parse statement {stmt!r}")
@@ -470,8 +477,9 @@ def parse_program(text: str) -> Circuit:
                     continue
                 if circuit is None:
                     raise ValueError("statement before qreg declaration")
-                circuit.append(_instruction(name, bracket, paramstr, rest,
-                                            qname, cname))
+                inst = _instruction(name, bracket, paramstr, rest, qname, cname)
+                circuit.append(inst)
+                memo[stmt] = inst
             except ValueError as e:
                 col = start + len(piece) - len(piece.lstrip()) + 1
                 raise ParseError(str(e), lineno, col) from None

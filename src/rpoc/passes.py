@@ -471,17 +471,18 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     Stage order: basis-state pass; unroll keeping SWAP/SWAPZ; layout+routing
     (when a coupling map is given); basis-state pass again (for the routed
     SWAPs) and unroll keeping SWAP/SWAPZ; 1q-run merging and the pure-state
-    pass; unroll to the basis; then merging, and rounds of CX-pair
-    cancellation plus merging until a round cancels no pair or its merge
-    drops no run.  merge_1q_runs is idempotent on its own output, so that is
-    the fixpoint; each further round removes gates, so it is reached.
+    pass; unroll to the basis; then the cleanup: merging and CX-pair
+    cancellation in one pass (`_merge_runs(cancel=True)`), then, while a
+    cancellation removed a pair, merging again and, if that dropped a run,
+    cancelling again.  merge_1q_runs is idempotent on its own output, so
+    that is the fixpoint; each further round removes gates, so it is reached.
 
     Stages that cannot change the circuit are skipped:
     - without qbo, the second unroll; without qpo, the pre-qpo merge;
     - with no SWAP or SWAPZ left, the basis unroll, and qpo and the pre-qpo
       merge unless qpo re-synthesizes blocks: its other rewrites start at a
       SWAP, SWAPZ or CSWAP, and the first unroll expands every CSWAP;
-    - a round's cancellation after a merge that dropped no run: the previous
+    - a cancellation after a merge that dropped no run: the previous
       cancellation left no adjacent CX pair, and only a run fused to the
       identity can make two CX adjacent.
     The cleanup cannot change a tracked state, so qbo (at most twice) and
@@ -509,15 +510,14 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     if swaps:
         cur = unroll(cur, basis)
 
-    cur = merge_1q_runs(cur)
-    while True:
-        before = len(cur.instructions)
-        cur = cancel_adjacent_cx(cur)
-        if len(cur.instructions) == before:
-            break
+    cur, cancelled = _merge_runs(cur, cancel=True)
+    while cancelled:
         cur, dropped = _merge_runs(cur)
         if not dropped:
             break
+        before = len(cur.instructions)
+        cur = cancel_adjacent_cx(cur)
+        cancelled = len(cur.instructions) < before
 
     cur.layout = layout
     return cur

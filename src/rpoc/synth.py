@@ -2,7 +2,8 @@
 
 Covers ZYZ re-synthesis of 2x2 unitaries, u3 composition, unrolling of
 compound gates into a {u1,u2,u3,id,cx} basis (an MCX with k >= 3 controls
-as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup,
+as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup
+(1q-run merging and CX-pair cancellation, each alone or both in one pass),
 and two-qubit state preparation from known product inputs.
 
 The 1q algebra is closed-form over the four entries of a 2x2 matrix: no numpy
@@ -408,63 +409,92 @@ def _is_canonical_u(inst: Instruction) -> bool:
     return False
 
 
-def _fuse(run: list[Instruction]) -> tuple | None:
-    """(kind, params) of the cheapest u-gate realizing the product of `run`,
-    applied in order; None if it is the identity."""
-    if len(run) == 1:
-        p = as_u3params(run[0])
-    else:
+def _fuse(run) -> tuple | None:
+    """(kind, params) of the cheapest u-gate realizing `run`, a lone gate or
+    a list of gates applied in order; None if it is the identity.  These are
+    u3params_instruction's `angles_equal` tests as plain comparisons: phi and
+    lam are canonical, and theta is _zyz's, in [0, pi], or a lone gate's."""
+    if type(run) is list:
         m = _u3_entries(*_u3_angles(run[0]))
         for inst in run[1:]:
             m = _mul2(_u3_entries(*_u3_angles(inst)), m)
-        p = _zyz(*m)
-    inst = u3params_instruction(p, 0)
-    return None if inst is None else (inst.kind, inst.params)
+        theta, phi, lam, _ = _zyz(*m)
+    else:
+        theta, phi, lam = _u3_angles(run)
+    if theta < EPS_ANGLE or TWO_PI - theta < EPS_ANGLE:
+        s = canonical_angle(phi + lam)
+        return None if s < EPS_ANGLE or TWO_PI - s < EPS_ANGLE else (_U1, (s,))
+    if abs(theta - PI / 2) < EPS_ANGLE:
+        return _U2, (phi, lam)
+    return _U3, (theta, phi, lam)
 
 
-def _flush_run(out: list[Instruction], run: list[Instruction], q: int,
-               fused: dict[tuple, tuple | None]) -> bool:
-    """Append the merged gate of wire q's `run` to `out`; True iff the run
-    fused to the identity and was dropped."""
-    if len(run) == 1 and _is_canonical_u(run[0]):
-        out.append(run[0])
-        return False
-    key = tuple([(inst.kind, inst.params) for inst in run])
-    try:
-        g = fused[key]
-    except KeyError:
-        g = fused[key] = _fuse(run)
-    if g is None:
-        return True
-    out.append(_i(g[0], (q,), g[1]))
-    return False
-
-
-def _merge_runs(c: Circuit) -> tuple[Circuit, bool]:
+def _merge_runs(c: Circuit, cancel: bool = False) -> tuple[Circuit, bool]:
     """`merge_1q_runs(c)`, and whether it dropped a run (one that fused to
-    the identity)."""
-    out: list[Instruction] = []
-    runs: dict[int, list[Instruction]] = {}  # per wire: its open run
+    the identity).  With `cancel`, `cancel_adjacent_cx(merge_1q_runs(c))`,
+    and whether it cancelled a pair: each gate the merge emits goes straight
+    through cancel_adjacent_cx's bookkeeping, and both only look back."""
+    n = c.n_qubits
+    out: list[Instruction | None] = []
+    runs: list = [None] * n  # per wire: its open run, a lone gate or a list
     fused: dict[tuple, tuple | None] = {}
-    dropped = False
-    for inst in c.instructions:
+    top, below = [-1] * n, {}  # as in cancel_adjacent_cx
+    dropped = cancelled = False
+    # A barrier on every wire flushes the runs still open at the end, in
+    # wire order; it is popped after.
+    for inst in c.instructions + [_i(GateKind.BARRIER, tuple(range(n)))]:
+        qs = inst.qubits
         if inst.kind in GATES_1Q:
-            q = inst.qubits[0]
-            run = runs.get(q)
+            q = qs[0]
+            run = runs[q]
             if run is None:
-                runs[q] = [inst]
-            else:
+                runs[q] = inst
+            elif type(run) is list:
                 run.append(inst)
-        else:
-            for q in inst.qubits:
-                run = runs.pop(q, None)
-                if run is not None and _flush_run(out, run, q, fused):
-                    dropped = True
-            out.append(inst)
-    for q in sorted(runs):
-        if _flush_run(out, runs[q], q, fused):
-            dropped = True
-    return c.replace(out), dropped
+            else:
+                runs[q] = [run, inst]
+            continue
+        for q in qs:
+            run = runs[q]
+            if run is None:
+                continue
+            runs[q] = None
+            if type(run) is list:
+                key = tuple([(g.kind, g.params) for g in run])
+            elif _is_canonical_u(run):
+                top[q] = len(out)
+                out.append(run)
+                continue
+            else:
+                key = run.kind, run.params
+            try:
+                g = fused[key]
+            except KeyError:
+                g = fused[key] = _fuse(run)
+            if g is None:
+                dropped = True
+            else:
+                top[q] = len(out)
+                out.append(_i(g[0], (q,), g[1]))
+        if cancel:
+            if inst.kind is _CX and not inst.open_mask:
+                a, b = qs
+                i, j = top[a], top[b]
+                if i == j and i >= 0 and out[i] == inst:
+                    out[i] = None
+                    top[a], top[b] = below.pop(i)
+                    cancelled = True
+                    continue
+                top[a] = top[b] = idx = len(out)
+                below[idx] = (i, j)
+            else:
+                for q in qs:
+                    top[q] = len(out)
+        out.append(inst)
+    out.pop()
+    if cancelled:
+        out = [g for g in out if g is not None]
+    return c.replace(out), cancelled if cancel else dropped
 
 
 def merge_1q_runs(c: Circuit) -> Circuit:
@@ -478,8 +508,8 @@ def merge_1q_runs(c: Circuit) -> Circuit:
     gate's u3 angles): a dict local to the call maps the run's (kind,
     params) sequence to the fused gate's, which each repeat rebuilds on its
     own wire.  The fused gate is a pure function of that sequence, so
-    repeats come out identical.
-    """
+    repeats come out identical.  pipeline()'s first cleanup round runs it
+    and cancel_adjacent_cx as one pass: `_merge_runs(c, cancel=True)`."""
     return _merge_runs(c)[0]
 
 

@@ -203,6 +203,21 @@ class TestParse:
             parse_program(text)
         assert (e.value.msg, e.value.line, e.value.col) == (msg, line, col)
 
+    def test_repeated_statement_parsed_once(self):
+        # A repeat appends the instruction its first occurrence parsed to;
+        # a bad statement after repeats is reported where it stands.
+        text = ("qreg q[2];\nh q[0];\ncx q[0],q[1];\nh q[0]; cx q[0],q[1];\n"
+                "  h q[0] ;\n")
+        c = parse_program(text)
+        assert [i.kind.value for i in c] == ["h", "cx", "h", "cx", "h"]
+        assert c.instructions[0] is c.instructions[2] is c.instructions[4]
+        assert c.instructions[1] is c.instructions[3]
+        assert c == parse_program(emit_program(c))
+        with pytest.raises(ParseError) as e:
+            parse_program(text + "h q[0]; h q[2];\n")
+        assert (e.value.msg, e.value.line, e.value.col) == (
+            "qubit index 2 out of range for width 2", 6, 9)
+
 
 class TestEmit:
     def test_empty(self):

@@ -2,6 +2,7 @@
 failure, 2 input error."""
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,10 @@ import pytest
 
 import rpoc
 from rpoc.bench import CSV_HEADER, gen_qpe
-from rpoc.circuit import emit_program
+from rpoc.circuit import emit_program, parse_program
 from rpoc.cli import main
+from rpoc.oracle import equivalent_up_to_global_phase, simulate
+from rpoc.passes import PipelineOptions, line_coupling, pipeline
 
 BELL = "qreg q[2];\nh q[0];\ncx q[0],q[1];\n"
 PRODUCT = "qreg q[2];\nh q[0];\n"
@@ -220,3 +223,19 @@ def test_optimize_output_does_not_depend_on_blas_kernel(files, extra):
         outs.append(run.stdout)
     assert outs[0].startswith("qreg q[")
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("coupling", [None, "line5"])
+def test_readme_circuit_example_holds(files, coupling):
+    # The example under "Circuit text format": its annotation must hold where
+    # it stands, so the oracle accepts it and optimize may trust it.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    text = re.search(r"## Circuit text format\n.*?```\n(.*?)```", readme,
+                     re.S).group(1)
+    src = parse_program(text)
+    simulate(src)
+    cmap = line_coupling(5) if coupling else None
+    out = pipeline(src, PipelineOptions(coupling=cmap))
+    assert equivalent_up_to_global_phase(src, out, perm=out.layout).equivalent
+    path = files("example.qasm", text)
+    assert main(["verify", path, path]) == 0

@@ -867,8 +867,10 @@ class TestPipeline:
             rep = equivalent_up_to_global_phase(c, out, perm=out.layout)
             assert rep.equivalent, emit_program(c)
 
-    # The stages pipeline() runs, by the names it calls them under.
-    STAGES = ("qbo", "unroll", "route", "merge_1q_runs", "_merge_runs", "qpo",
+    # The stages pipeline() runs, by the names it calls them under;
+    # _merge_runs with cancel=True, the cleanup's first round, is recorded
+    # as "_merge_runs+cancel".
+    STAGES = ("qbo", "unroll", "route", "merge_1q_runs", "qpo",
               "cancel_adjacent_cx")
     # A SWAP of an entangled wire with |0>: qbo leaves a SWAPZ for qpo.
     SWAP_SRC = ("qreg q[4];\nh q[0];\ncx q[0],q[1];\nswap q[1],q[2];\n"
@@ -876,41 +878,44 @@ class TestPipeline:
 
     def _stages(self, monkeypatch, c, **opts) -> list[str]:
         calls = spy_calls(monkeypatch, passes, self.STAGES)
+        merge = passes._merge_runs
+        monkeypatch.setattr(passes, "_merge_runs", lambda cur, cancel=False: (
+            calls.append("_merge_runs+cancel" if cancel else "_merge_runs"),
+            merge(cur, cancel=cancel))[1])
         pipeline(c, PipelineOptions(**opts))
         return calls
 
     def test_swap_free_compile_skips_qpo_and_basis_unroll(self, monkeypatch):
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16))
-        assert calls == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
-                         "cancel_adjacent_cx"]
+        assert calls == ["qbo", "unroll", "qbo", "unroll", "_merge_runs+cancel"]
 
     def test_swaps_left_run_qpo_and_basis_unroll(self, monkeypatch):
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              coupling=line_coupling(5))
-        assert calls[:9] == ["qbo", "unroll", "route", "qbo", "unroll",
-                             "merge_1q_runs", "qpo", "unroll", "merge_1q_runs"]
+        assert calls == ["qbo", "unroll", "route", "qbo", "unroll",
+                         "merge_1q_runs", "qpo", "unroll", "_merge_runs+cancel"]
         calls = self._stages(monkeypatch, parse_program(self.SWAP_SRC))
-        assert calls[:8] == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
-                             "qpo", "unroll", "merge_1q_runs"]
+        assert calls == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
+                         "qpo", "unroll", "_merge_runs+cancel"]
 
     def test_swap_free_compile_with_blocks_runs_qpo(self, monkeypatch):
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              enable_block_resynth=True)
-        assert calls[:7] == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
-                             "qpo", "merge_1q_runs"]
-        assert calls.count("unroll") == 2
+        assert calls == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
+                         "qpo", "_merge_runs+cancel"]
 
     @pytest.mark.parametrize("body,rounds", [
-        # The first merge drops the h-h run, so one cancellation removes
-        # both CX pairs; the merge after it fuses the t gates and drops
-        # nothing, so no cancellation follows.
+        # The first round's merge drops the h-h run, so its cancellation
+        # removes both CX pairs; the merge after it fuses the t gates and
+        # drops nothing, so no cancellation follows.
         ("h q[0]; cx q[0],q[1]; cx q[0],q[1]; t q[1]; cx q[1],q[0]; h q[0];"
          " h q[0]; cx q[1],q[0]; t q[1];", 1),
-        # The first cancellation uncovers an h-h run; its merge drops it, so
-        # a second cancellation removes the CX pair around it.
+        # The first round's cancellation uncovers an h-h run; the next
+        # merge drops it, so a second cancellation removes the CX pair
+        # around it.
         ("cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1]; h q[1];"
          " cx q[0],q[1];", 2),
     ], ids=["one_round", "two_rounds"])
@@ -919,8 +924,9 @@ class TestPipeline:
         c = parse_program("qreg q[2]; " + body)
         calls = self._stages(monkeypatch, c, enable_qbo=False,
                              enable_qpo=False)
-        assert calls == ["unroll", "merge_1q_runs",
-                         *["cancel_adjacent_cx", "_merge_runs"] * rounds]
+        # The first round merges and cancels in one pass.
+        assert calls == ["unroll", "_merge_runs+cancel", "_merge_runs",
+                         *["cancel_adjacent_cx", "_merge_runs"] * (rounds - 1)]
         out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         assert cx_count(out) == 0
 

@@ -12,7 +12,7 @@ from rpoc import (Circuit, GateKind, Instruction, U3Params,
                   pure_to_pure_gate, pure_to_zero_gate, simulate, u3_matrix,
                   unroll, zyz_decompose)
 from rpoc import synth
-from rpoc.circuit import count_1q
+from rpoc.circuit import EPS_ANGLE, TWO_PI, count_1q
 from rpoc.oracle import equivalent_up_to_global_phase
 from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
                         cu3_to_cx, mcx_gray_code, mcx_vchain,
@@ -631,6 +631,86 @@ class TestCleanupRound:
             seen[dropped, cancels] += 1
         # Both branches occur, and a drop does at times uncover a pair.
         assert min(seen.values()) >= 5, seen
+
+
+def _full(seed: int) -> list[Circuit]:
+    """A random circuit over every kind (open controls, resets, annotations,
+    barriers, measurement), and its unrolled form, where CX pairs cancel."""
+    rng = random.Random(seed)
+    c = random_full_circuit(rng, rng.randrange(2, 6), 40, measure=bool(seed % 2))
+    return [c, unroll(c)]
+
+
+class TestFusedRound:
+    """_merge_runs(c, cancel=True), pipeline()'s first cleanup round, is
+    cancel_adjacent_cx(merge_1q_runs(c)) in one pass."""
+
+    @pytest.mark.parametrize("corpus", ["cx_dense", "full"])
+    def test_equals_merge_then_cancel(self, corpus):
+        circuits = (CX_DENSE if corpus == "cx_dense"
+                    else [c for seed in range(150) for c in _full(seed)])
+        seen = {False: 0, True: 0}
+        for c in circuits:
+            merged = merge_1q_runs(c)
+            ref = cancel_adjacent_cx(merged)
+            out, cancelled = synth._merge_runs(c, cancel=True)
+            assert out.instructions == ref.instructions, c.instructions
+            assert (out.n_qubits, out.n_clbits) == (c.n_qubits, c.n_clbits)
+            assert cancelled is (len(ref) < len(merged))
+            seen[cancelled] += 1
+        assert min(seen.values()) >= 5, seen
+
+
+# Offsets, in units of EPS_ANGLE, around each angle where the cheapest
+# u-gate changes.
+_OFFSETS = [s * d for d in (0.0, 0.5, 0.999, 1.001, 2.0) for s in (1, -1)]
+
+
+def _ref_fuse(p: U3Params) -> tuple | None:
+    inst = u3params_instruction(p, 0)
+    return None if inst is None else (inst.kind, inst.params)
+
+
+class TestInlinedFuse:
+    """synth._fuse picks the u-gate by plain comparisons; at the boundary
+    angles it returns what u3params_instruction does."""
+
+    def test_fused_run_at_boundaries(self):
+        kinds = set()
+        for theta in (0.0, PI / 2, PI):
+            for dt in _OFFSETS:
+                for phi in (0.0, 0.3):
+                    for s in (0.0, TWO_PI, 1.0):
+                        for ds in _OFFSETS:
+                            # u3(t, phi, 0) then u1(lam) is u3(t, phi, lam).
+                            lam = s - phi + ds * EPS_ANGLE
+                            run = [Instruction(GateKind.U3, (0,), (
+                                       theta + dt * EPS_ANGLE, phi, 0.0)),
+                                   Instruction(GateKind.U1, (0,), (lam,))]
+                            m = synth._u3_entries(*synth._u3_angles(run[0]))
+                            m = synth._mul2(
+                                synth._u3_entries(*synth._u3_angles(run[1])), m)
+                            got = synth._fuse(run)
+                            assert got == _ref_fuse(synth._zyz(*m)), run
+                            kinds.add(got and got[0])
+        assert kinds == {None, GateKind.U1, GateKind.U2, GateKind.U3}
+
+    def test_lone_gate_at_boundaries(self):
+        kinds = set()
+        lone = [Instruction(k, (0,), ()) for k in synth._NAMED_U3]
+        for d in _OFFSETS:
+            x = d * EPS_ANGLE
+            lone += [Instruction(GateKind.U1, (0,), (x,)),
+                     Instruction(GateKind.U1, (0,), (TWO_PI + x,))]
+            for theta in (0.0, PI / 2, PI, TWO_PI):
+                for phi, lam in ((0.0, x), (0.3, TWO_PI - 0.3 + x), (0.1, 0.2)):
+                    lone.append(Instruction(GateKind.U3, (0,),
+                                            (theta + x, phi, lam)))
+        for inst in lone:
+            got = synth._fuse(inst)
+            assert got == _ref_fuse(as_u3params(inst)), inst
+            kinds.add(got and got[0])
+        assert kinds == {None, GateKind.U1, GateKind.U2, GateKind.U3}
 
 
 class TestPureStateGates:
