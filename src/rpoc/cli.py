@@ -35,7 +35,7 @@ def _cmd_optimize(args) -> int:
         with open(args.output, "w") as f:
             f.write(text)
         print(f"wrote {args.output}: cx={cx_count(out)} 1q={count_1q(out)} "
-              f"depth={depth(out)}", file=sys.stderr)
+              f"depth={depth(out)} (unverified)", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0

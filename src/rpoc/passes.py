@@ -34,11 +34,11 @@ from .analysis import (Tracker, basis_of, is_zero, pure_transition,
 from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal,
                       _CX, _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP,
                       _RESET, _ANNOT, _BARRIER)
-from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cancel_adjacent_cx,
-                    cswap_to_ccx, merge_1q_runs, prepare_two_qubit_state,
-                    pure_state_vector, pure_to_pure_gate, pure_to_zero_gate,
-                    swapz_to_cx, u3params_instruction, unroll, _i, _make_mcx,
-                    _merge_runs, _open_control_wrap, _KEEP_ALWAYS)
+from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cswap_to_ccx,
+                    merge_1q_runs, prepare_two_qubit_state, pure_state_vector,
+                    pure_to_pure_gate, pure_to_zero_gate, swapz_to_cx,
+                    u3params_instruction, unroll, _i, _make_mcx, _merge_runs,
+                    _open_control_wrap, _KEEP_ALWAYS)
 
 _K = GateKind
 
@@ -200,7 +200,8 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
 
     SWAPs, and SWAPZs whose designated wire is |0>, go through `swap_rule`
     with the operands' tracked states.
-    Controlled swaps with two known targets become two controlled-u3 gates.
+    Controlled swaps with two known targets become two controlled-u3 gates;
+    only a direct call meets one, as pipeline() unrolls every CSWAP first.
     With `resynth_blocks`, maximal two-qubit runs whose inputs are both known
     and that contain two or more CX are replaced by a state-preparation
     circuit with at most one CX.
@@ -471,11 +472,11 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     Stage order: basis-state pass; unroll keeping SWAP/SWAPZ; layout+routing
     (when a coupling map is given); basis-state pass again (for the routed
     SWAPs) and unroll keeping SWAP/SWAPZ; 1q-run merging and the pure-state
-    pass; unroll to the basis; then the cleanup: merging and CX-pair
-    cancellation in one pass (`_merge_runs(cancel=True)`), then, while a
-    cancellation removed a pair, merging again and, if that dropped a run,
-    cancelling again.  merge_1q_runs is idempotent on its own output, so
-    that is the fixpoint; each further round removes gates, so it is reached.
+    pass; unroll to the basis; then the cleanup, one pass (`_merge_runs`)
+    that merges and cancels CX pairs, alternating with merging alone while
+    the last pass cancelled a pair or dropped a run.  On merged input the
+    merge is the identity, so that is the fixpoint; each further round
+    removes gates, so it is reached.
 
     Stages that cannot change the circuit are skipped:
     - without qbo, the second unroll; without qpo, the pre-qpo merge;
@@ -510,14 +511,10 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     if swaps:
         cur = unroll(cur, basis)
 
-    cur, cancelled = _merge_runs(cur, cancel=True)
-    while cancelled:
-        cur, dropped = _merge_runs(cur)
-        if not dropped:
-            break
-        before = len(cur.instructions)
-        cur = cancel_adjacent_cx(cur)
-        cancelled = len(cur.instructions) < before
+    cancel = more = True
+    while more:
+        cur, more = _merge_runs(cur, cancel=cancel)
+        cancel = not cancel
 
     cur.layout = layout
     return cur

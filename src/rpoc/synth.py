@@ -3,8 +3,8 @@
 Covers ZYZ re-synthesis of 2x2 unitaries, u3 composition, unrolling of
 compound gates into a {u1,u2,u3,id,cx} basis (an MCX with k >= 3 controls
 as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup
-(1q-run merging and CX-pair cancellation, each alone or both in one pass),
-and two-qubit state preparation from known product inputs.
+(one pass merges 1q runs and can cancel CX pairs), and two-qubit state
+preparation from known product inputs.  One rule picks every u-gate.
 
 The 1q algebra is closed-form over the four entries of a 2x2 matrix: no numpy
 or BLAS runs on the compile path outside --blocks.  The helpers that take or
@@ -20,8 +20,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .circuit import (EPS_ANGLE, GATES_1Q, TWO_PI, Circuit, GateKind,
-                      Instruction, angles_equal, canonical_angle, _H, _U1, _U2,
-                      _U3, _CX, _CZ, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _CU3)
+                      Instruction, canonical_angle, _H, _U1, _U2, _U3, _CX,
+                      _CZ, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP, _CU3)
 
 PI = math.pi
 UNITARY_TOL = 1e-10
@@ -104,8 +104,7 @@ class U3Params(NamedTuple):
         return cmath.exp(1j * self.global_phase) * u3_matrix(self.theta, self.phi, self.lam)
 
     def is_identity(self) -> bool:
-        return (angles_equal(self.theta, 0.0)
-                and angles_equal(self.phi + self.lam, 0.0))
+        return _u_gate(self.theta, self.phi, self.lam) is None
 
     def inverse(self) -> "U3Params":
         # u3(t,p,l)^dag == u3(t, pi-l, pi-p) exactly (no phase slack).
@@ -172,15 +171,23 @@ def as_u3params(inst: Instruction) -> U3Params:
     return U3Params(*_u3_angles(inst))
 
 
+def _u_gate(theta: float, phi: float, lam: float) -> tuple | None:
+    """(kind, params) of the cheapest u-gate realizing u3(theta, phi, lam),
+    or None for the identity.  The tests are `angles_equal`'s circular ones
+    against 0 and pi/2, as plain comparisons on canonical angles."""
+    t = canonical_angle(theta)
+    if t < EPS_ANGLE or TWO_PI - t < EPS_ANGLE:
+        s = canonical_angle(phi + lam)
+        return None if s < EPS_ANGLE or TWO_PI - s < EPS_ANGLE else (_U1, (s,))
+    if abs(t - PI / 2) < EPS_ANGLE:
+        return _U2, (phi, lam)
+    return _U3, (theta, phi, lam)
+
+
 def u3params_instruction(p: U3Params, q: int) -> Instruction | None:
-    """Cheapest u-gate realizing p on qubit q; None if p is the identity."""
-    if p.is_identity():
-        return None
-    if angles_equal(p.theta, 0.0):
-        return _i(GateKind.U1, (q,), (canonical_angle(p.phi + p.lam),))
-    if angles_equal(p.theta, PI / 2):
-        return _i(GateKind.U2, (q,), (p.phi, p.lam))
-    return _i(GateKind.U3, (q,), (p.theta, p.phi, p.lam))
+    """Cheapest u-gate realizing p on qubit q (`_u_gate`), or None."""
+    g = _u_gate(p.theta, p.phi, p.lam)
+    return None if g is None else _i(g[0], (q,), g[1])
 
 
 def pure_state_vector(theta: float, phi: float) -> np.ndarray:
@@ -330,8 +337,7 @@ def _decompose_step(inst: Instruction) -> list[Instruction]:
     if inst.open_mask:
         return _open_control_wrap(inst)
     if kind in _NAMED_U3:
-        p = U3Params(*_NAMED_U3[kind])
-        out = u3params_instruction(p, inst.qubits[0])
+        out = u3params_instruction(U3Params(*_NAMED_U3[kind]), inst.qubits[0])
         return [out] if out else []
     if kind is _CZ:
         a, b = inst.qubits
@@ -395,10 +401,10 @@ def unroll(c: Circuit, basis: frozenset[GateKind] = DEFAULT_BASIS) -> Circuit:
 # ---------------------------------------------------------------------------
 
 def _is_canonical_u(inst: Instruction) -> bool:
-    """True iff u3params_instruction(as_u3params(inst), q) rebuilds `inst`:
-    a u2, a u1 off the identity, or a u3 with theta off 0 and pi/2.  Angles
-    are canonical, in [0, 2*pi), so `angles_equal`'s circular tests against
-    0 and pi/2 reduce to these plain comparisons."""
+    """True iff `_u_gate` of inst's u3 angles rebuilds `inst`: a u2, a u1
+    off the identity, or a u3 with theta off 0 and pi/2.  The merge's fast
+    test for a lone gate, which then skips the memo; the angles are
+    canonical, so the rule's tests come down to these on the first one."""
     k = inst.kind
     if k is _U2:
         return True
@@ -410,30 +416,22 @@ def _is_canonical_u(inst: Instruction) -> bool:
 
 
 def _fuse(run) -> tuple | None:
-    """(kind, params) of the cheapest u-gate realizing `run`, a lone gate or
-    a list of gates applied in order; None if it is the identity.  These are
-    u3params_instruction's `angles_equal` tests as plain comparisons: phi and
-    lam are canonical, and theta is _zyz's, in [0, pi], or a lone gate's."""
-    if type(run) is list:
-        m = _u3_entries(*_u3_angles(run[0]))
-        for inst in run[1:]:
-            m = _mul2(_u3_entries(*_u3_angles(inst)), m)
-        theta, phi, lam, _ = _zyz(*m)
-    else:
-        theta, phi, lam = _u3_angles(run)
-    if theta < EPS_ANGLE or TWO_PI - theta < EPS_ANGLE:
-        s = canonical_angle(phi + lam)
-        return None if s < EPS_ANGLE or TWO_PI - s < EPS_ANGLE else (_U1, (s,))
-    if abs(theta - PI / 2) < EPS_ANGLE:
-        return _U2, (phi, lam)
-    return _U3, (theta, phi, lam)
+    """`_u_gate` of `run`, a lone gate or a list of gates applied in order:
+    the lone gate's u3 angles, or the ZYZ angles of the list's product."""
+    if type(run) is not list:
+        return _u_gate(*_u3_angles(run))
+    m = _u3_entries(*_u3_angles(run[0]))
+    for inst in run[1:]:
+        m = _mul2(_u3_entries(*_u3_angles(inst)), m)
+    return _u_gate(*_zyz(*m)[:3])
 
 
 def _merge_runs(c: Circuit, cancel: bool = False) -> tuple[Circuit, bool]:
     """`merge_1q_runs(c)`, and whether it dropped a run (one that fused to
     the identity).  With `cancel`, `cancel_adjacent_cx(merge_1q_runs(c))`,
     and whether it cancelled a pair: each gate the merge emits goes straight
-    through cancel_adjacent_cx's bookkeeping, and both only look back."""
+    through cancel_adjacent_cx's bookkeeping, and both only look back.  On
+    merged input the merge changes nothing, so this is the cancellation."""
     n = c.n_qubits
     out: list[Instruction | None] = []
     runs: list = [None] * n  # per wire: its open run, a lone gate or a list
@@ -508,14 +506,15 @@ def merge_1q_runs(c: Circuit) -> Circuit:
     gate's u3 angles): a dict local to the call maps the run's (kind,
     params) sequence to the fused gate's, which each repeat rebuilds on its
     own wire.  The fused gate is a pure function of that sequence, so
-    repeats come out identical.  pipeline()'s first cleanup round runs it
-    and cancel_adjacent_cx as one pass: `_merge_runs(c, cancel=True)`."""
+    repeats come out identical; merged input comes back unchanged.  The
+    pass behind it, `_merge_runs`, is pipeline()'s whole cleanup."""
     return _merge_runs(c)[0]
 
 
 def cancel_adjacent_cx(c: Circuit) -> Circuit:
     """Drop adjacent identical CX pairs (same control/target, nothing between
-    them on either wire)."""
+    them on either wire).  Kept for callers and the benchmark's stage
+    replay: pipeline() cancels in `_merge_runs(c, cancel=True)`."""
     out: list[Instruction | None] = []
     top = [-1] * c.n_qubits  # per wire: index in `out` of its last kept gate
     below: dict[int, tuple[int, int]] = {}  # kept CX -> its wires' tops before it

@@ -7,9 +7,9 @@ import random
 
 import numpy as np
 
-from rpoc import Circuit, GateKind, Instruction
+from rpoc import Circuit, GateKind, Instruction, angles_equal
 from rpoc.analysis import BasisState
-from rpoc.synth import as_u3params, u3params_instruction, zyz_decompose
+from rpoc.synth import U3Params, as_u3params, zyz_decompose
 
 TWO_PI = 2.0 * math.pi
 
@@ -400,13 +400,27 @@ def random_full_circuit(rng: random.Random, n: int, length: int,
     return c
 
 
+def ref_u3params_instruction(p: U3Params, q: int) -> Instruction | None:
+    """rpoc.synth.u3params_instruction by `angles_equal`'s circular tests:
+    the cheapest u-gate realizing p on qubit q; None if p is the identity.
+    The checked constructor puts the angles in [0, 2*pi)."""
+    if angles_equal(p.theta, 0.0):
+        s = p.phi + p.lam
+        return (None if angles_equal(s, 0.0)
+                else Instruction(GateKind.U1, (q,), (s,)))
+    if angles_equal(p.theta, math.pi / 2):
+        return Instruction(GateKind.U2, (q,), (p.phi, p.lam))
+    return Instruction(GateKind.U3, (q,), (p.theta, p.phi, p.lam))
+
+
 def ref_merge_1q_runs(c: Circuit) -> tuple[Circuit, list[list[Instruction]]]:
     """rpoc.synth.merge_1q_runs by numpy and without its one-gate
     pass-through: the u3 matrices (`as_u3params`) of a run of two or more
     gates are multiplied with `@` and the product goes through
     zyz_decompose; a lone gate keeps its own u3 angles; either is re-emitted
-    by u3params_instruction.  Also returns, per output instruction, the run
-    fused into it ([] for an instruction that is not a single-qubit gate)."""
+    by ref_u3params_instruction.  Also returns, per output instruction, the
+    run fused into it ([] for an instruction that is not a single-qubit
+    gate)."""
     out: list[Instruction] = []
     runs: list[list[Instruction]] = []
     pending: dict[int, list[Instruction]] = {}
@@ -422,7 +436,7 @@ def ref_merge_1q_runs(c: Circuit) -> tuple[Circuit, list[list[Instruction]]]:
             for g in run[1:]:
                 m = as_u3params(g).matrix() @ m
             p = zyz_decompose(m)
-        inst = u3params_instruction(p, q)
+        inst = ref_u3params_instruction(p, q)
         if inst is not None:
             out.append(inst)
             runs.append(run)

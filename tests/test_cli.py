@@ -38,6 +38,14 @@ def test_optimize_verify_stats_succeed(files, capsys):
     assert "cx:      1" in capsys.readouterr().out
 
 
+def test_optimize_counts_are_labelled_unverified(files, capsys):
+    src = files("bell.qasm", BELL)
+    out = files("out.qasm", "")
+    assert main(["optimize", src, "-o", out]) == 0
+    assert capsys.readouterr().err == (
+        f"wrote {out}: cx=1 1q=1 depth=2 (unverified)\n")
+
+
 def test_verify_inequivalent_exits_1(files, capsys):
     assert main(["verify", files("a.qasm", BELL),
                  files("b.qasm", PRODUCT)]) == 1

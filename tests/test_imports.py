@@ -116,12 +116,15 @@ def test_cli_optimize_and_stats_load_no_numpy(qpe10_file):
     result, numpy_loaded = run_fresh("""
         import contextlib, io
         from rpoc.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
             result = [main(["optimize", sys.argv[1]]),
                       main(["optimize", sys.argv[1], "--coupling", "line15"]),
+                      main(["optimize", sys.argv[1], "-o",
+                            sys.argv[1] + ".out"]),
                       main(["stats", sys.argv[1]])]
         """, qpe10_file)
-    assert result == [0, 0, 0] and not numpy_loaded
+    assert result == [0, 0, 0, 0] and not numpy_loaded
 
 
 @pytest.mark.parametrize("command", [

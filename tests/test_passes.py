@@ -13,7 +13,7 @@ from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
                   equivalent_up_to_global_phase, line_coupling, grid_coupling,
                   parse_program, pipeline, qbo, qpo, route, simulate,
                   unroll)
-from rpoc import passes
+from rpoc import passes, synth
 from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                         merge_1q_runs, zyz_decompose)
@@ -868,10 +868,9 @@ class TestPipeline:
             assert rep.equivalent, emit_program(c)
 
     # The stages pipeline() runs, by the names it calls them under;
-    # _merge_runs with cancel=True, the cleanup's first round, is recorded
-    # as "_merge_runs+cancel".
-    STAGES = ("qbo", "unroll", "route", "merge_1q_runs", "qpo",
-              "cancel_adjacent_cx")
+    # _merge_runs with cancel=True, the cleanup's merge-and-cancel pass, is
+    # recorded as "_merge_runs+cancel".
+    STAGES = ("qbo", "unroll", "route", "merge_1q_runs", "qpo")
     # A SWAP of an entangled wire with |0>: qbo leaves a SWAPZ for qpo.
     SWAP_SRC = ("qreg q[4];\nh q[0];\ncx q[0],q[1];\nswap q[1],q[2];\n"
                 "cx q[2],q[3];\n")
@@ -924,11 +923,29 @@ class TestPipeline:
         c = parse_program("qreg q[2]; " + body)
         calls = self._stages(monkeypatch, c, enable_qbo=False,
                              enable_qpo=False)
-        # The first round merges and cancels in one pass.
+        # The first round merges and cancels in one pass; a later round
+        # cancels by the same pass, on merged input.
         assert calls == ["unroll", "_merge_runs+cancel", "_merge_runs",
-                         *["cancel_adjacent_cx", "_merge_runs"] * (rounds - 1)]
+                         *["_merge_runs+cancel", "_merge_runs"] * (rounds - 1)]
         out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         assert cx_count(out) == 0
+
+    def test_cleanup_calls_no_cancel_adjacent_cx(self, monkeypatch):
+        # The cleanup cancels only in _merge_runs, on every path: one round,
+        # two rounds, routed, with blocks.
+        from rpoc import gen_qpe
+        assert not hasattr(passes, "cancel_adjacent_cx")
+        calls = spy_calls(monkeypatch, synth, ("cancel_adjacent_cx",))
+        two_rounds = parse_program(
+            "qreg q[2]; cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1];"
+            " h q[1]; cx q[0],q[1];")
+        for c in (two_rounds, _nested_cx_pairs(), gen_qpe(4, 5 / 16),
+                  parse_program(self.SWAP_SRC)):
+            for opts in (dict(enable_qbo=False, enable_qpo=False), dict(),
+                         dict(coupling=line_coupling(5)),
+                         dict(enable_block_resynth=True)):
+                pipeline(c, PipelineOptions(**opts))
+        assert calls == []
 
     @pytest.mark.parametrize("qbo_on", [False, True])
     def test_skipped_stages_change_nothing(self, qbo_on):
@@ -1095,12 +1112,14 @@ class TestPipeline:
 
             def run(*args, **kwargs):
                 res = fn(*args, **kwargs)
-                check(res[0] if name == "route" else res, name)
+                check(res[0] if name in ("route", "_merge_runs") else res,
+                      name)
                 return res
             return run
 
+        # _merge_runs is every cleanup round.
         for name in ("qbo", "qpo", "route", "unroll", "merge_1q_runs",
-                     "cancel_adjacent_cx"):
+                     "_merge_runs"):
             monkeypatch.setattr(passes, name, checked(name))
         rng = random.Random(16)
         circuits = [gen_bv(4, "1011", "boolean"), gen_qpe(3, 7 / 8),

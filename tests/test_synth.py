@@ -12,7 +12,7 @@ from rpoc import (Circuit, GateKind, Instruction, U3Params,
                   pure_to_pure_gate, pure_to_zero_gate, simulate, u3_matrix,
                   unroll, zyz_decompose)
 from rpoc import synth
-from rpoc.circuit import EPS_ANGLE, TWO_PI, count_1q
+from rpoc.circuit import EPS_ANGLE, TWO_PI, canonical_angle, count_1q
 from rpoc.oracle import equivalent_up_to_global_phase
 from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
                         cu3_to_cx, mcx_gray_code, mcx_vchain,
@@ -21,7 +21,7 @@ from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
 
 from helpers import (haar_unitary, random_full_circuit, random_statevector,
                      ref_matrix_1q, ref_merge_1q_runs, ref_simulate,
-                     spy_calls)
+                     ref_u3params_instruction, spy_calls)
 
 PI = math.pi
 
@@ -614,8 +614,8 @@ CX_DENSE = [_cx_dense(random.Random(seed)) for seed in range(300)]
 
 
 class TestCleanupRound:
-    """pipeline()'s cleanup runs cancel_adjacent_cx after a merge only when
-    that merge dropped a run.  These are the facts that skip rests on."""
+    """pipeline()'s cleanup cancels again after a merge only when that merge
+    dropped a run.  These are the facts that skip rests on."""
 
     def test_cancel_idempotent(self):
         for c in CX_DENSE:
@@ -641,14 +641,18 @@ def _full(seed: int) -> list[Circuit]:
     return [c, unroll(c)]
 
 
+def _corpus(name: str) -> list[Circuit]:
+    return (CX_DENSE if name == "cx_dense"
+            else [c for seed in range(150) for c in _full(seed)])
+
+
 class TestFusedRound:
-    """_merge_runs(c, cancel=True), pipeline()'s first cleanup round, is
-    cancel_adjacent_cx(merge_1q_runs(c)) in one pass."""
+    """_merge_runs(c, cancel=True), every cancelling round of pipeline()'s
+    cleanup, is cancel_adjacent_cx(merge_1q_runs(c)) in one pass."""
 
     @pytest.mark.parametrize("corpus", ["cx_dense", "full"])
     def test_equals_merge_then_cancel(self, corpus):
-        circuits = (CX_DENSE if corpus == "cx_dense"
-                    else [c for seed in range(150) for c in _full(seed)])
+        circuits = _corpus(corpus)
         seen = {False: 0, True: 0}
         for c in circuits:
             merged = merge_1q_runs(c)
@@ -660,6 +664,19 @@ class TestFusedRound:
             seen[cancelled] += 1
         assert min(seen.values()) >= 5, seen
 
+    @pytest.mark.parametrize("corpus", ["cx_dense", "full"])
+    def test_on_merged_input_equals_cancel(self, corpus):
+        # The cleanup's later rounds cancel by this pass on merged input.
+        seen = {False: 0, True: 0}
+        for c in _corpus(corpus):
+            m = merge_1q_runs(c)
+            ref = cancel_adjacent_cx(m)
+            out, cancelled = synth._merge_runs(m, cancel=True)
+            assert out.instructions == ref.instructions, c.instructions
+            assert cancelled is (len(ref) < len(m))
+            seen[cancelled] += 1
+        assert min(seen.values()) >= 5, seen
+
 
 # Offsets, in units of EPS_ANGLE, around each angle where the cheapest
 # u-gate changes.
@@ -667,50 +684,80 @@ _OFFSETS = [s * d for d in (0.0, 0.5, 0.999, 1.001, 2.0) for s in (1, -1)]
 
 
 def _ref_fuse(p: U3Params) -> tuple | None:
-    inst = u3params_instruction(p, 0)
+    inst = ref_u3params_instruction(p, 0)
     return None if inst is None else (inst.kind, inst.params)
 
 
+def _boundary_params():
+    """Canonical u3 angles around the rule's boundaries: theta near 0,
+    pi/2, pi and 2*pi, and phi + lam near 0, 2*pi or off them."""
+    for theta in (0.0, PI / 2, PI, TWO_PI):
+        for dt in _OFFSETS:
+            for phi in (0.0, 0.3):
+                for s in (0.0, TWO_PI, 1.0):
+                    for ds in _OFFSETS:
+                        lam = canonical_angle(s - phi + ds * EPS_ANGLE)
+                        yield canonical_angle(theta + dt * EPS_ANGLE), phi, lam
+
+
+def _boundary_gates() -> list[Instruction]:
+    """Lone gates whose angles sit at the rule's boundaries, and every
+    named gate."""
+    lone = [Instruction(k, (0,), ()) for k in synth._NAMED_U3]
+    for d in _OFFSETS:
+        x = d * EPS_ANGLE
+        lone += [Instruction(GateKind.U1, (0,), (x,)),
+                 Instruction(GateKind.U1, (0,), (TWO_PI + x,)),
+                 Instruction(GateKind.U2, (0,), (x, TWO_PI - x))]
+        for theta in (0.0, PI / 2, PI, TWO_PI):
+            for phi, lam in ((0.0, x), (0.3, TWO_PI - 0.3 + x), (0.1, 0.2)):
+                lone.append(Instruction(GateKind.U3, (0,),
+                                        (theta + x, phi, lam)))
+    return lone
+
+
 class TestInlinedFuse:
-    """synth._fuse picks the u-gate by plain comparisons; at the boundary
-    angles it returns what u3params_instruction does."""
+    """Every caller of the u-gate rule, synth._u_gate, returns at the
+    boundary angles what the circular-test reference does."""
 
     def test_fused_run_at_boundaries(self):
         kinds = set()
-        for theta in (0.0, PI / 2, PI):
-            for dt in _OFFSETS:
-                for phi in (0.0, 0.3):
-                    for s in (0.0, TWO_PI, 1.0):
-                        for ds in _OFFSETS:
-                            # u3(t, phi, 0) then u1(lam) is u3(t, phi, lam).
-                            lam = s - phi + ds * EPS_ANGLE
-                            run = [Instruction(GateKind.U3, (0,), (
-                                       theta + dt * EPS_ANGLE, phi, 0.0)),
-                                   Instruction(GateKind.U1, (0,), (lam,))]
-                            m = synth._u3_entries(*synth._u3_angles(run[0]))
-                            m = synth._mul2(
-                                synth._u3_entries(*synth._u3_angles(run[1])), m)
-                            got = synth._fuse(run)
-                            assert got == _ref_fuse(synth._zyz(*m)), run
-                            kinds.add(got and got[0])
+        for theta, phi, lam in _boundary_params():
+            # u3(t, phi, 0) then u1(lam) is u3(t, phi, lam).
+            run = [Instruction(GateKind.U3, (0,), (theta, phi, 0.0)),
+                   Instruction(GateKind.U1, (0,), (lam,))]
+            m = synth._u3_entries(*synth._u3_angles(run[0]))
+            m = synth._mul2(synth._u3_entries(*synth._u3_angles(run[1])), m)
+            got = synth._fuse(run)
+            assert got == _ref_fuse(synth._zyz(*m)), run
+            kinds.add(got and got[0])
         assert kinds == {None, GateKind.U1, GateKind.U2, GateKind.U3}
 
     def test_lone_gate_at_boundaries(self):
         kinds = set()
-        lone = [Instruction(k, (0,), ()) for k in synth._NAMED_U3]
-        for d in _OFFSETS:
-            x = d * EPS_ANGLE
-            lone += [Instruction(GateKind.U1, (0,), (x,)),
-                     Instruction(GateKind.U1, (0,), (TWO_PI + x,))]
-            for theta in (0.0, PI / 2, PI, TWO_PI):
-                for phi, lam in ((0.0, x), (0.3, TWO_PI - 0.3 + x), (0.1, 0.2)):
-                    lone.append(Instruction(GateKind.U3, (0,),
-                                            (theta + x, phi, lam)))
-        for inst in lone:
+        for inst in _boundary_gates():
             got = synth._fuse(inst)
             assert got == _ref_fuse(as_u3params(inst)), inst
             kinds.add(got and got[0])
         assert kinds == {None, GateKind.U1, GateKind.U2, GateKind.U3}
+
+    def test_u3params_instruction_and_is_identity_at_boundaries(self):
+        kinds = set()
+        for angles in _boundary_params():
+            p = U3Params(*angles)
+            ref = ref_u3params_instruction(p, 2)
+            assert u3params_instruction(p, 2) == ref, angles
+            assert p.is_identity() is (ref is None), angles
+            kinds.add(ref and ref.kind)
+        assert kinds == {None, GateKind.U1, GateKind.U2, GateKind.U3}
+
+    def test_is_canonical_u_iff_rule_rebuilds_the_gate(self):
+        seen = {False: 0, True: 0}
+        for inst in _boundary_gates():
+            rebuilt = u3params_instruction(as_u3params(inst), 0) == inst
+            assert synth._is_canonical_u(inst) is rebuilt, inst
+            seen[rebuilt] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestPureStateGates:

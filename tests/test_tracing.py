@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from rpoc import (PipelineOptions, emit_program, gen_bv, gen_grover, gen_qpe,
-                  line_coupling, parse_program, pipeline)
+from rpoc import (PipelineOptions, emit_program, equivalent_up_to_global_phase,
+                  gen_bv, gen_grover, gen_qpe, line_coupling, parse_program,
+                  pipeline)
 
 from helpers import random_circuit
 
@@ -53,3 +54,23 @@ def test_replay_matches_pipeline(config, routed):
         got, _, _ = tracing.traced_pipeline(tracing.Tracer(), f"c{i}", c, opts)
         assert emit_program(got) == emit_program(want)
         assert got.layout == want.layout
+
+
+def test_instrument_spans_the_helpers_it_patches():
+    # The benchmark's traced mode patches rpoc.passes.simulate,
+    # rpoc.passes.prepare_two_qubit_state and rpoc.oracle.simulate by name:
+    # each must still exist and be called where the span says.
+    tr = tracing.Tracer()
+    circuits = _circuits()
+    with tracing.instrument(tr, {id(c) for c in circuits}):
+        for i, c in enumerate(circuits):
+            for cmap in (None, line_coupling(5)):
+                opts = PipelineOptions(coupling=cmap, seed=i,
+                                       enable_block_resynth=True)
+                out, _, _ = tracing.traced_pipeline(tr, f"c{i}", c, opts)
+                assert equivalent_up_to_global_phase(
+                    c, out, perm=out.layout).equivalent, (i, cmap)
+    names = {span[1] for span in tr.spans}
+    assert {"passes.qpo.blocks_resynth.simulate",
+            "passes.qpo.blocks_resynth.prepare", "oracle.simulate_src",
+            "oracle.simulate_out"} <= names, names
