@@ -8,18 +8,17 @@ gate never clobbers the states it would have destroyed:
   (`basis_of`) and applies `_qbo_rule`, one rule per gate kind, to CX
   (through the multi-controlled-X rule), CZ, CCX/MCX, SWAPZ, CSWAP and
   CU3; it drops a single-qubit gate that fixes its wire's known state.
-- qpo: uses the tracked pure states as they are: it strength-reduces SWAPs
-  on known states, rewrites controlled-SWAPs with known targets, and
-  optionally re-synthesizes two-qubit blocks with known inputs into a
+  The CSWAP rule also takes known pure targets off the rays (Fredkin).
+- qpo: strength-reduces SWAPs on known pure states, and optionally
+  re-synthesizes two-qubit blocks with known inputs into a
   state-preparation circuit of at most one CX.
 
 Both passes reduce SWAPs with the one `swap_rule`; qbo passes it only the
 states that lie on a ray.  Rewrites change the circuit's unitary but
-preserve its action on the tracked inputs, up to global phase.  So after a
-SWAP qbo exchanges the two states tracked before it, whatever the rule
-emits, while qpo steps its tracker through the gates the rule emits.
-Every rule is covered by a brute-force equivalence test over all input
-classes; nothing here is trusted without the oracle's sign-off.
+preserve its action on the tracked inputs, up to global phase, so after a
+SWAP both passes exchange the two states tracked before it, whatever the
+rule emits.  Every rule is covered by a brute-force equivalence test over
+all input classes; nothing here is trusted without the oracle's sign-off.
 
 numpy is imported lazily, by qpo's block resynthesis and `simulate` below.
 """
@@ -81,7 +80,7 @@ def swap_rule(sa: tuple[float, float] | None, sb: tuple[float, float] | None,
 def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
     """qbo's rewrite of a multi-qubit gate given the tracked states: None
     keeps it, a list replaces it (and is rewritten in turn).  Each rule acts
-    as the gate it replaces on the operands' basis states, up to global
+    as the gate it replaces on the operands' tracked states, up to global
     phase.  A CX is the one-control case of the multi-controlled-X rule."""
     k, qs = inst.kind, inst.qubits
     if inst.open_mask:
@@ -112,12 +111,21 @@ def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
                 else [_i(_K.H, last), _make_mcx(controls[:-1], last[0]),
                       _i(_K.H, last)])
     if k is _CSWAP:
+        cq, t1, t2 = qs
         rc, r1, r2 = (basis_of(states[q]) for q in qs)
-        # Known swap target: decompose so the first CX can be reduced.
-        return ([] if rc is _ZERO
-                else [_i(_K.SWAP, qs[1:])] if rc is _ONE
-                else cswap_to_ccx(*qs) if r1 is not _TOP or r2 is not _TOP
-                else None)
+        if rc is _ZERO or rc is _ONE:
+            return [] if rc is _ZERO else [_i(_K.SWAP, qs[1:])]
+        if r1 is not _TOP or r2 is not _TOP:
+            # A target on a ray: decompose so the first CX can be reduced.
+            return cswap_to_ccx(*qs)
+        s1, s2 = states[t1], states[t2]
+        if s1 is None or s2 is None:
+            return None
+        # Fredkin with known pure targets: under the control, rotate each
+        # target into the other's state (the phases cancel between the two).
+        p = pure_to_pure_gate(s1, s2)
+        return [] if p.is_identity() else [
+            _i(_K.CU3, (cq, t1), p[:3]), _i(_K.CU3, (cq, t2), p.inverse()[:3])]
     if k is _CU3:
         rc = basis_of(states[qs[0]])
         return ([] if rc is _ZERO
@@ -133,7 +141,8 @@ _ACT_ON_TOP = frozenset({_RESET, _ANNOT, _SWAPZ})
 def qbo(c: Circuit) -> Circuit:
     """Basis-state rewrite pass: one in-order traversal that interleaves
     state tracking with strength reduction of CX/CZ/SWAP/SWAPZ, Toffoli-style
-    multi-controlled gates and controlled swaps (`_qbo_rule`).  A 1q gate
+    multi-controlled gates and controlled swaps (`_qbo_rule`; a controlled
+    swap of two known pure targets becomes two controlled-u3).  A 1q gate
     that fixes its wire's known state is dropped; SWAPs go through
     `swap_rule` with the operands' ray states.  CX count never increases.
 
@@ -199,11 +208,9 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     """Pure-state rewrite pass.
 
     SWAPs, and SWAPZs whose designated wire is |0>, go through `swap_rule`
-    with the operands' tracked states.
-    Controlled swaps with two known targets become two controlled-u3 gates;
-    only a direct call meets one, as pipeline() unrolls every CSWAP first.
-    With `resynth_blocks`, maximal two-qubit runs whose inputs are both known
-    and that contain two or more CX are replaced by a state-preparation
+    with the operands' tracked pure states, which are then exchanged as in
+    qbo.  With `resynth_blocks`, maximal two-qubit runs whose inputs are both
+    known and that contain two or more CX are replaced by a state-preparation
     circuit with at most one CX.
     A gate whose operands are all unknown, other than RESET and ANNOT, is
     kept as it is before any of these tests: none of them can fire, and the
@@ -214,10 +221,6 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     states = tr.states
     insts = c.instructions
     consumed: set[int] = set()
-
-    def keep(inst: Instruction) -> None:
-        out.append(inst)
-        tr.step(inst)
 
     def collect_block(start: int, a: int, b: int) -> tuple[list[int], int]:
         pair = {a, b}
@@ -275,20 +278,12 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                     continue
 
         if k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
-            # A validated SWAPZ is semantically a SWAP.
-            for new in swap_rule(states[qs[0]], states[qs[1]], *qs):
-                keep(new)
-        elif (k is _CSWAP and states[qs[1]] is not None
-              and states[qs[2]] is not None):
-            cq, t1, t2 = qs
-            p = pure_to_pure_gate(states[t1], states[t2])
-            if not p.is_identity():
-                pinv = p.inverse()
-                out.append(_i(_K.CU3, (cq, t1), (p.theta, p.phi, p.lam)))
-                out.append(_i(_K.CU3, (cq, t2), (pinv.theta, pinv.phi, pinv.lam)))
-                tr.set_top(qs)
+            # A validated SWAPZ is a SWAP; the states are exchanged as in qbo.
+            out.extend(swap_rule(states[qs[0]], states[qs[1]], *qs))
+            tr.swap(*qs)
         else:
-            keep(inst)
+            out.append(inst)
+            tr.step(inst)
 
     return c.replace(out)
 
@@ -482,7 +477,7 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     - without qbo, the second unroll; without qpo, the pre-qpo merge;
     - with no SWAP or SWAPZ left, the basis unroll, and qpo and the pre-qpo
       merge unless qpo re-synthesizes blocks: its other rewrites start at a
-      SWAP, SWAPZ or CSWAP, and the first unroll expands every CSWAP;
+      SWAP or SWAPZ;
     - a cancellation after a merge that dropped no run: the previous
       cancellation left no adjacent CX pair, and only a run fused to the
       identity can make two CX adjacent.

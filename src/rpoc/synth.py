@@ -172,16 +172,18 @@ def as_u3params(inst: Instruction) -> U3Params:
 
 
 def _u_gate(theta: float, phi: float, lam: float) -> tuple | None:
-    """(kind, params) of the cheapest u-gate realizing u3(theta, phi, lam),
-    or None for the identity.  The tests are `angles_equal`'s circular ones
-    against 0 and pi/2, as plain comparisons on canonical angles."""
+    """(kind, canonical params) of the cheapest u-gate realizing
+    u3(theta, phi, lam), or None for the identity.  The tests are
+    `angles_equal`'s circular ones against 0 and pi/2, as plain comparisons
+    on canonical angles."""
     t = canonical_angle(theta)
     if t < EPS_ANGLE or TWO_PI - t < EPS_ANGLE:
         s = canonical_angle(phi + lam)
         return None if s < EPS_ANGLE or TWO_PI - s < EPS_ANGLE else (_U1, (s,))
+    phi, lam = canonical_angle(phi), canonical_angle(lam)
     if abs(t - PI / 2) < EPS_ANGLE:
         return _U2, (phi, lam)
-    return _U3, (theta, phi, lam)
+    return _U3, (t, phi, lam)
 
 
 def u3params_instruction(p: U3Params, q: int) -> Instruction | None:

@@ -108,8 +108,9 @@ def test_criterion_3_toffoli_and_fredkin():
     assert any(i.kind is GateKind.CX for i in out.instructions)
     assert equivalent_up_to_global_phase(c, out).equivalent
 
-    # Fredkin with known pure swap targets: two controlled-u3 gates, at most
-    # four CX after unrolling, oracle-equivalent.
+    # Fredkin with known pure swap targets (qbo's last controlled-swap
+    # rule): two controlled-u3 gates, at most four CX after unrolling,
+    # oracle-equivalent.
     rng = np.random.default_rng(303)
     for _ in range(20):
         c = Circuit(3)
@@ -117,7 +118,7 @@ def test_criterion_3_toffoli_and_fredkin():
         c.u3(rng.uniform(0, PI), rng.uniform(0, 2 * PI), 0.0, 1)
         c.u3(rng.uniform(0, PI), rng.uniform(0, 2 * PI), 0.0, 2)
         c.cswap(0, 1, 2)
-        out = qpo(c)
+        out = qbo(c)
         assert cx_count(unroll(out)) <= 4
         rep = equivalent_up_to_global_phase(c, out)
         assert rep.equivalent and rep.fidelity >= 1 - FID_TOL

@@ -7,7 +7,11 @@ each under the baseline and the rpo configuration.  A change that is meant
 to leave the output alone must leave this digest alone.
 
 A change that does alter the output updates `GOLDEN_SHA256` and says in
-CHANGES.md which operations changed and why.
+CHANGES.md which operations changed and why.  To name them, list every
+(job, config) with a short SHA-256 of its output and its counts on both
+trees and diff the two listings:
+
+    PYTHONPATH=src python tests/test_golden.py > golden.txt
 
 Block resynthesis (`enable_block_resynth`) is left out: its SVD makes the
 bytes depend on the BLAS kernel.
@@ -15,14 +19,14 @@ bytes depend on the BLAS kernel.
 import hashlib
 import random
 
-from rpoc import (PipelineOptions, emit_program, gen_bv, gen_grover, gen_qpe,
-                  gen_qv_like, gen_vqe_ry, grid_coupling, line_coupling,
-                  pipeline)
+from rpoc import (PipelineOptions, count_1q, cx_count, depth, emit_program,
+                  gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry,
+                  grid_coupling, line_coupling, pipeline)
 
 from helpers import random_circuit
 
-GOLDEN_SHA256 = ("eb0bf6936859ed10cd62d43559d2bdee"
-                 "677a7b912fd9bd99df700cd26b76d39b")
+GOLDEN_SHA256 = ("03c9581665a42e5a124b3f535cc25beb"
+                 "1ecf68012c98cae8c1e726d08cdbc25c")
 
 SUITE = {
     "bv12": lambda: gen_bv(12, "101101001101"),
@@ -54,15 +58,29 @@ def _jobs():
                                                random_layout=True)
 
 
-def golden_digest() -> str:
-    h = hashlib.sha256()
+def _outputs():
+    """("job/config", compiled circuit, its emitted text) of every job under
+    every config, in digest order."""
     for name, c, kwargs in _jobs():
         for config, flags in CONFIGS.items():
             out = pipeline(c, PipelineOptions(**kwargs, **flags))
-            h.update(f"{name}/{config}\n".encode())
-            h.update(emit_program(out).encode())
+            yield f"{name}/{config}", out, emit_program(out)
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for label, _, text in _outputs():
+        h.update(f"{label}\n".encode())
+        h.update(text.encode())
     return h.hexdigest()
 
 
 def test_golden_output_digest():
     assert golden_digest() == GOLDEN_SHA256
+
+
+if __name__ == "__main__":
+    for label, out, text in _outputs():
+        sha = hashlib.sha256(text.encode()).hexdigest()[:12]
+        print(f"{label} {sha} cx={cx_count(out)} u1q={count_1q(out)} "
+              f"depth={depth(out)}")

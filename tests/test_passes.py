@@ -17,8 +17,8 @@ from rpoc import passes, synth
 from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                         merge_1q_runs, zyz_decompose)
-from helpers import (random_circuit, random_full_circuit, ref_matrix_1q,
-                     spy_calls, two_wire_cases)
+from helpers import (BASIS_PREP, random_circuit, random_full_circuit,
+                     ref_matrix_1q, spy_calls, two_wire_cases)
 
 PI = math.pi
 B = BasisState
@@ -286,6 +286,24 @@ class TestQBO:
         assert any(i.kind is GateKind.SWAPZ for i in out.instructions)
         assert equivalent_up_to_global_phase(c, out).equivalent
 
+        # Off-ray pure targets under a TOP control and under each equator
+        # ray: the Fredkin rule, two controlled-u3 gates.
+        rng = np.random.default_rng(23)
+        controls = [[GateKind.H, GateKind.T]] + [
+            BASIS_PREP[r] for r in (B.PLUS, B.MINUS, B.PLUS_I, B.MINUS_I)]
+        for prep in controls:
+            for _ in range(5):
+                c = Circuit(3)
+                for k in prep:
+                    c.append(Instruction(k, (0,)))
+                c.u3(rng.uniform(0.2, PI - 0.2), rng.uniform(0, 2 * PI), 0.0, 1)
+                c.u3(rng.uniform(0.2, PI - 0.2), rng.uniform(0, 2 * PI), 0.0, 2)
+                c.cswap(0, 1, 2)
+                out = qbo(c)
+                tail = out.instructions[len(c) - 1:]
+                assert [i.kind for i in tail] == [GateKind.CU3] * 2, prep
+                assert equivalent_up_to_global_phase(c, out).equivalent, prep
+
     def test_cswap_known_target_decomposed(self):
         c = Circuit(4)
         c.h(0)
@@ -299,6 +317,29 @@ class TestQBO:
         # First CX of the decomposition had a |0...> style known input: after
         # unrolling we must not exceed the 8-CX budget of a kept gate.
         assert cx_count(unroll(out)) <= 1 + 8
+
+    def test_cswap_known_pure_targets(self):
+        c = Circuit(3)
+        c.h(0)
+        c.u3(0.7, 0.3, 0.0, 1)
+        c.u3(1.9, 2.5, 0.0, 2)
+        c.cswap(0, 1, 2)
+        out = qbo(c)
+        cu = [i for i in out.instructions if i.kind is GateKind.CU3]
+        assert len(cu) == 2
+        assert cx_count(unroll(out)) <= 4
+        assert equivalent_up_to_global_phase(c, out).equivalent
+
+    def test_cswap_identical_pure_targets_deleted(self):
+        c = Circuit(3)
+        c.h(0)
+        c.u3(1.0, 2.0, 0.0, 1)
+        c.u3(1.0, 2.0, 0.0, 2)
+        c.cswap(0, 1, 2)
+        out = qbo(c)
+        assert all(i.kind not in (GateKind.CSWAP, GateKind.CU3)
+                   for i in out.instructions)
+        assert equivalent_up_to_global_phase(c, out).equivalent
 
     def test_cu3_control_rules(self):
         c = Circuit(2)
@@ -579,6 +620,26 @@ class TestQPO:
             assert cx_count(unroll(out)) == 0
             assert equivalent_up_to_global_phase(c, out).equivalent
 
+    def test_swap_exchanges_the_tracked_states(self, monkeypatch):
+        # After a rewritten SWAP qpo exchanges the two states, as qbo does:
+        # the second SWAP's rule sees the first one's states, bit for bit.
+        rng = random.Random(23)
+        for _ in range(10):
+            a, b = ((rng.uniform(0.1, 3.0), rng.uniform(0.1, 6.0))
+                    for _ in range(2))
+            c = Circuit(2)
+            c.u3(*a, 0.0, 0)
+            c.u3(*b, 0.0, 1)
+            c.swap(0, 1)
+            c.swap(0, 1)
+            seen = []
+            rule = passes.swap_rule
+            monkeypatch.setattr(passes, "swap_rule", lambda sa, sb, *qs: (
+                seen.append((sa, sb)), rule(sa, sb, *qs))[1])
+            qpo(c)
+            monkeypatch.undo()
+            assert len(seen) == 2 and seen[1] == seen[0][::-1], seen
+
     def test_swapz_with_known_partner_removed(self):
         c = Circuit(2)
         c.u3(1.3, 0.4, 0.0, 0)
@@ -587,28 +648,16 @@ class TestQPO:
         assert cx_count(unroll(out)) == 0
         assert equivalent_up_to_global_phase(c, out).equivalent
 
-    def test_cswap_known_targets(self):
+    def test_cswap_kept_as_it_is(self):
+        # The Fredkin rule is qbo's; qpo keeps the gate, and its targets
+        # are unknown after it, so the SWAP that follows stays a SWAP.
         c = Circuit(3)
         c.h(0)
         c.u3(0.7, 0.3, 0.0, 1)
         c.u3(1.9, 2.5, 0.0, 2)
         c.cswap(0, 1, 2)
-        out = qpo(c)
-        cu = [i for i in out.instructions if i.kind is GateKind.CU3]
-        assert len(cu) == 2
-        assert cx_count(unroll(out)) <= 4
-        assert equivalent_up_to_global_phase(c, out).equivalent
-
-    def test_cswap_identical_targets_deleted(self):
-        c = Circuit(3)
-        c.h(0)
-        c.u3(1.0, 2.0, 0.0, 1)
-        c.u3(1.0, 2.0, 0.0, 2)
-        c.cswap(0, 1, 2)
-        out = qpo(c)
-        assert all(i.kind not in (GateKind.CSWAP, GateKind.CU3)
-                   for i in out.instructions)
-        assert equivalent_up_to_global_phase(c, out).equivalent
+        c.swap(1, 2)
+        assert qpo(c).instructions == c.instructions
 
     def test_block_resynthesis(self):
         rng = np.random.default_rng(9)
@@ -857,6 +906,20 @@ class TestPipeline:
                 enable_block_resynth=bool(i % 2)))
             rep = equivalent_up_to_global_phase(c, out)
             assert rep.equivalent, emit_program(c)
+
+    def test_fredkin_rule_reached(self):
+        # The first unroll expands every CSWAP, so qbo's Fredkin rule must
+        # fire before it: 2 controlled-u3 (4 CX) against the 8 CX of a CSWAP.
+        c = parse_program("qreg q[3];\nh q[0];\nu3(0.7,0.3,0) q[1];\n"
+                          "u3(1.9,2.5,0) q[2];\ncswap q[0],q[1],q[2];\n")
+        for cmap in (None, line_coupling(5)):
+            base = pipeline(c, PipelineOptions(
+                coupling=cmap, enable_qbo=False, enable_qpo=False))
+            out = pipeline(c, PipelineOptions(coupling=cmap))
+            assert cx_count(out) < cx_count(base), cmap
+            assert cmap is not None or cx_count(out) <= 4
+            rep = equivalent_up_to_global_phase(c, out, perm=out.layout)
+            assert rep.equivalent, cmap
 
     def test_equivalence_with_coupling(self):
         rng = random.Random(12)

@@ -751,6 +751,19 @@ class TestInlinedFuse:
             kinds.add(ref and ref.kind)
         assert kinds == {None, GateKind.U1, GateKind.U2, GateKind.U3}
 
+    def test_u3params_instruction_emits_canonical_angles(self):
+        # Each angle shifted below 0 or to 2*pi and above: the gate is its
+        # own checked rebuild, and the reference's on the shifted angles.
+        p = U3Params(-1.001e-8, 0.0, 0.0)
+        assert (u3params_instruction(p, 0)
+                == Instruction(GateKind.U3, (0,), (-1.001e-8, 0.0, 0.0)))
+        for angles in _boundary_params():
+            for shifts in itertools.product((-TWO_PI, TWO_PI), repeat=3):
+                p = U3Params(*(x + d for x, d in zip(angles, shifts)))
+                got = u3params_instruction(p, 2)
+                assert got == ref_u3params_instruction(p, 2), p
+                assert got is None or got == Instruction(*got), p
+
     def test_is_canonical_u_iff_rule_rebuilds_the_gate(self):
         seen = {False: 0, True: 0}
         for inst in _boundary_gates():
