@@ -265,10 +265,10 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
                     target = np.asarray(simulate(
                         c.replace([insts[j] for j in members]), init,
                         wires=(a, b)))
-                    prep = prepare_two_qubit_state(target, sa, sb)
+                    svd = u, s, vh = np.linalg.svd(target.reshape(2, 2))
+                    prep = prepare_two_qubit_state(target, sa, sb, svd=svd)
                     for p in prep.instructions:
                         out.append(_remap(p, (a, b)))
-                    u, s, vh = np.linalg.svd(target.reshape(2, 2))
                     if s[1] <= 1e-7:  # product output: states stay known
                         states[a] = vector_to_pure(u[:, 0])
                         states[b] = vector_to_pure(vh[0, :])
@@ -467,28 +467,23 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     Stage order: basis-state pass; unroll keeping SWAP/SWAPZ; layout+routing
     (when a coupling map is given); basis-state pass again (for the routed
     SWAPs) and unroll keeping SWAP/SWAPZ; 1q-run merging and the pure-state
-    pass; unroll to the basis; then the cleanup, one pass (`_merge_runs`)
-    that merges and cancels CX pairs, alternating with merging alone while
-    the last pass cancelled a pair or dropped a run.  On merged input the
-    merge is the identity, so that is the fixpoint; each further round
-    removes gates, so it is reached.
+    pass; then the cleanup, `_merge_runs(cur, cancel=True)`: one pass that
+    expands the SWAP/SWAPZ left, merges 1q runs, cancels CX pairs and merges
+    the runs a cancelled pair joins.  It runs again only after a joined run
+    fused to the identity, which can make two CX adjacent; each pass after
+    the first removes gates, so the loop ends.
 
     Stages that cannot change the circuit are skipped:
     - without qbo, the second unroll; without qpo, the pre-qpo merge;
-    - with no SWAP or SWAPZ left, the basis unroll, and qpo and the pre-qpo
-      merge unless qpo re-synthesizes blocks: its other rewrites start at a
-      SWAP or SWAPZ;
-    - a cancellation after a merge that dropped no run: the previous
-      cancellation left no adjacent CX pair, and only a run fused to the
-      identity can make two CX adjacent.
+    - with no SWAP or SWAPZ left, qpo and the pre-qpo merge unless qpo
+      re-synthesizes blocks: its other rewrites start at a SWAP or SWAPZ.
     The cleanup cannot change a tracked state, so qbo (at most twice) and
     qpo (once) are not re-run.  Deterministic for fixed (circuit, options)."""
     opts = opts or PipelineOptions()
-    basis = opts.basis
     # SWAP/SWAPZ stay compound until after the pure-state pass, which is the
-    # only consumer that can strength-reduce them; the cleanup unrolls the
+    # only consumer that can strength-reduce them; the cleanup expands the
     # survivors.
-    swap_basis = basis | {_K.SWAP, _K.SWAPZ}
+    swap_basis = opts.basis | {_K.SWAP, _K.SWAPZ}
     cur = c
     layout: list[int] | None = None
 
@@ -499,17 +494,13 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
         cur, layout = route(cur, opts.coupling, opts.seed, opts.random_layout)
     if opts.enable_qbo:
         cur = unroll(qbo(cur), swap_basis)
-    kinds = {inst.kind for inst in cur.instructions}
-    swaps = _SWAP in kinds or _SWAPZ in kinds
-    if opts.enable_qpo and (swaps or opts.enable_block_resynth):
+    if opts.enable_qpo and (opts.enable_block_resynth or {_SWAP, _SWAPZ} & {
+            inst.kind for inst in cur.instructions}):
         cur = qpo(merge_1q_runs(cur), resynth_blocks=opts.enable_block_resynth)
-    if swaps:
-        cur = unroll(cur, basis)
 
-    cancel = more = True
+    more = True
     while more:
-        cur, more = _merge_runs(cur, cancel=cancel)
-        cancel = not cancel
+        cur, more = _merge_runs(cur, cancel=True)
 
     cur.layout = layout
     return cur

@@ -3,8 +3,9 @@
 Covers ZYZ re-synthesis of 2x2 unitaries, u3 composition, unrolling of
 compound gates into a {u1,u2,u3,id,cx} basis (an MCX with k >= 3 controls
 as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup
-(one pass merges 1q runs and can cancel CX pairs), and two-qubit state
-preparation from known product inputs.  One rule picks every u-gate.
+(one pass merges 1q runs, and can expand SWAPs and cancel CX pairs), and
+two-qubit state preparation from known product inputs.  One rule picks
+every u-gate.
 
 The 1q algebra is closed-form over the four entries of a 2x2 matrix: no numpy
 or BLAS runs on the compile path outside --blocks.  The helpers that take or
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -428,73 +430,128 @@ def _fuse(run) -> tuple | None:
     return _u_gate(*_zyz(*m)[:3])
 
 
+def _emitted(run: list, q: int, fused: dict) -> Instruction | None:
+    """The merged gate of `run`, a list of 1q gates on wire q, or None."""
+    if len(run) == 1:
+        run = run[0]
+        if _is_canonical_u(run):
+            return run
+        key = run.kind, run.params
+    else:
+        key = tuple([(g.kind, g.params) for g in run])
+    try:
+        g = fused[key]
+    except KeyError:
+        g = fused[key] = _fuse(run)
+    return None if g is None else _i(g[0], (q,), g[1])
+
+
 def _merge_runs(c: Circuit, cancel: bool = False) -> tuple[Circuit, bool]:
-    """`merge_1q_runs(c)`, and whether it dropped a run (one that fused to
-    the identity).  With `cancel`, `cancel_adjacent_cx(merge_1q_runs(c))`,
-    and whether it cancelled a pair: each gate the merge emits goes straight
-    through cancel_adjacent_cx's bookkeeping, and both only look back.  On
-    merged input the merge changes nothing, so this is the cancellation."""
+    """`merge_1q_runs(c)`, and whether it dropped a run.  With `cancel`,
+    R = merge_1q_runs(cancel_adjacent_cx(merge_1q_runs(x))), x being c with
+    each SWAP/SWAPZ expanded (each distinct one once), and whether another
+    pass is needed.  Each gate the merge emits goes straight through
+    cancel_adjacent_cx's bookkeeping.  A 1q gate a cancelled pair exposes is
+    re-opened, with the first-merge gates it was fused from, as the start of
+    its wire's next run.  A run so joined that fuses to the identity is left
+    in place, as dropping it can make two CX adjacent: the result merges to
+    R, and another pass is due."""
     n = c.n_qubits
     out: list[Instruction | None] = []
-    runs: list = [None] * n  # per wire: its open run, a lone gate or a list
-    fused: dict[tuple, tuple | None] = {}
+    # Per wire: a gate or a list; a re-opened run's list starts with a list.
+    runs: list = [None] * n
+    fused, swaps = {}, {}  # run -> `_fuse`; SWAP/SWAPZ -> (first CX, the rest)
     top, below = [-1] * n, {}  # as in cancel_adjacent_cx
+    # Index in `out` of a re-opened run's last gate -> (its first-merge
+    # gates, index of its first gate, below the last if left in place).
+    parts: dict[int, tuple[list, int]] = {}
     dropped = cancelled = False
     # A barrier on every wire flushes the runs still open at the end, in
     # wire order; it is popped after.
-    for inst in c.instructions + [_i(GateKind.BARRIER, tuple(range(n)))]:
-        qs = inst.qubits
-        if inst.kind in GATES_1Q:
-            q = qs[0]
-            run = runs[q]
-            if run is None:
-                runs[q] = inst
-            elif type(run) is list:
-                run.append(inst)
-            else:
-                runs[q] = [run, inst]
-            continue
-        for q in qs:
-            run = runs[q]
-            if run is None:
+    it = base = iter(c.instructions + [_i(GateKind.BARRIER, tuple(range(n)))])
+    while it:
+        todo, it = it, None
+        for inst in todo:
+            k = inst.kind
+            if k in GATES_1Q:
+                q = inst.qubits[0]
+                run = runs[q]
+                if run is None:
+                    runs[q] = inst
+                elif type(run) is list:
+                    run.append(inst)
+                else:
+                    runs[q] = [run, inst]
                 continue
-            runs[q] = None
-            if type(run) is list:
-                key = tuple([(g.kind, g.params) for g in run])
-            elif _is_canonical_u(run):
-                top[q] = len(out)
-                out.append(run)
-                continue
-            else:
-                key = run.kind, run.params
-            try:
-                g = fused[key]
-            except KeyError:
-                g = fused[key] = _fuse(run)
-            if g is None:
-                dropped = True
-            else:
-                top[q] = len(out)
-                out.append(_i(g[0], (q,), g[1]))
-        if cancel:
-            if inst.kind is _CX and not inst.open_mask:
-                a, b = qs
-                i, j = top[a], top[b]
-                if i == j and i >= 0 and out[i] == inst:
-                    out[i] = None
-                    top[a], top[b] = below.pop(i)
-                    cancelled = True
+            rest = ()
+            if cancel and (k is _SWAP or k is _SWAPZ):
+                # The first CX goes through the loop; when it is kept, the
+                # others follow it, as nothing can cancel them.
+                e = swaps.get(inst)
+                if e is None:
+                    e = (swap_to_cx if k is _SWAP else swapz_to_cx)(*inst.qubits)
+                    e = swaps[inst] = e[0], e[1:]
+                k, (inst, rest) = _CX, e
+            qs = inst.qubits
+            for q in qs:
+                run = runs[q]
+                if run is None:
                     continue
-                top[a] = top[b] = idx = len(out)
-                below[idx] = (i, j)
-            else:
-                for q in qs:
+                runs[q] = None
+                if type(run) is not list:
+                    if _is_canonical_u(run):
+                        top[q] = len(out)
+                        out.append(run)
+                        continue
+                    run = [run]
+                elif type(run[0]) is list:  # fused as the second merge does
+                    h = run[0]
+                    if len(run) > 1 and (g := _emitted(run[1:], q, fused)):
+                        h.append(g)
+                    g, first = _emitted(h, q, fused), len(out)
+                    out += h if g is None else [g]
+                    top[q] = len(out) - 1
+                    parts[top[q]] = h, first
+                    continue
+                g = _emitted(run, q, fused)
+                if g is None:
+                    dropped = True
+                else:
                     top[q] = len(out)
-        out.append(inst)
+                    out.append(g)
+            if cancel:
+                if k is _CX and not inst.open_mask:
+                    a, b = qs
+                    i, j = top[a], top[b]
+                    if i == j and i >= 0 and out[i] == inst:
+                        out[i] = None
+                        top[a], top[b] = below.pop(i)
+                        cancelled = True
+                        for q in qs:  # re-open a 1q gate the pair exposed
+                            if (t := top[q]) >= 0 and out[t].kind in GATES_1Q:
+                                h, first = parts.pop(t, None) or ([out[t]], t)
+                                out[first:t + 1] = [None] * (t + 1 - first)
+                                runs[q] = [h]
+                        if rest:  # the SWAP's other CX, through the loop
+                            it = chain(rest, base)
+                            break
+                        continue
+                    top[a] = top[b] = idx = len(out)
+                    below[idx] = (i, j)
+                    for g in rest:
+                        out.append(inst)
+                        inst = g
+                        top[a] = top[b] = idx = len(out)
+                        below[idx] = (idx - 1, idx - 1)
+                else:
+                    for q in qs:
+                        top[q] = len(out)
+            out.append(inst)
     out.pop()
     if cancelled:
-        out = [g for g in out if g is not None]
-    return c.replace(out), cancelled if cancel else dropped
+        out = list(filter(None, out))  # Instructions are non-empty tuples
+    return c.replace(out), (any(t > i for t, (_, i) in parts.items())
+                            if cancel else dropped)
 
 
 def merge_1q_runs(c: Circuit) -> Circuit:
@@ -509,7 +566,7 @@ def merge_1q_runs(c: Circuit) -> Circuit:
     params) sequence to the fused gate's, which each repeat rebuilds on its
     own wire.  The fused gate is a pure function of that sequence, so
     repeats come out identical; merged input comes back unchanged.  The
-    pass behind it, `_merge_runs`, is pipeline()'s whole cleanup."""
+    pass behind it, `_merge_runs`, is with `cancel` pipeline()'s cleanup."""
     return _merge_runs(c)[0]
 
 
@@ -545,13 +602,15 @@ def cancel_adjacent_cx(c: Circuit) -> Circuit:
 
 def prepare_two_qubit_state(target: np.ndarray,
                             input0: tuple[float, float],
-                            input1: tuple[float, float]) -> Circuit:
+                            input1: tuple[float, float], *,
+                            svd: tuple | None = None) -> Circuit:
     """Circuit of at most one CX and four u-gates mapping the product state
     (input0, input1) to `target` (4 amplitudes, qubit 0 is the high bit),
     up to global phase.
 
     Built from the Schmidt form of the target: local singular bases on each
-    wire around a single entangler when the Schmidt rank is 2.
+    wire around a single entangler when the Schmidt rank is 2 (`svd`, if
+    given, is `np.linalg.svd(target.reshape(2, 2))`).
     """
     import numpy as np
     for name, st in (("input0", input0), ("input1", input1)):
@@ -563,8 +622,7 @@ def prepare_two_qubit_state(target: np.ndarray,
     if abs(np.linalg.norm(target) - 1.0) > 1e-9:
         raise ValueError("target state is not normalized")
 
-    m = target.reshape(2, 2)
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(target.reshape(2, 2)) if svd is None else svd
     entangled = s[1] > 1e-7
 
     pre0 = pure_to_zero_gate(*input0)

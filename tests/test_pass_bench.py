@@ -15,9 +15,10 @@ from rpoc import (Circuit, GateKind, PipelineOptions, cancel_adjacent_cx,
                   gen_grover, gen_qpe, gen_vqe_ry, line_coupling,
                   merge_1q_runs, pipeline, qbo, qpo, route, simulate, unroll)
 
+from rpoc import passes
 from rpoc.synth import _merge_runs
 
-from helpers import ref_simulate
+from helpers import ref_simulate, spy_calls
 
 LINE15 = line_coupling(15)
 UNROLLED = {
@@ -109,17 +110,19 @@ def test_cancel_adjacent_cx_routed_grover6(benchmark):
 
 
 def test_merge_and_cancel_routed_grover6(benchmark):
-    # pipeline()'s first cleanup round on the same input: the merge takes
-    # 4,617 gates to 4,437, and the cancellation 3,621 CX to 3,549.
-    c = unroll(route(UNROLLED["grover6"](), LINE15, seed=0)[0])
-    out, cancelled = _merge_runs(c, cancel=True)
-    assert cancelled and cx_count(out) == 3549 and len(out) == 4365
-    assert out.instructions == cancel_adjacent_cx(merge_1q_runs(c)).instructions
+    # pipeline()'s cleanup pass on routed grover6, its 959 SWAPs expanded in
+    # the pass: the merge takes 4,617 gates to 4,437 and the cancellation
+    # 3,621 CX to 3,549.  No run the pairs join fuses further, so one pass is
+    # the fixpoint.
+    c = PASS_IN["routed_grover6"]()
+    out, more = _merge_runs(c, cancel=True)
+    assert not more and cx_count(out) == 3549 and len(out) == 4365
+    assert out.instructions == merge_1q_runs(cancel_adjacent_cx(
+        merge_1q_runs(unroll(c)))).instructions
     benchmark(_merge_runs, c, cancel=True)
 
 
-# pipeline() unrouted, where no SWAP is left to run qpo or the basis unroll
-# on; (gates, CX) out.
+# pipeline() unrouted, where no SWAP is left to run qpo on; (gates, CX) out.
 PIPELINE_CONFIGS = {
     "baseline": PipelineOptions(enable_qbo=False, enable_qpo=False),
     "rpo": PipelineOptions(),
@@ -141,6 +144,37 @@ def test_pipeline_unrouted(benchmark, circuit, config):
     out = pipeline(c, opts)
     assert (len(out), cx_count(out)) == PIPELINE_OUT[(circuit, config)]
     benchmark(pipeline, c, opts)
+
+
+# pipeline() on line15, where qpo runs on the SWAPs routing leaves and the
+# cleanup pass expands the rest; (gates, CX) out.
+PIPELINE_ROUTED_OUT = {
+    ("grover6", "baseline"): (4365, 3549), ("grover6", "rpo"): (4359, 3539),
+    ("qpe10", "baseline"): (1293, 1100), ("qpe10", "rpo"): (1113, 920),
+}
+
+
+@pytest.mark.parametrize("config", list(PIPELINE_CONFIGS))
+@pytest.mark.parametrize("circuit", list(PIPELINE_IN))
+def test_pipeline_routed(benchmark, circuit, config):
+    c = PIPELINE_IN[circuit]()
+    opts = PIPELINE_CONFIGS[config]._replace(coupling=LINE15)
+    out = pipeline(c, opts)
+    assert (len(out), cx_count(out)) == PIPELINE_ROUTED_OUT[(circuit, config)]
+    benchmark(pipeline, c, opts)
+
+
+@pytest.mark.parametrize("circuit", list(PIPELINE_IN))
+def test_pipeline_routed_runs_one_cleanup_pass(monkeypatch, circuit):
+    # No unroll after qpo, and one cleanup pass: nothing it joins fuses to
+    # the identity.
+    calls = spy_calls(monkeypatch, passes, ("unroll", "qpo"))
+    merge = passes._merge_runs
+    monkeypatch.setattr(passes, "_merge_runs", lambda cur, cancel=False: (
+        calls.append("_merge_runs+cancel" if cancel else "_merge_runs"),
+        merge(cur, cancel=cancel))[1])
+    pipeline(PIPELINE_IN[circuit](), PipelineOptions(coupling=LINE15))
+    assert calls[calls.index("qpo"):] == ["qpo", "_merge_runs+cancel"]
 
 
 def test_simulate_routed_grover6(benchmark):

@@ -952,15 +952,17 @@ class TestPipeline:
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16))
         assert calls == ["qbo", "unroll", "qbo", "unroll", "_merge_runs+cancel"]
 
-    def test_swaps_left_run_qpo_and_basis_unroll(self, monkeypatch):
+    def test_swaps_left_run_qpo_and_no_basis_unroll(self, monkeypatch):
+        # The cleanup pass expands the SWAP/SWAPZ qpo leaves; no unroll
+        # runs after qpo.
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              coupling=line_coupling(5))
         assert calls == ["qbo", "unroll", "route", "qbo", "unroll",
-                         "merge_1q_runs", "qpo", "unroll", "_merge_runs+cancel"]
+                         "merge_1q_runs", "qpo", "_merge_runs+cancel"]
         calls = self._stages(monkeypatch, parse_program(self.SWAP_SRC))
         assert calls == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
-                         "qpo", "unroll", "_merge_runs+cancel"]
+                         "qpo", "_merge_runs+cancel"]
 
     def test_swap_free_compile_with_blocks_runs_qpo(self, monkeypatch):
         from rpoc import gen_qpe
@@ -970,14 +972,14 @@ class TestPipeline:
                          "qpo", "_merge_runs+cancel"]
 
     @pytest.mark.parametrize("body,rounds", [
-        # The first round's merge drops the h-h run, so its cancellation
-        # removes both CX pairs; the merge after it fuses the t gates and
-        # drops nothing, so no cancellation follows.
+        # The merge drops the h-h run, so the cancellation removes both CX
+        # pairs; the t gates the pairs join fuse to a gate, not the
+        # identity, so one pass is the fixpoint.
         ("h q[0]; cx q[0],q[1]; cx q[0],q[1]; t q[1]; cx q[1],q[0]; h q[0];"
          " h q[0]; cx q[1],q[0]; t q[1];", 1),
-        # The first round's cancellation uncovers an h-h run; the next
-        # merge drops it, so a second cancellation removes the CX pair
-        # around it.
+        # The cancellation joins an h-h run that fuses to the identity: the
+        # pass leaves it in place and asks for another, which drops it and
+        # cancels the CX pair around it.
         ("cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1]; h q[1];"
          " cx q[0],q[1];", 2),
     ], ids=["one_round", "two_rounds"])
@@ -986,12 +988,14 @@ class TestPipeline:
         c = parse_program("qreg q[2]; " + body)
         calls = self._stages(monkeypatch, c, enable_qbo=False,
                              enable_qpo=False)
-        # The first round merges and cancels in one pass; a later round
-        # cancels by the same pass, on merged input.
-        assert calls == ["unroll", "_merge_runs+cancel", "_merge_runs",
-                         *["_merge_runs+cancel", "_merge_runs"] * (rounds - 1)]
+        # Every pass merges, cancels and merges the joined runs; a pass
+        # runs again only after one left a joined run in place.
+        assert calls == ["unroll", *["_merge_runs+cancel"] * rounds]
         out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         assert cx_count(out) == 0
+        first, more = synth._merge_runs(unroll(c), cancel=True)
+        assert more is (rounds == 2)
+        assert cx_count(first) == 2 * (rounds - 1)
 
     def test_cleanup_calls_no_cancel_adjacent_cx(self, monkeypatch):
         # The cleanup cancels only in _merge_runs, on every path: one round,
@@ -1013,8 +1017,9 @@ class TestPipeline:
     @pytest.mark.parametrize("qbo_on", [False, True])
     def test_skipped_stages_change_nothing(self, qbo_on):
         # What the SWAP-free skips rest on: with no SWAP or SWAPZ left, qpo
-        # (without blocks) and the basis unroll return their input, and a
-        # second merge returns the first one's output.
+        # (without blocks) returns its input and a second merge the first
+        # one's output; and nothing is left to unroll, so the cleanup pass,
+        # which expands only SWAP and SWAPZ, needs no unroll before it.
         rng = random.Random(14)
         swaps = {GateKind.SWAP, GateKind.SWAPZ}
         swap_basis = DEFAULT_BASIS | swaps

@@ -595,14 +595,17 @@ class TestCancelCX:
             assert equivalent_up_to_global_phase(c, once).equivalent
 
 
-def _cx_dense(rng: random.Random) -> Circuit:
-    """CX among 2-4 wires, and x, h, t and tdg gates whose runs often fuse
-    to the identity, so a merge can uncover CX pairs to cancel."""
+def _cx_dense(rng: random.Random, swaps: bool = False) -> Circuit:
+    """CX among 2-4 wires (with `swaps`, also SWAP and SWAPZ), and x, h, t
+    and tdg gates whose runs often fuse to the identity, so a merge can
+    uncover CX pairs to cancel."""
     n = rng.randrange(2, 5)
     c = Circuit(n)
     for _ in range(rng.randrange(4, 40)):
         if rng.random() < 0.5:
-            c.cx(*rng.sample(range(n), 2))
+            kind = (rng.choice([GateKind.CX, GateKind.SWAP, GateKind.SWAPZ])
+                    if swaps else GateKind.CX)
+            c.append(Instruction(kind, tuple(rng.sample(range(n), 2))))
         else:
             c.append(Instruction(rng.choice(
                 [GateKind.X, GateKind.H, GateKind.T, GateKind.TDG]),
@@ -641,40 +644,82 @@ def _full(seed: int) -> list[Circuit]:
     return [c, unroll(c)]
 
 
+SWAP_DENSE = [_cx_dense(random.Random(seed), swaps=True) for seed in range(300)]
+# A cancelled pair joins runs that fuse to the identity, so the pass needs
+# another one; SWAP, SWAPZ or a run re-opened twice supply the pairs in turn.
+# The last one's joined run fuses to the identity only until a t joins it.
+FALLBACK = [parse_program("qreg q[3]; " + body) for body in (
+    "cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1]; h q[1]; cx q[0],q[1];",
+    "swap q[0],q[1]; h q[1]; cx q[2],q[1]; cx q[2],q[1]; h q[1];"
+    " cx q[0],q[1];",
+    "cx q[0],q[1]; t q[1]; swap q[0],q[1]; swap q[0],q[1]; tdg q[1];"
+    " cx q[0],q[1];",
+    "cx q[2],q[0]; x q[0]; swapz q[1],q[0]; cx q[0],q[1]; cx q[1],q[0];"
+    " x q[0]; cx q[2],q[0];",
+    "cx q[0],q[1]; h q[1]; cx q[2],q[1]; cx q[2],q[1]; h q[1];"
+    " cx q[2],q[1]; cx q[2],q[1]; cx q[0],q[1];",
+    "cx q[0],q[1]; h q[1]; cx q[2],q[1]; cx q[2],q[1]; h q[1];"
+    " cx q[2],q[1]; cx q[2],q[1]; t q[1]; cx q[0],q[1];",
+)]
+
+
 def _corpus(name: str) -> list[Circuit]:
-    return (CX_DENSE if name == "cx_dense"
-            else [c for seed in range(150) for c in _full(seed)])
+    return (CX_DENSE + SWAP_DENSE if name == "cx_dense"
+            else [c for seed in range(150) for c in _full(seed)]) + FALLBACK
+
+
+def _expand_swaps(c: Circuit) -> Circuit:
+    out = []
+    for inst in c.instructions:
+        out += (swap_to_cx(*inst.qubits) if inst.kind is GateKind.SWAP
+                else swapz_to_cx(*inst.qubits) if inst.kind is GateKind.SWAPZ
+                else [inst])
+    return c.replace(out)
+
+
+def _check_cleanup_pass(c: Circuit, seen: dict) -> None:
+    """Check `_merge_runs(c, cancel=True)` against its definition: with x,
+    c with SWAP/SWAPZ expanded, R = merge(cancel(merge(x))); the flag is
+    whether that second merge dropped a run; the output is R without the
+    flag and merges to R with it."""
+    x = _expand_swaps(c)
+    ref, dropped = synth._merge_runs(cancel_adjacent_cx(merge_1q_runs(x)))
+    out, more = synth._merge_runs(c, cancel=True)
+    assert (out.n_qubits, out.n_clbits) == (c.n_qubits, c.n_clbits)
+    assert more is dropped, c.instructions
+    assert (merge_1q_runs(out) if more else out).instructions == \
+        ref.instructions, c.instructions
+    seen[more] += 1
 
 
 class TestFusedRound:
-    """_merge_runs(c, cancel=True), every cancelling round of pipeline()'s
-    cleanup, is cancel_adjacent_cx(merge_1q_runs(c)) in one pass."""
+    """_merge_runs(c, cancel=True), each pass of pipeline()'s cleanup, is
+    merge_1q_runs(cancel_adjacent_cx(merge_1q_runs(x))) in one pass, x
+    being c with its SWAP/SWAPZ expanded, or merges to it when it asks for
+    another pass."""
 
     @pytest.mark.parametrize("corpus", ["cx_dense", "full"])
     def test_equals_merge_then_cancel(self, corpus):
-        circuits = _corpus(corpus)
         seen = {False: 0, True: 0}
-        for c in circuits:
-            merged = merge_1q_runs(c)
-            ref = cancel_adjacent_cx(merged)
-            out, cancelled = synth._merge_runs(c, cancel=True)
-            assert out.instructions == ref.instructions, c.instructions
-            assert (out.n_qubits, out.n_clbits) == (c.n_qubits, c.n_clbits)
-            assert cancelled is (len(ref) < len(merged))
-            seen[cancelled] += 1
+        for c in _corpus(corpus):
+            _check_cleanup_pass(c, seen)
         assert min(seen.values()) >= 5, seen
 
     @pytest.mark.parametrize("corpus", ["cx_dense", "full"])
     def test_on_merged_input_equals_cancel(self, corpus):
-        # The cleanup's later rounds cancel by this pass on merged input.
+        # On merged input the first merge changes nothing, so the pass is
+        # the cancellation and the merge of the runs it joins.  A second
+        # pass runs on a first one's output, merged but for the runs left
+        # in place.
         seen = {False: 0, True: 0}
         for c in _corpus(corpus):
             m = merge_1q_runs(c)
-            ref = cancel_adjacent_cx(m)
-            out, cancelled = synth._merge_runs(m, cancel=True)
-            assert out.instructions == ref.instructions, c.instructions
-            assert cancelled is (len(ref) < len(m))
-            seen[cancelled] += 1
+            x = _expand_swaps(m)
+            assert merge_1q_runs(x).instructions == x.instructions
+            _check_cleanup_pass(m, seen)
+            out, more = synth._merge_runs(c, cancel=True)
+            if more:
+                _check_cleanup_pass(out, seen)
         assert min(seen.values()) >= 5, seen
 
 
