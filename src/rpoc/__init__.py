@@ -2,7 +2,8 @@
 tracking, with a brute-force statevector oracle certifying every rewrite.
 
 Importing rpoc loads no numpy: the oracle and bench names resolve on first
-use (PEP 562), and those two modules import it.
+use (PEP 562).  The oracle imports numpy; bench loads it only to verify and
+in gen_qv_like.
 """
 
 from .circuit import (Circuit, EPS_ANGLE, GateKind, Instruction, ParseError,

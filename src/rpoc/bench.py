@@ -2,11 +2,13 @@
 
 Each generator produces a circuit with an analytically known output, so the
 harness can verify every transpilation against the simulator before it
-reports a row.  Rows are raw per-repetition measurements; the CLI reduces
-them to medians.
+reports a row.  A `BenchSpec` names the algorithm, size, repetitions,
+coupling map and seed; `build_circuit` draws the circuit from it with fixed
+generator settings.  Rows (`ReportRow`) are raw per-repetition
+measurements; the CLI reduces them to medians.
 
-numpy is imported lazily: by gen_qv_like's RNG and by the oracle, which
-run_bench loads to verify.
+Importing this module loads neither numpy nor dataclasses.  numpy is loaded
+by gen_qv_like's RNG and by the oracle, which run_bench imports to verify.
 """
 from __future__ import annotations
 
@@ -14,21 +16,13 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .circuit import (Circuit, GateKind, Instruction, VerificationError,
-                      canonical_angle, count_1q, cx_count, depth, emit_program)
+from .circuit import (TWO_PI, Circuit, GateKind, Instruction,
+                      VerificationError, canonical_angle, count_1q, cx_count,
+                      depth, emit_program)
 from .passes import PipelineOptions, pipeline, resolve_coupling
 from .synth import mcx_vchain
-
-TWO_PI = 2.0 * math.pi
-
-
-def equivalent_up_to_global_phase(*args, **kwargs):
-    """`oracle.equivalent_up_to_global_phase`, imported on first call (the
-    oracle loads numpy)."""
-    from .oracle import equivalent_up_to_global_phase
-    return equivalent_up_to_global_phase(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +205,15 @@ def gen_qv_like(n: int, depth: int, seed: int) -> Circuit:
 # Harness
 # ---------------------------------------------------------------------------
 
-ALGORITHMS = ("bv", "qpe", "grover", "vqe_ry", "qv_like")
-
-
-@dataclass
-class BenchSpec:
-    algorithm: str
+class BenchSpec(NamedTuple):
+    algorithm: str  # bv, qpe, grover, vqe_ry or qv_like
     n: int
     reps: int = 25
     coupling: object = None  # name, path or CouplingMap
     seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.reps < 1:
-            raise ValueError("repetitions must be >= 1")
 
 
-@dataclass
-class ReportRow:
+class ReportRow(NamedTuple):
     benchmark: str
     n: int
     pipeline: str
@@ -247,26 +229,22 @@ CSV_HEADER = "benchmark,n,pipeline,cx,u1q,depth,ms,seed,verified"
 
 
 def build_circuit(spec: BenchSpec) -> Circuit:
-    p = spec.params
+    """The spec's circuit; bv's hidden string and vqe_ry's angles are drawn
+    from the seed, the other settings are fixed."""
+    alg, n = spec.algorithm, spec.n
     rng = random.Random(spec.seed)
-    if spec.algorithm == "bv":
-        s = p.get("s") or "".join(rng.choice("01") for _ in range(spec.n))
-        return gen_bv(spec.n, s, p.get("oracle", "boolean"))
-    if spec.algorithm == "qpe":
-        theta = p.get("theta", (2 ** spec.n - 1) / 2 ** spec.n)
-        return gen_qpe(spec.n, theta)
-    if spec.algorithm == "grover":
-        iters = p.get("iterations",
-                      max(1, round(math.pi / 4 * math.sqrt(2 ** spec.n))))
-        return gen_grover(spec.n, p.get("marked", 2 ** spec.n - 1), iters,
-                          p.get("use_ancilla", False), p.get("annotate", False))
-    if spec.algorithm == "vqe_ry":
-        d = p.get("depth", 2)
-        params = p.get("params") or [rng.uniform(0, TWO_PI)
-                                     for _ in range(spec.n * (d + 1))]
-        return gen_vqe_ry(spec.n, d, params)
-    d = p.get("depth", spec.n)
-    return gen_qv_like(spec.n, d, p.get("circuit_seed", spec.seed))
+    if alg == "bv":
+        return gen_bv(n, "".join(rng.choice("01") for _ in range(n)))
+    if alg == "qpe":
+        return gen_qpe(n, (2 ** n - 1) / 2 ** n)
+    if alg == "grover":
+        return gen_grover(n, 2 ** n - 1,
+                          max(1, round(math.pi / 4 * math.sqrt(2 ** n))))
+    if alg == "vqe_ry":
+        return gen_vqe_ry(n, 2, [rng.uniform(0, TWO_PI) for _ in range(n * 3)])
+    if alg == "qv_like":
+        return gen_qv_like(n, n, spec.seed)
+    raise ValueError(f"unknown algorithm {alg!r}")
 
 
 def run_bench(spec: BenchSpec, verify: bool = True) -> list[ReportRow]:
@@ -275,7 +253,10 @@ def run_bench(spec: BenchSpec, verify: bool = True) -> list[ReportRow]:
     failing repetition aborts the run.  verify=True verifies every row the
     oracle can simulate and flags the rest `verified=False`; verify=False
     skips the oracle and flags every row."""
-    from .oracle import MAX_QUBITS, simulated_width
+    from .oracle import (MAX_QUBITS, equivalent_up_to_global_phase,
+                         simulated_width)
+    if spec.reps < 1:
+        raise ValueError("repetitions must be >= 1")
     cmap = resolve_coupling(spec.coupling)
     circ = build_circuit(spec)
     rows: list[ReportRow] = []

@@ -48,9 +48,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,8 +99,7 @@ class ResetError(ValueError):
     """RESET applied to a qubit that is entangled or mixed."""
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     equivalent: bool
     fidelity: float
     phase: float

@@ -466,15 +466,17 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
 
     Stage order: basis-state pass; unroll keeping SWAP/SWAPZ; layout+routing
     (when a coupling map is given); basis-state pass again (for the routed
-    SWAPs) and unroll keeping SWAP/SWAPZ; 1q-run merging and the pure-state
-    pass; then the cleanup, `_merge_runs(cur, cancel=True)`: one pass that
-    expands the SWAP/SWAPZ left, merges 1q runs, cancels CX pairs and merges
-    the runs a cancelled pair joins.  It runs again only after a joined run
-    fused to the identity, which can make two CX adjacent; each pass after
-    the first removes gates, so the loop ends.
+    SWAPs); 1q-run merging and the pure-state pass; then the cleanup,
+    `_merge_runs(cur, cancel=True)`: one pass that expands the SWAP/SWAPZ
+    left, merges 1q runs, cancels CX pairs and merges the runs a cancelled
+    pair joins.  It runs again only after a joined run fused to the
+    identity, which can make two CX adjacent; each pass after the first
+    removes gates, so the loop ends.  The second basis-state pass is not
+    unrolled: on unrolled input it emits only basis kinds, SWAP/SWAPZ, X
+    and Z, and the merges fuse a named 1q gate to the u-gate unroll would.
 
     Stages that cannot change the circuit are skipped:
-    - without qbo, the second unroll; without qpo, the pre-qpo merge;
+    - without qpo, the pre-qpo merge;
     - with no SWAP or SWAPZ left, qpo and the pre-qpo merge unless qpo
       re-synthesizes blocks: its other rewrites start at a SWAP or SWAPZ.
     The cleanup cannot change a tracked state, so qbo (at most twice) and
@@ -483,17 +485,16 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     # SWAP/SWAPZ stay compound until after the pure-state pass, which is the
     # only consumer that can strength-reduce them; the cleanup expands the
     # survivors.
-    swap_basis = opts.basis | {_K.SWAP, _K.SWAPZ}
     cur = c
     layout: list[int] | None = None
 
     if opts.enable_qbo:
         cur = qbo(cur)
-    cur = unroll(cur, swap_basis)
+    cur = unroll(cur, opts.basis | {_K.SWAP, _K.SWAPZ})
     if opts.coupling is not None:
         cur, layout = route(cur, opts.coupling, opts.seed, opts.random_layout)
     if opts.enable_qbo:
-        cur = unroll(qbo(cur), swap_basis)
+        cur = qbo(cur)
     if opts.enable_qpo and (opts.enable_block_resynth or {_SWAP, _SWAPZ} & {
             inst.kind for inst in cur.instructions}):
         cur = qpo(merge_1q_runs(cur), resynth_blocks=opts.enable_block_resynth)

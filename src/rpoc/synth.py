@@ -308,17 +308,15 @@ def mcx_gray_code(controls: tuple[int, ...], target: int) -> list[Instruction]:
 
 def mcx_vchain(controls: tuple[int, ...], target: int, ancillas: tuple[int, ...],
                open_mask: tuple[bool, ...] = ()) -> list[Instruction]:
-    """Multi-controlled X using k-2 clean ancillas (restored to |0> at the end)."""
+    """X on `target` under k >= 3 controls, using k-2 clean ancillas
+    (restored to |0> at the end)."""
     k = len(controls)
-    if len(ancillas) < k - 2:
-        raise ValueError("mcx with ancillas needs k-2 clean ancilla qubits")
+    if k < 3 or len(ancillas) < k - 2:
+        raise ValueError("mcx with ancillas needs 3 or more controls and "
+                         "k-2 clean ancilla qubits")
     if not open_mask:
         open_mask = (False,) * k
     K = GateKind
-    if k == 1:
-        return [Instruction(K.CX, (controls[0], target), open_mask=open_mask[:1])]
-    if k == 2:
-        return [Instruction(K.CCX, (*controls, target), open_mask=open_mask)]
     compute = [Instruction(K.CCX, (controls[0], controls[1], ancillas[0]),
                            open_mask=open_mask[:2])]
     for j in range(2, k - 1):

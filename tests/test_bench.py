@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -166,7 +167,8 @@ class TestQV:
 
 class TestHarness:
     def test_bv_rpo_row_zero_cx(self):
-        spec = BenchSpec("bv", 4, reps=3, params={"s": "1011"})
+        spec = BenchSpec("bv", 4, reps=3)  # seed 0 draws the string 1101
+        assert cx_count(build_circuit(spec)) == 3
         rows = run_bench(spec)
         assert len(rows) == 6
         for r in rows:
@@ -188,7 +190,7 @@ class TestHarness:
         assert sorted({r.seed for r in rows}) == [7, 8, 9, 10]
 
     def test_csv_format(self):
-        spec = BenchSpec("bv", 3, reps=2, params={"s": "101"})
+        spec = BenchSpec("bv", 3, reps=2)
         text = rows_to_csv(run_bench(spec))
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -203,19 +205,37 @@ class TestHarness:
         assert "cx_reduction_pct" in by["rpo"]
 
     def test_build_circuit_defaults(self):
-        for alg in ("bv", "qpe", "grover", "vqe_ry", "qv_like"):
-            c = build_circuit(BenchSpec(alg, 3, reps=1, seed=1))
-            assert isinstance(c, Circuit)
+        assert BenchSpec._fields == ("algorithm", "n", "reps", "coupling",
+                                     "seed")
+        rng = random.Random(1)
+        s = "".join(rng.choice("01") for _ in range(3))
+        rng = random.Random(1)
+        angles = [rng.uniform(0, 2 * PI) for _ in range(9)]
+        want = {"bv": gen_bv(3, s, "boolean"), "qpe": gen_qpe(3, 7 / 8),
+                "grover": gen_grover(3, 7, 2, False, False),
+                "vqe_ry": gen_vqe_ry(3, 2, angles),
+                "qv_like": gen_qv_like(3, 3, 1)}
+        for alg, c in want.items():
+            got = build_circuit(BenchSpec(alg, 3, reps=1, seed=1))
+            assert isinstance(got, Circuit)
+            assert emit_program(got) == emit_program(c), alg
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            BenchSpec("quux", 3)
+        spec = BenchSpec("quux", 3)
+        for call in (build_circuit, run_bench):
+            with pytest.raises(ValueError, match="unknown algorithm 'quux'"):
+                call(spec)
+
+    def test_reps_below_one(self):
+        for reps in (0, -1):
+            with pytest.raises(ValueError, match="repetitions must be >= 1"):
+                run_bench(BenchSpec("bv", 3, reps=reps))
 
     def test_rows_are_verified_or_flagged(self, monkeypatch):
-        import rpoc.bench
+        import rpoc.oracle
         calls = []
-        check = rpoc.bench.equivalent_up_to_global_phase
-        monkeypatch.setattr(rpoc.bench, "equivalent_up_to_global_phase",
+        check = rpoc.oracle.equivalent_up_to_global_phase
+        monkeypatch.setattr(rpoc.oracle, "equivalent_up_to_global_phase",
                             lambda *a, **k: calls.append(1) or check(*a, **k))
         # bv14 touches 15 wires: every row is checked.
         rows = run_bench(BenchSpec("bv", 14, reps=1))
@@ -235,6 +255,5 @@ class TestHarness:
 
     def test_verification_gate(self):
         # Verification is on by default at these sizes and must not trip.
-        rows = run_bench(BenchSpec("grover", 3, reps=2,
-                                   params={"iterations": 1, "marked": 2}))
-        assert rows
+        rows = run_bench(BenchSpec("grover", 3, reps=2))
+        assert rows and all(r.verified for r in rows)

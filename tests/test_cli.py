@@ -93,6 +93,13 @@ def test_empty_size_range_is_an_input_error(capsys):
     assert out.out == ""
 
 
+def test_bench_zero_reps_is_an_input_error(capsys):
+    assert main(["bench", "--alg", "bv", "--n", "3", "--reps", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: repetitions must be >= 1\n"
+    assert out.out == ""
+
+
 def test_bench_grover8_verifies(capsys):
     # Two 7-control MCZ per iteration, unrolled without ancillas.
     assert main(["bench", "--alg", "grover", "--n", "8", "--reps", "1"]) == 0

@@ -13,15 +13,24 @@ trees and diff the two listings:
 
     PYTHONPATH=src python tests/test_golden.py > golden.txt
 
+With `--bench`, the listing covers every operation of the benchmark's
+routed, unrouted and fuzz workloads at seeds 1-3 instead (2,778 lines; the
+short SHA-256 is of the emitted text plus the layout), built by
+perfbench/workloads.py, which it imports without changing:
+
+    PYTHONPATH=src python tests/test_golden.py --bench > bench.txt
+
 Block resynthesis (`enable_block_resynth`) is left out: its SVD makes the
 bytes depend on the BLAS kernel.
 """
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 from rpoc import (PipelineOptions, count_1q, cx_count, depth, emit_program,
                   gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry,
-                  grid_coupling, line_coupling, pipeline)
+                  grid_coupling, line_coupling, parse_program, pipeline)
 
 from helpers import random_circuit
 
@@ -67,6 +76,25 @@ def _outputs():
             yield f"{name}/{config}", out, emit_program(out)
 
 
+def _bench_outputs():
+    """("workload:seed/job/config", compiled circuit, its emitted text and
+    layout) of every operation of the benchmark's routed, unrouted and fuzz
+    workloads at seeds 1-3, each compiled as the benchmark does: a fuzz job
+    from its text, parsed once per operation."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    import workloads
+    for workload in ("routed", "unrouted", "fuzz"):
+        for seed in (1, 2, 3):
+            for job in workloads.build(workload, seed):
+                for cfg in job.configs:
+                    src = (job.source if job.text is None
+                           else parse_program(job.text))
+                    out = pipeline(src, cfg.opts)
+                    yield (f"{workload}:{seed}/{job.cid}/{cfg.name}", out,
+                           f"{emit_program(out)}layout={out.layout}\n")
+
+
 def golden_digest() -> str:
     h = hashlib.sha256()
     for label, _, text in _outputs():
@@ -80,7 +108,8 @@ def test_golden_output_digest():
 
 
 if __name__ == "__main__":
-    for label, out, text in _outputs():
+    for label, out, text in (_bench_outputs() if sys.argv[1:] == ["--bench"]
+                             else _outputs()):
         sha = hashlib.sha256(text.encode()).hexdigest()[:12]
         print(f"{label} {sha} cx={cx_count(out)} u1q={count_1q(out)} "
               f"depth={depth(out)}")

@@ -2,7 +2,8 @@
 
 numpy is imported only where dense linear algebra runs: the oracle (verify,
 run_bench), qpo's block resynthesis (optimize --blocks) and gen_qv_like's
-RNG; the other circuit generators load none.
+RNG; the other circuit generators load none.  No rpoc module loads
+dataclasses (with inspect, ast, dis and tokenize behind it).
 Each check runs in a fresh interpreter, since this one has numpy loaded.
 """
 import json
@@ -68,11 +69,11 @@ def test_import_loads_no_numpy():
     assert run_fresh("import rpoc\nresult = None") == [None, False]
 
 
-def loaded_by_import(*names: str) -> list[str]:
-    """Which of the modules `names` a fresh `import rpoc` loads.  Not
+def loaded_by_import(*names: str, module: str = "rpoc") -> list[str]:
+    """Which of the modules `names` a fresh `import <module>` loads.  Not
     run_fresh: its child code imports json itself."""
     run = subprocess.run(
-        [sys.executable, "-c", "import sys, rpoc\n"
+        [sys.executable, "-c", f"import sys, {module}\n"
          "print(*[m for m in sys.argv[1:] if m in sys.modules])", *names],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
         text=True, check=True)
@@ -86,6 +87,17 @@ def test_import_loads_no_json():
 def test_import_loads_no_dataclasses_or_inspect():
     # dataclasses imports inspect, which imports ast, dis and tokenize.
     assert loaded_by_import("dataclasses", "inspect") == []
+
+
+def test_bench_import_loads_no_numpy_or_dataclasses():
+    assert loaded_by_import("numpy", "dataclasses", "inspect",
+                            module="rpoc.bench") == []
+
+
+def test_oracle_import_loads_no_dataclasses():
+    # numpy itself imports inspect, so only dataclasses is checked.
+    assert loaded_by_import("numpy", "dataclasses",
+                            module="rpoc.oracle") == ["numpy"]
 
 
 def test_pipeline_and_text_boundary_load_no_numpy(qpe10_file):

@@ -950,26 +950,72 @@ class TestPipeline:
     def test_swap_free_compile_skips_qpo_and_basis_unroll(self, monkeypatch):
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16))
-        assert calls == ["qbo", "unroll", "qbo", "unroll", "_merge_runs+cancel"]
+        assert calls == ["qbo", "unroll", "qbo", "_merge_runs+cancel"]
 
     def test_swaps_left_run_qpo_and_no_basis_unroll(self, monkeypatch):
         # The cleanup pass expands the SWAP/SWAPZ qpo leaves; no unroll
-        # runs after qpo.
+        # runs after the second qbo or after qpo.
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              coupling=line_coupling(5))
-        assert calls == ["qbo", "unroll", "route", "qbo", "unroll",
-                         "merge_1q_runs", "qpo", "_merge_runs+cancel"]
-        calls = self._stages(monkeypatch, parse_program(self.SWAP_SRC))
-        assert calls == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
+        assert calls == ["qbo", "unroll", "route", "qbo", "merge_1q_runs",
                          "qpo", "_merge_runs+cancel"]
+        calls = self._stages(monkeypatch, parse_program(self.SWAP_SRC))
+        assert calls == ["qbo", "unroll", "qbo", "merge_1q_runs", "qpo",
+                         "_merge_runs+cancel"]
 
     def test_swap_free_compile_with_blocks_runs_qpo(self, monkeypatch):
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              enable_block_resynth=True)
-        assert calls == ["qbo", "unroll", "qbo", "unroll", "merge_1q_runs",
-                         "qpo", "_merge_runs+cancel"]
+        assert calls == ["qbo", "unroll", "qbo", "merge_1q_runs", "qpo",
+                         "_merge_runs+cancel"]
+
+    @pytest.mark.parametrize("cmap", [None, line_coupling(5)],
+                             ids=["unrouted", "line5"])
+    @pytest.mark.parametrize("on", itertools.product((False, True), repeat=3),
+                             ids=lambda on: "".join(map(str, map(int, on))))
+    def test_one_unroll_per_compile(self, monkeypatch, cmap, on):
+        from rpoc import gen_qpe
+        for c in (gen_qpe(4, 5 / 16), parse_program(self.SWAP_SRC)):
+            calls = self._stages(monkeypatch, c, coupling=cmap,
+                                 enable_qbo=on[0], enable_qpo=on[1],
+                                 enable_block_resynth=on[2])
+            assert calls.count("unroll") == 1
+            assert calls.index("unroll") == on[0]  # after the first qbo
+
+    @pytest.mark.parametrize("cmap", [None, line_coupling(5)],
+                             ids=["unrouted", "line5"])
+    def test_second_qbo_needs_no_unroll(self, cmap):
+        # Why pipeline() does not unroll after its second qbo: on unrolled
+        # (and routed) input, qbo emits no multi-qubit kind outside the
+        # unroll basis, and the named 1q gates it adds (x, z) merge, in
+        # merge_1q_runs and in the cleanup pass alike, to the u-gates that
+        # unroll would give them.
+        swap_basis = DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ}
+        non_unitary = {GateKind.RESET, GateKind.ANNOT, GateKind.MEASURE,
+                       GateKind.BARRIER}
+        rng = random.Random(25)
+        named = 0
+        for seed in range(80):
+            cur = unroll(random_full_circuit(
+                rng, rng.randrange(2, 6), rng.randrange(5, 40),
+                measure=seed % 2 == 1), swap_basis)
+            if cmap is not None:
+                cur, _ = route(cur, cmap, seed)
+            out = qbo(cur)
+            kinds = {i.kind for i in out.instructions}
+            assert {i.kind for i in out.instructions if len(i.qubits) > 1
+                    } - {GateKind.BARRIER} <= swap_basis
+            assert kinds - swap_basis - non_unitary <= {GateKind.X, GateKind.Z}
+            named += bool(kinds & {GateKind.X, GateKind.Z})
+            unrolled = unroll(out, swap_basis)
+            assert (emit_program(merge_1q_runs(out))
+                    == emit_program(merge_1q_runs(unrolled)))
+            (a, more_a), (b, more_b) = (synth._merge_runs(x, cancel=True)
+                                        for x in (out, unrolled))
+            assert emit_program(a) == emit_program(b) and more_a is more_b
+        assert named >= 20
 
     @pytest.mark.parametrize("body,rounds", [
         # The merge drops the h-h run, so the cancellation removes both CX
@@ -1018,8 +1064,10 @@ class TestPipeline:
     def test_skipped_stages_change_nothing(self, qbo_on):
         # What the SWAP-free skips rest on: with no SWAP or SWAPZ left, qpo
         # (without blocks) returns its input and a second merge the first
-        # one's output; and nothing is left to unroll, so the cleanup pass,
-        # which expands only SWAP and SWAPZ, needs no unroll before it.
+        # one's output; and nothing is left to unroll but the x and z the
+        # second qbo may add, which the merge fuses as unroll would, so the
+        # cleanup pass, which expands only SWAP and SWAPZ, needs no unroll
+        # before it.
         rng = random.Random(14)
         swaps = {GateKind.SWAP, GateKind.SWAPZ}
         swap_basis = DEFAULT_BASIS | swaps
@@ -1032,13 +1080,16 @@ class TestPipeline:
                                       if i.kind not in swaps])):
                 cur = unroll(qbo(src) if qbo_on else src, swap_basis)
                 if qbo_on:
-                    cur = unroll(qbo(cur), swap_basis)
+                    cur = qbo(cur)
                 if swaps & {i.kind for i in cur.instructions}:
                     continue
                 swap_free += 1
                 merged = merge_1q_runs(cur)
                 assert qpo(merged).instructions == merged.instructions
-                assert unroll(cur).instructions == cur.instructions
+                unrolled = unroll(cur)
+                assert qbo_on or unrolled.instructions == cur.instructions
+                assert (merge_1q_runs(unrolled).instructions
+                        == merged.instructions)
                 assert merge_1q_runs(merged).instructions == merged.instructions
         assert swap_free >= 30
 

@@ -215,6 +215,9 @@ class TestDecompositions:
     def test_mcx_ancilla_mode_requires_ancillas(self):
         with pytest.raises(ValueError):
             mcx_vchain((0, 1, 2, 3), 4, (5,))
+        for k in (1, 2):  # a CX or a CCX: no chain to build
+            with pytest.raises(ValueError):
+                mcx_vchain(tuple(range(k)), k, (k + 1,))
 
     def test_unroll_output_in_basis(self):
         c = Circuit(4)
