@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import time
 from typing import NamedTuple
 
@@ -206,7 +205,7 @@ def gen_qv_like(n: int, depth: int, seed: int) -> Circuit:
 # ---------------------------------------------------------------------------
 
 class BenchSpec(NamedTuple):
-    algorithm: str  # bv, qpe, grover, vqe_ry or qv_like
+    algorithm: str  # a name in ALGORITHMS
     n: int
     reps: int = 25
     coupling: object = None  # name, path or CouplingMap
@@ -228,23 +227,27 @@ class ReportRow(NamedTuple):
 CSV_HEADER = "benchmark,n,pipeline,cx,u1q,depth,ms,seed,verified"
 
 
+# The algorithms `rpoc bench --alg` names: each maps (n, a Random drawn
+# from the seed, the seed) to its circuit.
+ALGORITHMS = {
+    "bv": lambda n, rng, seed: gen_bv(
+        n, "".join(rng.choice("01") for _ in range(n))),
+    "qpe": lambda n, rng, seed: gen_qpe(n, (2 ** n - 1) / 2 ** n),
+    "grover": lambda n, rng, seed: gen_grover(
+        n, 2 ** n - 1, max(1, round(math.pi / 4 * math.sqrt(2 ** n)))),
+    "vqe_ry": lambda n, rng, seed: gen_vqe_ry(
+        n, 2, [rng.uniform(0, TWO_PI) for _ in range(n * 3)]),
+    "qv_like": lambda n, rng, seed: gen_qv_like(n, n, seed),
+}
+
+
 def build_circuit(spec: BenchSpec) -> Circuit:
     """The spec's circuit; bv's hidden string and vqe_ry's angles are drawn
     from the seed, the other settings are fixed."""
-    alg, n = spec.algorithm, spec.n
-    rng = random.Random(spec.seed)
-    if alg == "bv":
-        return gen_bv(n, "".join(rng.choice("01") for _ in range(n)))
-    if alg == "qpe":
-        return gen_qpe(n, (2 ** n - 1) / 2 ** n)
-    if alg == "grover":
-        return gen_grover(n, 2 ** n - 1,
-                          max(1, round(math.pi / 4 * math.sqrt(2 ** n))))
-    if alg == "vqe_ry":
-        return gen_vqe_ry(n, 2, [rng.uniform(0, TWO_PI) for _ in range(n * 3)])
-    if alg == "qv_like":
-        return gen_qv_like(n, n, spec.seed)
-    raise ValueError(f"unknown algorithm {alg!r}")
+    make = ALGORITHMS.get(spec.algorithm)
+    if make is None:
+        raise ValueError(f"unknown algorithm {spec.algorithm!r}")
+    return make(spec.n, random.Random(spec.seed), spec.seed)
 
 
 def run_bench(spec: BenchSpec, verify: bool = True) -> list[ReportRow]:
@@ -293,6 +296,7 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
 def median_summary(rows: list[ReportRow]) -> list[dict]:
     """Median cx/u1q/depth/ms per (benchmark, n, pipeline), plus the CX
     reduction of the optimizing pipeline relative to the baseline."""
+    import statistics  # here: the CLI imports this module for every command
     groups: dict[tuple, list[ReportRow]] = {}
     for r in rows:
         groups.setdefault((r.benchmark, r.n, r.pipeline), []).append(r)

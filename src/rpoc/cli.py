@@ -10,6 +10,7 @@ import argparse
 import sys
 from collections import Counter
 
+from .bench import ALGORITHMS
 from .circuit import (ParseError, VerificationError, count_1q, cx_count, depth,
                       emit_program, parse_program)
 from .passes import PipelineOptions, pipeline, resolve_coupling
@@ -148,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=_cmd_verify)
 
     pb = sub.add_parser("bench", help="run a benchmark sweep")
-    pb.add_argument("--alg", required=True,
-                    choices=["bv", "qpe", "grover", "vqe_ry", "qv_like"])
+    pb.add_argument("--alg", required=True, choices=list(ALGORITHMS))
     pb.add_argument("--n", required=True, help="size or range, e.g. 4 or 4..10")
     pb.add_argument("--coupling")
     pb.add_argument("--reps", type=int, default=25)

@@ -33,11 +33,11 @@ from .analysis import (Tracker, basis_of, is_zero, pure_transition,
 from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal,
                       _CX, _CZ, _CU3, _SWAP, _SWAPZ, _CCX, _MCX, _CSWAP,
                       _RESET, _ANNOT, _BARRIER)
-from .synth import (DEFAULT_BASIS, U3Params, as_u3params, cswap_to_ccx,
-                    merge_1q_runs, prepare_two_qubit_state, pure_state_vector,
-                    pure_to_pure_gate, pure_to_zero_gate, swapz_to_cx,
-                    u3params_instruction, unroll, _i, _make_mcx, _merge_runs,
-                    _open_control_wrap, _KEEP_ALWAYS)
+from .synth import (DEFAULT_BASIS, as_u3params, cswap_to_ccx, merge_1q_runs,
+                    prepare_two_qubit_state, pure_state_vector,
+                    pure_to_pure_gate, pure_to_zero_gate, swapz_to_cx, unroll,
+                    _i, _make_mcx, _merge_runs, _open_control_wrap, _u_gate,
+                    _KEEP_ALWAYS)
 
 _K = GateKind
 
@@ -52,36 +52,65 @@ def simulate(*args, **kwargs):
 # The SWAP rule, shared by both passes
 # ---------------------------------------------------------------------------
 
+class _Memo(dict):
+    """m[k] is f(k), computed on the first lookup of k.  Each pass call makes
+    its own, so each distinct input is computed once per call and nothing is
+    cached across calls."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, k):
+        v = self[k] = self.f(k)
+        return v
+
+
+def _swap_gates(pair) -> tuple:
+    """`swap_rule`'s two `_u_gate` choices for the known operand states
+    (sa, sb): each wire's rotation when both are known, else the known
+    state's rotation to |0> and its re-preparation on the other wire."""
+    sa, sb = pair
+    if sa is not None and sb is not None:
+        return (_u_gate(*pure_to_pure_gate(sa, sb)[:3]),
+                _u_gate(*pure_to_pure_gate(sb, sa)[:3]))
+    s = sa if sa is not None else sb
+    return _u_gate(*pure_to_zero_gate(*s)[:3]), _u_gate(s[0], s[1], 0.0)
+
+
 def swap_rule(sa: tuple[float, float] | None, sb: tuple[float, float] | None,
-              a: int, b: int) -> list[Instruction]:
+              a: int, b: int, gates: _Memo | None = None) -> list[Instruction]:
     """Replacement of SWAP(a, b) given the operands' tracked states (None =
     unknown).  It acts as the SWAP on those inputs, up to global phase.
 
     Both known: two local rotations, no CX.  One known: rotate it to |0>,
     a SWAPZ designated on it, and re-prepare its state on the other wire
-    (two CX).  Neither: the SWAP itself (three CX)."""
+    (two CX).  Neither: the SWAP itself (three CX).  `gates`, a pass call's
+    memo of `_swap_gates`, picks the rotations once per distinct state
+    pair; they are rebuilt on the wires of each SWAP."""
     if sa is None and sb is None:
         return [_i(_K.SWAP, (a, b))]
-    if sa is not None and sb is not None:
-        new = [u3params_instruction(pure_to_pure_gate(sa, sb), a),
-               u3params_instruction(pure_to_pure_gate(sb, sa), b)]
-    else:
-        known, other, s = (a, b, sa) if sa is not None else (b, a, sb)
-        new = [u3params_instruction(pure_to_zero_gate(*s), known),
-               _i(_K.SWAPZ, (other, known)),
-               u3params_instruction(U3Params(s[0], s[1], 0.0), other)]
-    return [inst for inst in new if inst is not None]
+    ga, gb = _swap_gates((sa, sb)) if gates is None else gates[sa, sb]
+    if sa is None:
+        a, b = b, a  # a is the known wire
+    new = [] if ga is None else [_i(ga[0], (a,), ga[1])]
+    if sa is None or sb is None:
+        new.append(_i(_K.SWAPZ, (b, a)))
+    if gb is not None:
+        new.append(_i(gb[0], (b,), gb[1]))
+    return new
 
 
 # ---------------------------------------------------------------------------
 # Basis-state pass
 # ---------------------------------------------------------------------------
 
-def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
+def _qbo_rule(inst: Instruction, states: list,
+              ray=basis_of) -> list[Instruction] | None:
     """qbo's rewrite of a multi-qubit gate given the tracked states: None
     keeps it, a list replaces it (and is rewritten in turn).  Each rule acts
     as the gate it replaces on the operands' tracked states, up to global
-    phase.  A CX is the one-control case of the multi-controlled-X rule."""
+    phase.  A CX is the one-control case of the multi-controlled-X rule.
+    `ray` is `basis_of`, or a pass call's memo of it."""
     k, qs = inst.kind, inst.qubits
     if inst.open_mask:
         return _open_control_wrap(inst)
@@ -90,14 +119,14 @@ def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
         # SWAP): fall back to the definition.
         return swapz_to_cx(*qs)
     if k is _CZ:
-        ra, rb = (basis_of(states[q]) for q in qs)
+        ra, rb = (ray(states[q]) for q in qs)
         return ([] if ra is _ZERO or rb is _ZERO
                 else [_i(_K.Z, qs[1:])] if ra is _ONE
                 else [_i(_K.Z, qs[:1])] if rb is _ONE else None)
     if k is _CX or k is _CCX or k is _MCX:
         controls, target = qs[:-1], qs[-1]
-        rays = [basis_of(states[q]) for q in controls]
-        rt = basis_of(states[target])
+        rays = [ray(states[q]) for q in controls]
+        rt = ray(states[target])
         kept = tuple(q for q, r in zip(controls, rays) if r is not _ONE)
         last = controls[-1:]
         # |-> target: phase kickback, a controlled-Z among the controls with
@@ -112,7 +141,7 @@ def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
                       _i(_K.H, last)])
     if k is _CSWAP:
         cq, t1, t2 = qs
-        rc, r1, r2 = (basis_of(states[q]) for q in qs)
+        rc, r1, r2 = (ray(states[q]) for q in qs)
         if rc is _ZERO or rc is _ONE:
             return [] if rc is _ZERO else [_i(_K.SWAP, qs[1:])]
         if r1 is not _TOP or r2 is not _TOP:
@@ -127,7 +156,7 @@ def _qbo_rule(inst: Instruction, states: list) -> list[Instruction] | None:
         return [] if p.is_identity() else [
             _i(_K.CU3, (cq, t1), p[:3]), _i(_K.CU3, (cq, t2), p.inverse()[:3])]
     if k is _CU3:
-        rc = basis_of(states[qs[0]])
+        rc = ray(states[qs[0]])
         return ([] if rc is _ZERO
                 else [_i(_K.U3, qs[1:], inst.params)] if rc is _ONE else None)
     return None
@@ -149,10 +178,23 @@ def qbo(c: Circuit) -> Circuit:
     A gate whose operands are all unknown is kept as it is, with no rule or
     tracker work: every rule needs a known operand, and such a gate leaves
     its operands unknown.  Open-control gates, SWAPZ, RESET and ANNOT are
-    the exceptions and always take the full path."""
+    the exceptions and always take the full path.  Each distinct state is
+    snapped to its ray, and each distinct SWAP operand pair given its
+    rotations, once per call."""
+    return _qbo(c)[0]
+
+
+def _qbo(c: Circuit) -> tuple[Circuit, bool]:
+    """`qbo(c)`, and whether a SWAP it met had an operand known off the
+    rays, which only qpo's rule can use.  Without block resynthesis qpo
+    rewrites nothing else in qbo's output: every other SWAP left there has
+    two unknown operands, and every SWAPZ an unknown one and one rotated
+    to |0>, which qpo's rule gives back as it is."""
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
     states = tr.states
+    ray, gates = _Memo(basis_of).__getitem__, _Memo(_swap_gates)
+    off_ray = False
     todo = c.instructions[::-1]
     while todo:
         inst = todo.pop()
@@ -179,16 +221,18 @@ def qbo(c: Circuit) -> Circuit:
             # A validated SWAPZ is a SWAP.  The rule acts as the SWAP on its
             # tracked inputs, so the states are exchanged whatever it emits.
             # Only ray states count as known here; qpo uses the rest.
-            sa, sb = (states[q] if basis_of(states[q]) is not _TOP else None
-                      for q in qs)
-            out.extend(swap_rule(sa, sb, *qs))
+            pair = states[qs[0]], states[qs[1]]
+            sa, sb = (s if ray(s) is not _TOP else None for s in pair)
+            off_ray = off_ray or sa is not pair[0] or sb is not pair[1]
+            out.extend(swap_rule(sa, sb, *qs, gates))
             tr.swap(*qs)
-        elif k in _KEEP_ALWAYS or (rewrite := _qbo_rule(inst, states)) is None:
+        elif k in _KEEP_ALWAYS or (
+                rewrite := _qbo_rule(inst, states, ray)) is None:
             out.append(inst)
             tr.step(inst)
         else:
             todo.extend(reversed(rewrite))
-    return c.replace(out)
+    return c.replace(out), off_ray
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +263,7 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
     states = tr.states
+    gates = _Memo(_swap_gates)
     insts = c.instructions
     consumed: set[int] = set()
 
@@ -279,7 +324,7 @@ def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
 
         if k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
             # A validated SWAPZ is a SWAP; the states are exchanged as in qbo.
-            out.extend(swap_rule(states[qs[0]], states[qs[1]], *qs))
+            out.extend(swap_rule(states[qs[0]], states[qs[1]], *qs, gates))
             tr.swap(*qs)
         else:
             out.append(inst)
@@ -477,8 +522,11 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
 
     Stages that cannot change the circuit are skipped:
     - without qpo, the pre-qpo merge;
-    - with no SWAP or SWAPZ left, qpo and the pre-qpo merge unless qpo
-      re-synthesizes blocks: its other rewrites start at a SWAP or SWAPZ.
+    - unless qpo re-synthesizes blocks, qpo and the pre-qpo merge when qpo
+      has nothing to rewrite: the second basis-state pass met no SWAP
+      operand known off the rays (`_qbo`), or, without that pass, no SWAP
+      or SWAPZ is left.  The cleanup gives the same output on merged and
+      unmerged input.
     The cleanup cannot change a tracked state, so qbo (at most twice) and
     qpo (once) are not re-run.  Deterministic for fixed (circuit, options)."""
     opts = opts or PipelineOptions()
@@ -489,14 +537,15 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     layout: list[int] | None = None
 
     if opts.enable_qbo:
-        cur = qbo(cur)
+        cur = _qbo(cur)[0]
     cur = unroll(cur, opts.basis | {_K.SWAP, _K.SWAPZ})
     if opts.coupling is not None:
         cur, layout = route(cur, opts.coupling, opts.seed, opts.random_layout)
     if opts.enable_qbo:
-        cur = qbo(cur)
-    if opts.enable_qpo and (opts.enable_block_resynth or {_SWAP, _SWAPZ} & {
-            inst.kind for inst in cur.instructions}):
+        cur, off_ray = _qbo(cur)
+    if opts.enable_qpo and (opts.enable_block_resynth or (
+            off_ray if opts.enable_qbo else {_SWAP, _SWAPZ} & {
+                inst.kind for inst in cur.instructions})):
         cur = qpo(merge_1q_runs(cur), resynth_blocks=opts.enable_block_resynth)
 
     more = True

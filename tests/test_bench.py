@@ -8,7 +8,7 @@ from rpoc import (BenchSpec, Circuit, GateKind, cx_count,
                   gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry,
                   grover_success_probability, line_coupling, median_summary,
                   pipeline, PipelineOptions, rows_to_csv, run_bench, simulate)
-from rpoc.bench import CSV_HEADER, build_circuit
+from rpoc.bench import ALGORITHMS, CSV_HEADER, build_circuit
 
 PI = math.pi
 
@@ -215,6 +215,7 @@ class TestHarness:
                 "grover": gen_grover(3, 7, 2, False, False),
                 "vqe_ry": gen_vqe_ry(3, 2, angles),
                 "qv_like": gen_qv_like(3, 3, 1)}
+        assert list(ALGORITHMS) == list(want)
         for alg, c in want.items():
             got = build_circuit(BenchSpec(alg, 3, reps=1, seed=1))
             assert isinstance(got, Circuit)

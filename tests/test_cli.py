@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rpoc
-from rpoc.bench import CSV_HEADER, gen_qpe
+from rpoc.bench import ALGORITHMS, CSV_HEADER, gen_qpe
 from rpoc.circuit import emit_program, parse_program
 from rpoc.cli import main
 from rpoc.oracle import equivalent_up_to_global_phase, simulate
@@ -98,6 +98,18 @@ def test_bench_zero_reps_is_an_input_error(capsys):
     out = capsys.readouterr()
     assert out.err == "error: repetitions must be >= 1\n"
     assert out.out == ""
+
+
+def test_bench_algorithms_are_the_bench_table(capsys):
+    # --alg takes exactly the names rpoc.bench builds circuits for.
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--alg", "quux", "--n", "3"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'quux'" in err
+    assert all(name in err for name in ALGORITHMS)
+    assert main(["bench", "--alg", "vqe_ry", "--n", "3", "--reps", "1",
+                 "--no-verify"]) == 0
 
 
 def test_bench_grover8_verifies(capsys):

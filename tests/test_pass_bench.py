@@ -146,8 +146,9 @@ def test_pipeline_unrouted(benchmark, circuit, config):
     benchmark(pipeline, c, opts)
 
 
-# pipeline() on line15, where qpo runs on the SWAPs routing leaves and the
-# cleanup pass expands the rest; (gates, CX) out.
+# pipeline() on line15, where qpo runs on the SWAPs routing leaves (on
+# qpe10; every SWAP operand of grover6 is unknown) and the cleanup pass
+# expands the rest; (gates, CX) out.
 PIPELINE_ROUTED_OUT = {
     ("grover6", "baseline"): (4365, 3549), ("grover6", "rpo"): (4359, 3539),
     ("qpe10", "baseline"): (1293, 1100), ("qpe10", "rpo"): (1113, 920),
@@ -164,17 +165,28 @@ def test_pipeline_routed(benchmark, circuit, config):
     benchmark(pipeline, c, opts)
 
 
+# The stages after the second qbo: qpo and its merge run only where a SWAP
+# has an operand known off the rays.
+ROUTED_TAIL = {
+    "grover6": ["_qbo", "_merge_runs+cancel"],
+    "qpe10": ["_qbo", "merge_1q_runs", "qpo", "_merge_runs+cancel"],
+}
+
+
 @pytest.mark.parametrize("circuit", list(PIPELINE_IN))
 def test_pipeline_routed_runs_one_cleanup_pass(monkeypatch, circuit):
-    # No unroll after qpo, and one cleanup pass: nothing it joins fuses to
-    # the identity.
-    calls = spy_calls(monkeypatch, passes, ("unroll", "qpo"))
+    # No unroll after the second qbo or qpo, and one cleanup pass: nothing
+    # it joins fuses to the identity.
+    calls = spy_calls(monkeypatch, passes,
+                      ("_qbo", "unroll", "merge_1q_runs", "qpo"))
     merge = passes._merge_runs
     monkeypatch.setattr(passes, "_merge_runs", lambda cur, cancel=False: (
         calls.append("_merge_runs+cancel" if cancel else "_merge_runs"),
         merge(cur, cancel=cancel))[1])
     pipeline(PIPELINE_IN[circuit](), PipelineOptions(coupling=LINE15))
-    assert calls[calls.index("qpo"):] == ["qpo", "_merge_runs+cancel"]
+    assert calls.count("_qbo") == 2
+    second = calls.index("_qbo", calls.index("_qbo") + 1)
+    assert calls[second:] == ROUTED_TAIL[circuit]
 
 
 def test_simulate_routed_grover6(benchmark):

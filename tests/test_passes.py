@@ -568,9 +568,9 @@ class TestUnknownOperands:
         seen = []
         rule = passes._qbo_rule
 
-        def spy(inst, states):
+        def spy(inst, states, *ray):
             seen.append(any(states[q] is not None for q in inst.qubits))
-            return rule(inst, states)
+            return rule(inst, states, *ray)
 
         monkeypatch.setattr(passes, "_qbo_rule", spy)
         out = qbo(c)
@@ -579,6 +579,64 @@ class TestUnknownOperands:
         assert len(seen) < multi // 10
         monkeypatch.undo()
         assert out.instructions == qbo(c).instructions
+
+
+class _Unmemoized(dict):
+    """passes._Memo without the cache: every lookup computes."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, k):
+        return self.f(k)
+
+
+class TestStateMemo:
+    """qbo and qpo pick a SWAP's rotations once per distinct operand state
+    pair per call, and qbo snaps each distinct state to its ray once per
+    call; the next call computes them again."""
+
+    @staticmethod
+    def _circuit() -> Circuit:
+        # |+> on wires 0 and 2, |1> on 1 and 3: the pair (|+>, |1>) on two
+        # SWAPs, then (|1>, |+>) on two.  Wires 4 and 5 are entangled, so
+        # the last two SWAPs both pair |+> with an unknown state.
+        c = Circuit(6)
+        for q in (0, 2):
+            c.h(q)
+        for q in (1, 3):
+            c.x(q)
+        c.swap(0, 1).swap(2, 3).swap(0, 1).swap(2, 3)
+        c.h(4).cx(4, 5)
+        return c.swap(0, 4).swap(2, 5)
+
+    @pytest.mark.parametrize("rewrite", [qbo, qpo], ids=["qbo", "qpo"])
+    def test_each_distinct_pair_computed_once_per_call(self, monkeypatch,
+                                                       rewrite):
+        c = self._circuit()
+        names = ("pure_to_pure_gate", "pure_to_zero_gate")
+        calls = spy_calls(monkeypatch, passes, names)
+        for _ in range(2):
+            calls.clear()
+            out = rewrite(c).instructions
+            # Two both-known pairs, two rotations each; one one-known pair.
+            assert sorted(calls) == [names[0]] * 4 + [names[1]]
+        with monkeypatch.context() as m:
+            m.setattr(passes, "_Memo", _Unmemoized)
+            calls.clear()
+            assert rewrite(c).instructions == out
+            assert sorted(calls) == [names[0]] * 8 + [names[1]] * 2
+
+    def test_qbo_snaps_each_distinct_state_once_per_call(self, monkeypatch):
+        c = self._circuit()
+        seen = []
+        ray = passes.basis_of
+        monkeypatch.setattr(passes, "basis_of",
+                            lambda s: (seen.append(s), ray(s))[1])
+        for _ in range(2):
+            seen.clear()
+            qbo(c)
+            assert len(seen) == len(set(seen)) >= 3
 
 
 class TestQPO:
@@ -930,13 +988,19 @@ class TestPipeline:
             rep = equivalent_up_to_global_phase(c, out, perm=out.layout)
             assert rep.equivalent, emit_program(c)
 
-    # The stages pipeline() runs, by the names it calls them under;
-    # _merge_runs with cancel=True, the cleanup's merge-and-cancel pass, is
-    # recorded as "_merge_runs+cancel".
-    STAGES = ("qbo", "unroll", "route", "merge_1q_runs", "qpo")
-    # A SWAP of an entangled wire with |0>: qbo leaves a SWAPZ for qpo.
+    # The stages pipeline() runs, by the names it calls them under (qbo
+    # runs as _qbo, which also says whether qpo has work); _merge_runs with
+    # cancel=True, the cleanup's merge-and-cancel pass, is recorded as
+    # "_merge_runs+cancel".
+    STAGES = ("_qbo", "unroll", "route", "merge_1q_runs", "qpo")
+    # A SWAP of an entangled wire with |0>: qbo leaves a SWAPZ whose partner
+    # is unknown, which qpo cannot rewrite either.
     SWAP_SRC = ("qreg q[4];\nh q[0];\ncx q[0],q[1];\nswap q[1],q[2];\n"
                 "cx q[2],q[3];\n")
+    # Its second SWAP has an operand known off the rays: qbo keeps it, and
+    # only qpo reduces it.
+    OFF_RAY_SRC = ("qreg q[4]; h q[0]; cx q[0],q[1]; swap q[1],q[2];"
+                   " u3(0.3,0.2,0.1) q[3]; swap q[2],q[3]; cx q[3],q[0];")
 
     def _stages(self, monkeypatch, c, **opts) -> list[str]:
         calls = spy_calls(monkeypatch, passes, self.STAGES)
@@ -950,25 +1014,37 @@ class TestPipeline:
     def test_swap_free_compile_skips_qpo_and_basis_unroll(self, monkeypatch):
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16))
-        assert calls == ["qbo", "unroll", "qbo", "_merge_runs+cancel"]
+        assert calls == ["_qbo", "unroll", "_qbo", "_merge_runs+cancel"]
 
     def test_swaps_left_run_qpo_and_no_basis_unroll(self, monkeypatch):
         # The cleanup pass expands the SWAP/SWAPZ qpo leaves; no unroll
-        # runs after the second qbo or after qpo.
+        # runs after the second qbo or after qpo.  qpo and its merge run
+        # only when a SWAP left has an operand known off the rays.
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              coupling=line_coupling(5))
-        assert calls == ["qbo", "unroll", "route", "qbo", "merge_1q_runs",
+        assert calls == ["_qbo", "unroll", "route", "_qbo", "merge_1q_runs",
                          "qpo", "_merge_runs+cancel"]
-        calls = self._stages(monkeypatch, parse_program(self.SWAP_SRC))
-        assert calls == ["qbo", "unroll", "qbo", "merge_1q_runs", "qpo",
+        calls = self._stages(monkeypatch, parse_program(self.OFF_RAY_SRC))
+        assert calls == ["_qbo", "unroll", "_qbo", "merge_1q_runs", "qpo",
+                         "_merge_runs+cancel"]
+        c = parse_program(self.SWAP_SRC)
+        calls = self._stages(monkeypatch, c)
+        assert calls == ["_qbo", "unroll", "_qbo", "_merge_runs+cancel"]
+        # The SWAPZ is still there for the cleanup to expand.
+        swap_basis = DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ}
+        left = qbo(unroll(qbo(c), swap_basis))
+        assert GateKind.SWAPZ in {i.kind for i in left.instructions}
+        # Without qbo, any SWAP left runs them.
+        calls = self._stages(monkeypatch, c, enable_qbo=False)
+        assert calls == ["unroll", "merge_1q_runs", "qpo",
                          "_merge_runs+cancel"]
 
     def test_swap_free_compile_with_blocks_runs_qpo(self, monkeypatch):
         from rpoc import gen_qpe
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              enable_block_resynth=True)
-        assert calls == ["qbo", "unroll", "qbo", "merge_1q_runs", "qpo",
+        assert calls == ["_qbo", "unroll", "_qbo", "merge_1q_runs", "qpo",
                          "_merge_runs+cancel"]
 
     @pytest.mark.parametrize("cmap", [None, line_coupling(5)],
@@ -977,7 +1053,8 @@ class TestPipeline:
                              ids=lambda on: "".join(map(str, map(int, on))))
     def test_one_unroll_per_compile(self, monkeypatch, cmap, on):
         from rpoc import gen_qpe
-        for c in (gen_qpe(4, 5 / 16), parse_program(self.SWAP_SRC)):
+        for c in (gen_qpe(4, 5 / 16), parse_program(self.SWAP_SRC),
+                  parse_program(self.OFF_RAY_SRC)):
             calls = self._stages(monkeypatch, c, coupling=cmap,
                                  enable_qbo=on[0], enable_qpo=on[1],
                                  enable_block_resynth=on[2])
@@ -1092,6 +1169,45 @@ class TestPipeline:
                         == merged.instructions)
                 assert merge_1q_runs(merged).instructions == merged.instructions
         assert swap_free >= 30
+
+    @pytest.mark.parametrize("cmap", [None, line_coupling(5),
+                                      grid_coupling(2, 3)],
+                             ids=["unrouted", "line5", "grid2x3"])
+    def test_qpo_skip_changes_nothing(self, cmap):
+        # What the off-ray skip rests on: when the second qbo met no SWAP
+        # operand known off the rays, qpo returns the merged circuit as it
+        # is, though SWAPs and SWAPZs may be left; when it met one, qpo
+        # rewrites something.  pipeline() gives what always running the
+        # merge and qpo gives.
+        rng = random.Random(26)
+        swap_basis = DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ}
+        random_layout = cmap is not None and cmap.n_physical == 6
+        skipped_with_swaps = ran = 0
+        for seed in range(40):
+            make = random_full_circuit if seed % 2 else random_circuit
+            c = make(rng, rng.randrange(2, 6), rng.randrange(5, 30))
+            cur, layout = unroll(qbo(c), swap_basis), None
+            if cmap is not None:
+                cur, layout = route(cur, cmap, seed, random_layout)
+            cur, off_ray = passes._qbo(cur)
+            merged = merge_1q_runs(cur)
+            full = qpo(merged)
+            if off_ray:
+                ran += 1
+                assert full.instructions != merged.instructions
+            else:
+                assert full.instructions == merged.instructions
+                skipped_with_swaps += bool(
+                    {GateKind.SWAP, GateKind.SWAPZ}
+                    & {i.kind for i in cur.instructions})
+            more = True
+            while more:
+                full, more = synth._merge_runs(full, cancel=True)
+            full.layout = layout
+            out = pipeline(c, PipelineOptions(coupling=cmap, seed=seed,
+                                              random_layout=random_layout))
+            assert emit_program(out) == emit_program(full)  # and the layout
+        assert skipped_with_swaps >= 5 and ran >= 5
 
     @pytest.mark.parametrize("config", [
         dict(enable_qbo=False, enable_qpo=False), dict(),
@@ -1231,13 +1347,13 @@ class TestPipeline:
 
             def run(*args, **kwargs):
                 res = fn(*args, **kwargs)
-                check(res[0] if name in ("route", "_merge_runs") else res,
-                      name)
+                check(res[0] if name in ("_qbo", "route", "_merge_runs")
+                      else res, name)
                 return res
             return run
 
-        # _merge_runs is every cleanup round.
-        for name in ("qbo", "qpo", "route", "unroll", "merge_1q_runs",
+        # _qbo is both qbo calls, and _merge_runs every cleanup round.
+        for name in ("_qbo", "qpo", "route", "unroll", "merge_1q_runs",
                      "_merge_runs"):
             monkeypatch.setattr(passes, name, checked(name))
         rng = random.Random(16)

@@ -24,9 +24,10 @@ CONFIGS = {
 
 
 # Sources with a SWAP, SWAPZ or CSWAP on entangled wires.  Unrouted, the
-# first two still hold a SWAP or SWAPZ after qbo, so pipeline() runs its SWAP
-# stages; the first one's second SWAP has an operand in a known state off the
-# basis rays, which only qpo reduces.  The third holds none.
+# first two still hold a SWAP or SWAPZ after qbo.  The first one's second
+# SWAP has an operand in a known state off the basis rays, which only qpo
+# reduces, so pipeline() runs its merge and qpo; the second one's SWAPZ has
+# an unknown partner, so pipeline() skips them.  The third holds none.
 SWAP_SOURCES = [
     "qreg q[4]; h q[0]; cx q[0],q[1]; swap q[1],q[2]; u3(0.3,0.2,0.1) q[3];"
     " swap q[2],q[3]; cx q[3],q[0];",
