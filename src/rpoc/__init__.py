@@ -6,26 +6,21 @@ use (PEP 562).  The oracle imports numpy; bench loads it only to verify and
 in gen_qv_like.
 """
 
-from .circuit import (Circuit, EPS_ANGLE, GateKind, Instruction, ParseError,
-                      VerificationError, angles_equal, canonical_angle, count_1q,
-                      count_gates, cx_count, depth, emit_program, parse_program)
-from .synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx, compose_u3,
-                    merge_1q_runs, prepare_two_qubit_state, pure_to_pure_gate,
-                    pure_to_zero_gate, u3_matrix, unroll, zyz_decompose)
-from .analysis import (BasisState, Tracker, basis_of, classify_pure_as_basis,
-                       pure_transition)
+from .circuit import (Circuit, GateKind, Instruction, ParseError,
+                      VerificationError, count_1q, cx_count, depth,
+                      emit_program, parse_program)
+from .synth import (cancel_adjacent_cx, merge_1q_runs, prepare_two_qubit_state,
+                    u3_matrix, unroll, zyz_decompose)
 from .passes import (CouplingMap, PipelineOptions, line_coupling, grid_coupling,
                      pipeline, qbo, qpo, resolve_coupling, route)
 
 # Lazy name -> the module that defines it (each module maps to itself).
 _LAZY = {name: module for module, names in (
-    ("oracle", ("oracle", "AnnotationError", "EquivalenceReport", "ResetError",
-                "equivalent_up_to_global_phase", "reduced_qubit_state",
-                "simulate")),
-    ("bench", ("bench", "BenchSpec", "ReportRow", "gen_bv", "gen_grover",
-               "gen_qpe", "gen_qv_like", "gen_vqe_ry",
-               "grover_success_probability", "median_summary", "rows_to_csv",
-               "run_bench"))) for name in names}
+    ("oracle", ("oracle", "AnnotationError", "equivalent_up_to_global_phase",
+                "reduced_qubit_state", "simulate")),
+    ("bench", ("bench", "BenchSpec", "gen_bv", "gen_grover", "gen_qpe",
+               "gen_qv_like", "gen_vqe_ry", "grover_success_probability",
+               "median_summary", "rows_to_csv", "run_bench"))) for name in names}
 
 
 def __getattr__(name: str):
@@ -42,14 +37,11 @@ def __dir__():
 
 
 __all__ = sorted([
-    "Circuit", "EPS_ANGLE", "GateKind", "Instruction", "ParseError",
-    "VerificationError", "angles_equal", "canonical_angle", "count_1q",
-    "count_gates", "cx_count", "depth", "emit_program", "parse_program",
-    "DEFAULT_BASIS", "U3Params", "cancel_adjacent_cx", "compose_u3",
-    "merge_1q_runs", "prepare_two_qubit_state", "pure_to_pure_gate",
-    "pure_to_zero_gate", "u3_matrix", "unroll", "zyz_decompose",
-    "BasisState", "Tracker", "basis_of", "classify_pure_as_basis",
-    "pure_transition", "CouplingMap", "PipelineOptions", "line_coupling",
-    "grid_coupling", "pipeline", "qbo", "qpo", "resolve_coupling", "route",
-    "analysis", "circuit", "passes", "synth", *_LAZY])
+    "Circuit", "GateKind", "Instruction", "ParseError", "VerificationError",
+    "count_1q", "cx_count", "depth", "emit_program", "parse_program",
+    "cancel_adjacent_cx", "merge_1q_runs", "prepare_two_qubit_state",
+    "u3_matrix", "unroll", "zyz_decompose", "CouplingMap", "PipelineOptions",
+    "line_coupling", "grid_coupling", "pipeline", "qbo", "qpo",
+    "resolve_coupling", "route", "analysis", "circuit", "passes", "synth",
+    *_LAZY])
 __version__ = "0.1.0"

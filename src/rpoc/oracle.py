@@ -13,12 +13,12 @@ axes, open-control mask) and the entries of each 1q gate are built once and
 reused; the views alias the state buffer, so it is updated in place and
 replaced only when it grows.
 
-The state grows.  A wire starts as its own 2-vector: its 1q gates are
-multiplied into one 2x2, ANNOT is checked on it and RESET sets it back to
-|0>.  When a multi-qubit gate first touches the wire, the wire joins the
-stored state as its last axis (an outer product); wires that never meet one
-join at the end, and the axes are then put in `wires` order.  With an
-initial state every wire has joined from the start.
+The state grows.  A wire starts as its own 2-vector, into which its 1q
+gates are multiplied as one 2x2.  When a multi-qubit gate, ANNOT or RESET
+first touches the wire, the wire joins the stored state as its last axis (an
+outer product); wires that see only 1q gates and MEASURE join at the end,
+and the axes are then put in `wires` order.  With an initial state every
+wire has joined from the start.
 
 A joined wire owes its 1q gates while they can still fold: a diagonal gate
 on a wire that owes nothing is applied at once, a non-diagonal one starts a
@@ -235,25 +235,18 @@ def reduced_qubit_state(sv: np.ndarray, q: int) -> np.ndarray:
     return np.einsum("aib,ajb->ij", v, v.conj())
 
 
-def _trace_distance_to_pure(r00: float, r01: complex, r11: float,
-                            a: complex, b: complex) -> float:
-    """Trace distance between the one-qubit density matrix
-    [[r00, r01], [r01*, r11]] and the pure state a|0> + b|1>.  Their
-    difference D is a Hermitian 2x2 with eigenvalues mid +- rad, mid =
-    tr(D)/2, so half their absolute sum is max(|mid|, rad)."""
-    d00 = r00 - abs(a) ** 2
-    d11 = r11 - abs(b) ** 2
+def trace_distance_to_pure(rho: np.ndarray, vec: np.ndarray) -> float:
+    """Trace distance between the one-qubit density matrix rho and the pure
+    state vec = a|0> + b|1>.  Their difference D is a Hermitian 2x2 with
+    eigenvalues mid +- rad, mid = tr(D)/2, so half their absolute sum is
+    max(|mid|, rad)."""
+    (r00, r01), (_, r11) = rho.tolist()
+    a, b = np.asarray(vec).tolist()
+    d00 = r00.real - abs(a) ** 2
+    d11 = r11.real - abs(b) ** 2
     d01 = r01 - a * b.conjugate()
     mid, half = (d00 + d11) / 2, (d00 - d11) / 2
     return max(abs(mid), math.sqrt(half * half + abs(d01) ** 2))
-
-
-def trace_distance_to_pure(rho: np.ndarray, vec: np.ndarray) -> float:
-    """Trace distance between the one-qubit density matrix rho and the pure
-    state vec."""
-    (r00, r01), (_, r11) = rho.tolist()
-    a, b = np.asarray(vec).tolist()
-    return _trace_distance_to_pure(r00.real, r01, r11.real, a, b)
 
 
 def _do_reset(state: np.ndarray, q: int, wire: int, position: int) -> None:
@@ -278,8 +271,8 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
 
     Returns the final statevector, or the exact outcome distribution over
     classical bits when the circuit ends in measurements.  MEASURE must be
-    terminal; ANNOT instructions are checked as assertions; RESET requires
-    the qubit to be unentangled at that point.
+    terminal.  On the qubit's reduced state, an ANNOT must hold
+    (AnnotationError) and a RESET needs it unentangled (ResetError).
 
     Only the touched wires are simulated (every wire when `initial_state` is
     given, since idle wires are then no longer |0>); the returned vector
@@ -540,23 +533,15 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
             continue
         if k is _ANNOT or k is _RESET:
             q = qubits[0]
-            if where[q] < 0:  # still its own 2-vector
-                if k is _RESET:
-                    pend[q] = _I2
-                    continue
-                e = pend[q]
-                a0, a1 = e[0], e[2]
-                td = _trace_distance_to_pure(
-                    abs(a0) ** 2, a0 * a1.conjugate(), abs(a1) ** 2,
-                    *pure_state_vector(*params).tolist())
-            else:
-                settle(q)
-                a = own_axis(where[q])
-                if k is _RESET:
-                    _do_reset(state, a, q, pos)
-                    continue
-                td = trace_distance_to_pure(reduced_qubit_state(state, a),
-                                            pure_state_vector(*params))
+            if where[q] < 0:
+                join(q)
+            settle(q)
+            a = own_axis(where[q])
+            if k is _RESET:
+                _do_reset(state, a, q, pos)
+                continue
+            td = trace_distance_to_pure(reduced_qubit_state(state, a),
+                                        pure_state_vector(*params))
             if td > 1e-8:
                 raise AnnotationError(q, pos, td)
             continue

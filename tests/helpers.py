@@ -7,8 +7,9 @@ import random
 
 import numpy as np
 
-from rpoc import Circuit, GateKind, Instruction, angles_equal
+from rpoc import Circuit, GateKind, Instruction
 from rpoc.analysis import BasisState
+from rpoc.circuit import angles_equal
 from rpoc.synth import U3Params, as_u3params, zyz_decompose
 
 TWO_PI = 2.0 * math.pi

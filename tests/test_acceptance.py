@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from rpoc import (BasisState, Circuit, GateKind, Instruction,
-                  PipelineOptions, Tracker, cx_count, emit_program,
-                  equivalent_up_to_global_phase, gen_bv, gen_grover, gen_qpe,
-                  gen_qv_like, gen_vqe_ry, line_coupling, pipeline, qbo, qpo,
-                  simulate, unroll)
+from rpoc import (Circuit, GateKind, Instruction, PipelineOptions, cx_count,
+                  emit_program, equivalent_up_to_global_phase, gen_bv,
+                  gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry, line_coupling,
+                  pipeline, qbo, qpo, simulate, unroll)
+from rpoc.analysis import BasisState, Tracker
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
 from rpoc.synth import pure_state_vector
 

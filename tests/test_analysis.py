@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpoc import (BasisState, Circuit, GateKind, Instruction, Tracker,
-                  U3Params, basis_of, classify_pure_as_basis, parse_program,
-                  pure_transition, simulate)
-from rpoc.analysis import canonical_pure, vector_to_pure
+from rpoc import Circuit, GateKind, Instruction, parse_program, simulate
+from rpoc.analysis import (BasisState, Tracker, basis_of, canonical_pure,
+                           classify_pure_as_basis, pure_transition,
+                           vector_to_pure)
 from rpoc.oracle import reduced_qubit_state, trace_distance_to_pure
 from rpoc.passes import qbo
-from rpoc.synth import as_u3params, pure_state_vector
+from rpoc.synth import U3Params, as_u3params, pure_state_vector
 
 from helpers import (partial_trace_oracle, random_circuit, random_full_circuit,
                      ref_matrix_1q, ref_simulate)

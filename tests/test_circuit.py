@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from rpoc import (Circuit, EPS_ANGLE, GateKind, Instruction, ParseError,
-                  angles_equal, canonical_angle, count_gates, cx_count, depth,
-                  emit_program, parse_program)
+from rpoc import (Circuit, GateKind, Instruction, ParseError, cx_count,
+                  depth, emit_program, parse_program)
+from rpoc.circuit import EPS_ANGLE, angles_equal, canonical_angle, count_gates
 from rpoc.synth import _i, swap_to_cx, swapz_to_cx
 
 from helpers import depth_oracle, random_circuit

@@ -20,6 +20,14 @@ perfbench/workloads.py, which it imports without changing:
 
     PYTHONPATH=src python tests/test_golden.py --bench > bench.txt
 
+With `--verify`, the listing covers the same operations but gives the
+oracle's verdict on each instead (`equivalent_up_to_global_phase(src, out,
+perm=out.layout)`, as the benchmark checks it) with the fidelity, or for
+measured circuits the outcome distributions' total variation distance, to 10
+decimal places.  A change to the oracle alone must leave it unchanged:
+
+    PYTHONPATH=src python tests/test_golden.py --verify > verify.txt
+
 Block resynthesis (`enable_block_resynth`) is left out: its SVD makes the
 bytes depend on the BLAS kernel.
 """
@@ -31,6 +39,7 @@ from pathlib import Path
 from rpoc import (PipelineOptions, count_1q, cx_count, depth, emit_program,
                   gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry,
                   grid_coupling, line_coupling, parse_program, pipeline)
+from rpoc.oracle import MAX_QUBITS, equivalent_up_to_global_phase
 
 from helpers import random_circuit
 
@@ -77,10 +86,10 @@ def _outputs():
 
 
 def _bench_outputs():
-    """("workload:seed/job/config", compiled circuit, its emitted text and
-    layout) of every operation of the benchmark's routed, unrouted and fuzz
-    workloads at seeds 1-3, each compiled as the benchmark does: a fuzz job
-    from its text, parsed once per operation."""
+    """("workload:seed/job/config", source, compiled circuit, its emitted
+    text and layout) of every operation of the benchmark's routed, unrouted
+    and fuzz workloads at seeds 1-3, each compiled as the benchmark does: a
+    fuzz job from its text, parsed once per operation."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                            / "perfbench"))
     import workloads
@@ -91,8 +100,23 @@ def _bench_outputs():
                     src = (job.source if job.text is None
                            else parse_program(job.text))
                     out = pipeline(src, cfg.opts)
-                    yield (f"{workload}:{seed}/{job.cid}/{cfg.name}", out,
-                           f"{emit_program(out)}layout={out.layout}\n")
+                    yield (f"{workload}:{seed}/{job.cid}/{cfg.name}", src,
+                           out, f"{emit_program(out)}layout={out.layout}\n")
+
+
+def _verdict(src, out) -> str:
+    """The oracle's verdict on out against src, with its fidelity or total
+    variation distance; an error is "unverified" for a circuit wider than
+    the oracle's limit and "failed" otherwise, as in the benchmark."""
+    try:
+        rep = equivalent_up_to_global_phase(src, out, perm=out.layout)
+    except ValueError as e:
+        wide = max(src.n_qubits, out.n_qubits) > MAX_QUBITS
+        return f"{'unverified' if wide else 'failed'} {type(e).__name__}: {e}"
+    verdict = "ok" if rep.equivalent else "failed"
+    if rep.detail.startswith("total variation"):
+        return f"{verdict} tvd={1.0 - rep.fidelity:.10f}"
+    return f"{verdict} fidelity={rep.fidelity:.10f}"
 
 
 def golden_digest() -> str:
@@ -108,8 +132,12 @@ def test_golden_output_digest():
 
 
 if __name__ == "__main__":
-    for label, out, text in (_bench_outputs() if sys.argv[1:] == ["--bench"]
-                             else _outputs()):
+    if sys.argv[1:] == ["--verify"]:
+        for label, src, out, _ in _bench_outputs():
+            print(label, _verdict(src, out))
+        sys.exit()
+    for label, *_, out, text in (_bench_outputs() if sys.argv[1:] == ["--bench"]
+                                 else _outputs()):
         sha = hashlib.sha256(text.encode()).hexdigest()[:12]
         print(f"{label} {sha} cx={cx_count(out)} u1q={count_1q(out)} "
               f"depth={depth(out)}")

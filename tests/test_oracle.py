@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from rpoc import (AnnotationError, Circuit, GateKind, Instruction, ResetError,
+from rpoc import (AnnotationError, Circuit, GateKind, Instruction,
                   equivalent_up_to_global_phase, reduced_qubit_state, simulate)
 from rpoc import oracle
 from rpoc.bench import gen_grover
-from rpoc.oracle import (MAX_QUBITS, expand_statevector, simulated_width,
-                         total_variation_distance, touched_wires,
-                         trace_distance_to_pure)
+from rpoc.oracle import (MAX_QUBITS, ResetError, expand_statevector,
+                         simulated_width, total_variation_distance,
+                         touched_wires, trace_distance_to_pure)
 from rpoc.passes import PipelineOptions, line_coupling, pipeline
 from rpoc.synth import pure_state_vector
 
@@ -492,9 +492,9 @@ class TestAgainstReference:
                          ref_simulate(c, initial_state=init), False)
             assert np.array_equal(init, keep)
 
-    # simulate() keeps a wire as its own 2-vector until a multi-qubit gate
-    # first touches it, and applies a two-wire run of CX with its 1q gates
-    # as one 4x4 kernel: the corpus below stresses both.
+    # simulate() keeps a wire as its own 2-vector until a multi-qubit gate,
+    # ANNOT or RESET first touches it, and applies a two-wire run of CX with
+    # its 1q gates as one 4x4 kernel: the corpus below stresses both.
 
     @staticmethod
     def _run_corpus(seed: int, cases: int = 40):
@@ -561,24 +561,46 @@ class TestAgainstReference:
         _assert_same(got, ref_simulate(c, initial_state=init), False)
 
     def test_lone_wires_never_join(self, monkeypatch):
-        # Wires with only 1q gates, ANNOT and RESET stay 2-vectors: the
-        # stored state never holds more than the two interacting wires
-        # until the end.
-        c = Circuit(5)
-        for q in range(5):
-            c.u3(0.3 * q + 0.1, 0.2, 0.5, q)
-        c.cx(0, 1)
-        c.reset(2)
-        c.h(2)
-        c.append(Instruction(GateKind.ANNOT, (2,), (math.pi / 2, 0.0)))
-        c.u1(0.7, 3)
-        c.h(0)
+        # Wires with only 1q gates and MEASURE stay 2-vectors: the stored
+        # state never holds more than the two interacting wires until the
+        # end.
         sizes = []
         apply_1q = oracle._apply_1q
         monkeypatch.setattr(oracle, "_apply_1q", lambda state, e, q: (
             sizes.append(state.size), apply_1q(state, e, q))[1])
+        for measure in (False, True):
+            c = Circuit(5, 5)
+            for q in range(5):
+                c.u3(0.3 * q + 0.1, 0.2, 0.5, q)
+            c.cx(0, 1)
+            c.h(2)
+            c.u1(0.7, 3)
+            c.h(0)
+            if measure:
+                for q in (4, 2, 1):
+                    c.measure(q, q)
+            sizes.clear()
+            _assert_same(simulate(c), ref_simulate(c), False)
+            assert sizes == [4]
+
+    def test_lone_reset_then_annotation(self):
+        # A wire that no multi-qubit gate touches, beside an entangled
+        # pair: its RESET and ANNOT are checked on the joined state.
+        c = Circuit(3)
+        c.h(0)
+        c.cx(0, 1)
+        c.u3(1.1, 0.4, 0.9, 2)
+        c.reset(2)
+        c.u3(0.7, 1.3, 0.2, 2)
+        c.annot(0.7, 1.3, 2)
+        c.u1(0.5, 1)
         _assert_same(simulate(c), ref_simulate(c), True)
-        assert sizes == [4]
+        c.annot(0.0, 0.0, 2)
+        with pytest.raises(AnnotationError,
+                           match="qubit 2 at instruction 7") as e:
+            simulate(c)
+        assert (e.value.qubit, e.value.position) == (2, 7)
+        assert e.value.trace_distance == pytest.approx(math.sin(0.35))
 
     def test_lone_annotation_failure(self):
         c = Circuit(3)

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from rpoc import (Circuit, GateKind, PipelineOptions, cancel_adjacent_cx,
-                  count_gates, cx_count, equivalent_up_to_global_phase,
+                  cx_count, equivalent_up_to_global_phase,
                   gen_grover, gen_qpe, gen_vqe_ry, line_coupling,
                   merge_1q_runs, pipeline, qbo, qpo, route, simulate, unroll)
 
 from rpoc import passes
+from rpoc.circuit import count_gates
 from rpoc.synth import _merge_runs
 
 from helpers import ref_simulate, spy_calls

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpoc import (BasisState, Circuit, CouplingMap, GateKind, Instruction,
+from rpoc import (Circuit, CouplingMap, GateKind, Instruction,
                   PipelineOptions, cx_count, emit_program, gen_grover,
                   equivalent_up_to_global_phase, line_coupling, grid_coupling,
                   parse_program, pipeline, qbo, qpo, route, simulate,
                   unroll)
 from rpoc import passes, synth
+from rpoc.analysis import BasisState
 from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                         merge_1q_runs, zyz_decompose)

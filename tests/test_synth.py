@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rpoc import (Circuit, GateKind, Instruction, U3Params,
-                  angles_equal, cancel_adjacent_cx, compose_u3, cx_count,
-                  merge_1q_runs, parse_program, prepare_two_qubit_state,
-                  pure_to_pure_gate, pure_to_zero_gate, simulate, u3_matrix,
-                  unroll, zyz_decompose)
+from rpoc import (Circuit, GateKind, Instruction, cancel_adjacent_cx,
+                  cx_count, merge_1q_runs, parse_program,
+                  prepare_two_qubit_state, simulate, u3_matrix, unroll,
+                  zyz_decompose)
 from rpoc import synth
-from rpoc.circuit import EPS_ANGLE, TWO_PI, canonical_angle, count_1q
+from rpoc.circuit import (EPS_ANGLE, TWO_PI, angles_equal, canonical_angle,
+                          count_1q)
 from rpoc.oracle import equivalent_up_to_global_phase
-from rpoc.synth import (DEFAULT_BASIS, as_u3params, ccx_to_cx,
-                        cu3_to_cx, mcx_gray_code, mcx_vchain,
-                        pure_state_vector, swap_to_cx, swapz_to_cx,
+from rpoc.synth import (DEFAULT_BASIS, U3Params, as_u3params, ccx_to_cx,
+                        compose_u3, cu3_to_cx, mcx_gray_code, mcx_vchain,
+                        pure_state_vector, pure_to_pure_gate,
+                        pure_to_zero_gate, swap_to_cx, swapz_to_cx,
                         u3params_instruction)
 
 from helpers import (haar_unitary, random_full_circuit, random_statevector,
