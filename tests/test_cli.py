@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import rpoc
-from rpoc.bench import ALGORITHMS, CSV_HEADER, gen_qpe
-from rpoc.circuit import emit_program, parse_program
+from rpoc.bench import (ALGORITHMS, CSV_HEADER, BenchSpec, build_circuit,
+                        gen_qpe)
+from rpoc.circuit import GateKind, emit_program, parse_program
 from rpoc.cli import main
 from rpoc.oracle import equivalent_up_to_global_phase, simulate
 from rpoc.passes import PipelineOptions, line_coupling, pipeline
@@ -44,6 +45,18 @@ def test_optimize_counts_are_labelled_unverified(files, capsys):
     assert main(["optimize", src, "-o", out]) == 0
     assert capsys.readouterr().err == (
         f"wrote {out}: cx=1 1q=1 depth=2 (unverified)\n")
+
+
+def test_optimize_writes_to_stdout(files, capsys):
+    assert main(["optimize", files("bell.qasm", BELL), "--coupling",
+                 "line5"]) == 0
+    out = capsys.readouterr()
+    src = parse_program(BELL)
+    assert out.err == ""
+    assert out.out == emit_program(
+        pipeline(src, PipelineOptions(coupling=line_coupling(5))))
+    got = parse_program(out.out)
+    assert equivalent_up_to_global_phase(src, got, perm=got.layout).equivalent
 
 
 def test_verify_inequivalent_exits_1(files, capsys):
@@ -84,6 +97,49 @@ def test_bench_on_builtin_grid_map_verifies(capsys):
     col = CSV_HEADER.split(",").index("verified")
     assert [line.split(",")[col] for line in lines[1:]] == ["1", "1"]
     assert "unverified" not in out.err
+
+
+def test_bench_size_range_writes_csv(tmp_path, capsys):
+    csv = tmp_path / "out.csv"
+    assert main(["bench", "--alg", "bv", "--n", "3..4", "--reps", "2",
+                 "--csv", str(csv)]) == 0
+    out = capsys.readouterr()
+    assert out.out == "" and f"wrote {csv} (8 rows)\n" in out.err
+    lines = csv.read_text().strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    rows = [dict(zip(CSV_HEADER.split(","), line.split(",")))
+            for line in lines[1:]]
+    assert [(r["n"], r["seed"], r["pipeline"]) for r in rows] == [
+        (n, seed, p) for n in "34" for seed in "01"
+        for p in ("baseline", "rpo")]
+    assert all(r["verified"] == "1" for r in rows)
+
+
+def test_bench_verification_failure_exits_1(monkeypatch, capsys):
+    # One CX dropped from the rpo output: its check, right after the
+    # baseline output's check against the same source, must fail the run.
+    import rpoc.bench
+    real = rpoc.bench.pipeline
+    broken = []
+
+    def drop_one_cx(c, opts):
+        out = real(c, opts)
+        if opts.enable_qbo:
+            insts = out.instructions
+            j = next(j for j, i in enumerate(insts) if i.kind is GateKind.CX)
+            out = out.replace(insts[:j] + insts[j + 1:])
+            broken.append(out)
+        return out
+
+    monkeypatch.setattr(rpoc.bench, "pipeline", drop_one_cx)
+    assert main(["bench", "--alg", "qpe", "--n", "3", "--reps", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(broken) == 1
+    assert out.err.startswith(
+        "verification failed: qpe n=3 seed=0 pipeline=rpo: ")
+    src = build_circuit(BenchSpec("qpe", 3))
+    assert f"--- original ---\n{emit_program(src)}" in out.err
+    assert f"--- optimized ---\n{emit_program(broken[0])}" in out.err
 
 
 def test_empty_size_range_is_an_input_error(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rpoc import (AnnotationError, Circuit, GateKind, Instruction,
                   equivalent_up_to_global_phase, reduced_qubit_state, simulate)
 from rpoc import oracle
-from rpoc.bench import gen_grover
+from rpoc.bench import gen_grover, gen_qv_like
 from rpoc.oracle import (MAX_QUBITS, ResetError, expand_statevector,
                          simulated_width, total_variation_distance,
                          touched_wires, trace_distance_to_pure)
@@ -956,3 +957,194 @@ class TestTouchedWires:
         c.measure(2, 0)
         c.measure(3, 1)
         assert list(simulate(c)) == ["001", "101"]
+
+
+def _plain(a: Circuit, b: Circuit, perm=None) -> tuple[bool, float]:
+    """The verdict and fidelity of checking b against a, from two plain
+    simulate calls on all wires."""
+    ra, rb = simulate(a), simulate(b)
+    if isinstance(ra, dict):
+        tv = total_variation_distance(ra, rb)
+        return tv <= oracle.DEFAULT_TOL, 1.0 - tv
+    va = expand_statevector(ra, b.n_qubits, list(perm or range(a.n_qubits)))
+    fid = abs(np.vdot(va, rb)) ** 2
+    return fid >= 1.0 - oracle.DEFAULT_TOL, fid
+
+
+class TestSourceSlot:
+    """equivalent_up_to_global_phase keeps the source side of its last check
+    and reuses it when the next source has the same widths and
+    instructions."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[Circuit]:
+        """Empty the slot; return the list of circuits oracle.simulate is
+        called on from now on."""
+        monkeypatch.setattr(oracle, "_last_source", (None,) * 5,
+                            raising=False)
+        calls: list[Circuit] = []
+        real = oracle.simulate
+        monkeypatch.setattr(oracle, "simulate", lambda c, *a, **k: (
+            calls.append(c), real(c, *a, **k))[1])
+        return calls
+
+    @staticmethod
+    def _check(calls, a, b, perm=None):
+        """The report on b against a, whether a was simulated for it, and
+        the plain verdict and fidelity, which it must match."""
+        before = len(calls)
+        rep = equivalent_up_to_global_phase(a, b, perm=perm)
+        simulated = len(calls) - before == 2  # the source, then b
+        want, fid = _plain(a, b, perm)
+        assert rep.equivalent == want and abs(rep.fidelity - fid) <= 1e-12
+        return rep, simulated
+
+    def test_source_simulated_once_for_three_outputs(self, monkeypatch):
+        src = gen_qv_like(5, 3, 1)
+        outs = [pipeline(src, PipelineOptions(enable_qbo=False,
+                                              enable_qpo=False)),
+                pipeline(src, PipelineOptions()),
+                pipeline(src, PipelineOptions(coupling=line_coupling(6),
+                                              seed=2))]
+        assert outs[2].n_qubits == 6 and outs[2].layout is not None
+        calls = self._spy(monkeypatch)
+        for out in outs:
+            assert equivalent_up_to_global_phase(
+                src, out, perm=out.layout).equivalent
+        assert [id(c) for c in calls] == [id(src)] + [id(o) for o in outs]
+        # The kept state is the source's, untouched by the three checks.
+        _, _, _, ta, ra = oracle._last_source
+        assert np.array_equal(ra, oracle.simulate(src, wires=ta))
+
+    def test_changed_source_misses(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        a = Circuit(3)
+        a.h(0)
+        a.cx(0, 1)
+        a.cx(1, 2)
+        b = a.replace(a.instructions)
+        assert self._check(calls, a, b)[0].equivalent
+        a.h(2)  # the source gains an instruction
+        rep, simulated = self._check(calls, a, b)
+        assert simulated and not rep.equivalent
+        a.instructions[0] = Instruction(GateKind.X, (0,))  # replaced in place
+        rep, simulated = self._check(calls, a, a.replace(a.instructions))
+        assert simulated and rep.equivalent
+        # Only n_clbits differs: the outcome keys are one character longer.
+        m2 = Circuit(2, 2)
+        m2.h(0)
+        m2.cx(0, 1)
+        m2.measure(0, 0)
+        m2.measure(1, 1)
+        m3 = Circuit(2, 3).extend(m2.instructions)
+        assert self._check(calls, m2, m2)[0].equivalent
+        rep, simulated = self._check(calls, m3, m3)
+        assert simulated and rep.equivalent
+        assert not self._check(calls, m3, m3)[1]  # m3 again: a hit
+
+    def test_alternating_sources_keep_their_own_states(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        rng = random.Random(5)
+        a1, a2 = random_circuit(rng, 3, 20), random_circuit(rng, 3, 20)
+        b1, b2 = a1.replace(a1.instructions), a2.replace(a2.instructions)
+        for a, b, eq in ((a1, b1, True), (a2, b2, True), (a1, b2, False),
+                         (a2, b1, False), (a1, b1, True), (a2, b2, True)):
+            rep, simulated = self._check(calls, a, b)
+            assert simulated and rep.equivalent == eq
+
+    def test_inequivalent_output_after_equivalent_one(self, monkeypatch):
+        src = gen_grover(3, 5, 1)
+        src = src.replace([i for i in src.instructions
+                           if i.kind is not GateKind.MEASURE])
+        out = pipeline(src, PipelineOptions(coupling=line_coupling(4)))
+        insts = out.instructions
+        j = next(j for j, i in enumerate(insts) if i.kind is GateKind.CX)
+        bad = out.replace(insts[:j] + insts[j + 1:])
+        want = abs(np.vdot(ref_embed(ref_simulate(src), 4, out.layout),
+                           ref_simulate(bad))) ** 2
+        assert want < 1.0 - 1e-9
+        calls = self._spy(monkeypatch)
+        assert self._check(calls, src, out, out.layout)[0].equivalent
+        rep, simulated = self._check(calls, src, bad, out.layout)
+        assert not simulated and not rep.equivalent
+        assert abs(rep.fidelity - want) <= 1e-12
+
+    def test_failed_annotation_raises_on_every_check(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        a = Circuit(2)
+        a.h(0)
+        a.annot(0.0, 0.0, 0)  # claims |0>, holds |+>
+        b = Circuit(2)
+        b.h(0)
+        for _ in range(3):
+            with pytest.raises(AnnotationError):
+                equivalent_up_to_global_phase(a, b)
+            assert equivalent_up_to_global_phase(b, b).equivalent
+        assert sum(c is a for c in calls) == 3
+
+    def test_errors_keep_their_types(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        a = Circuit(20)
+        a.h(0)
+        a.cx(0, 1)
+        with pytest.raises(ValueError, match="perm") as e:
+            equivalent_up_to_global_phase(a, a, perm=[0] * 20)
+        assert type(e.value) is ValueError and calls == []
+        measured = Circuit(20, 1).extend(a.instructions)
+        measured.measure(0, 0)
+        narrow = Circuit(2).extend(a.instructions)
+        wide = a.replace(a.instructions)
+        for q in range(MAX_QUBITS + 1):
+            wide.h(q)
+        for b, match in ((measured, "measurement structure"),
+                         (narrow, "width mismatch"), (wide, "limited to 16")):
+            assert equivalent_up_to_global_phase(a, a).equivalent  # a kept
+            with pytest.raises(ValueError, match=match) as e:
+                equivalent_up_to_global_phase(a, b)
+            assert type(e.value) is ValueError
+
+    def test_corpus_verdicts_match_plain_simulation(self, monkeypatch):
+        # Perms, idle wires and measurement; each source is checked against
+        # its relabelling, another circuit, the relabelling again (a hit)
+        # and itself without a perm.
+        calls = self._spy(monkeypatch)
+        hits = 0
+        for seed in (43, 44):
+            for rng, a in TestAgainstReference._corpus(seed):
+                n_b = rng.randint(a.n_qubits, REF_MAX_QUBITS)
+                perm = rng.sample(range(n_b), a.n_qubits)
+                same = _relabel(a, perm, n_b)
+                other = random_full_circuit(
+                    rng, n_b, rng.randint(1, 10),
+                    measure=any(i.kind is GateKind.MEASURE
+                                for i in a.instructions))
+                for b, p in ((same, perm), (other, perm), (same, perm),
+                             (a.replace(a.instructions), None)):
+                    hits += not self._check(calls, a, b, p)[1]
+        assert hits == 3 * 2 * TestAgainstReference.CASES
+
+    def test_benchmark_sweeps_simulate_each_source_once(self, monkeypatch):
+        # Two sweeps of the benchmark's routed and unrouted workloads at
+        # seed 1, in its order (jobs outer, configs inner), with the jobs
+        # built by perfbench/workloads.py as the benchmark builds them.
+        # Each source is simulated once per sweep, and the slot carries
+        # nothing into the next sweep but the one source object that routed
+        # bv12 and bv12_grid4x5 share: bv12's first check in the second
+        # sweep reuses bv12_grid4x5's last.
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+        for workload, want in (("unrouted", [6, 6]), ("routed", [7, 6])):
+            jobs = workloads.build(workload, 1)
+            ops = [(job.source, pipeline(job.source, cfg.opts))
+                   for job in jobs for cfg in job.configs]
+            sources = {id(job.source) for job in jobs}
+            calls = self._spy(monkeypatch)
+            got = []
+            for _ in want:
+                del calls[:]
+                for src, out in ops:
+                    assert equivalent_up_to_global_phase(
+                        src, out, perm=out.layout).equivalent
+                got.append(sum(id(c) in sources for c in calls))
+            assert got == want, workload

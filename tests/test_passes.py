@@ -247,6 +247,24 @@ class TestQBO:
         assert any(i.kind is GateKind.CZ for i in out.instructions)
         assert equivalent_up_to_global_phase(c, out).equivalent
 
+    @pytest.mark.parametrize("k, cx_in, cx_out", [(3, 14, 6), (4, 30, 14)])
+    def test_mcx_target_minus_kicks_back(self, k, cx_in, cx_out):
+        # k >= 3 controls on |+>, target on |->: the kickback is a
+        # k-controlled Z among the controls, written as H on the last one
+        # around a C^(k-1)X onto it.
+        c = parse_program(
+            f"qreg q[{k + 1}];"
+            + "".join(f" h q[{q}];" for q in range(k))
+            + f" x q[{k}]; h q[{k}]; mcx "
+            + ",".join(f"q[{q}]" for q in range(k + 1)) + ";")
+        out = qbo(c)
+        h = Instruction(GateKind.H, (k - 1,))
+        kind = GateKind.CCX if k == 3 else GateKind.MCX
+        assert out.instructions[-3:] == [
+            h, Instruction(kind, tuple(range(k))), h]
+        assert equivalent_up_to_global_phase(c, out).equivalent
+        assert (cx_count(unroll(c)), cx_count(unroll(out))) == (cx_in, cx_out)
+
     def test_mcx_rules(self):
         # 4 controls, one in |1>: that control is dropped.
         c = Circuit(5)
