@@ -252,12 +252,11 @@ def build_circuit(spec: BenchSpec) -> Circuit:
 
 def run_bench(spec: BenchSpec, verify: bool = True) -> list[ReportRow]:
     """Transpile the benchmark reps times under both pipelines and report raw
-    rows.  Each repetition is oracle-verified before its row is emitted; a
-    failing repetition aborts the run.  verify=True verifies every row the
-    oracle can simulate and flags the rest `verified=False`; verify=False
-    skips the oracle and flags every row."""
-    from .oracle import (MAX_QUBITS, equivalent_up_to_global_phase,
-                         simulated_width)
+    rows.  Each output is checked by the oracle once before its row is
+    emitted: the row is flagged `verified=False` exactly when that check
+    raises WidthError, and any other failure raises VerificationError.
+    verify=False skips the oracle and flags every row."""
+    from .oracle import WidthError, equivalent_up_to_global_phase
     if spec.reps < 1:
         raise ValueError("repetitions must be >= 1")
     cmap = resolve_coupling(spec.coupling)
@@ -271,15 +270,20 @@ def run_bench(spec: BenchSpec, verify: bool = True) -> list[ReportRow]:
             t0 = time.perf_counter()
             out = pipeline(circ, opts)
             ms = 1000.0 * (time.perf_counter() - t0)
-            checked = (verify and simulated_width(circ, out, out.layout)
-                       <= MAX_QUBITS)
-            if checked:
-                rep = equivalent_up_to_global_phase(circ, out, perm=out.layout)
-                if not rep.equivalent:
-                    raise VerificationError(
-                        f"{spec.algorithm} n={spec.n} seed={seed} "
-                        f"pipeline={name}: {rep.detail}",
-                        emit_program(circ), emit_program(out))
+            checked = verify
+            try:
+                rep = verify and equivalent_up_to_global_phase(
+                    circ, out, perm=out.layout)
+                detail = verify and not rep.equivalent and rep.detail
+            except WidthError:
+                checked = detail = False
+            except ValueError as e:  # a generated source always simulates
+                detail = f"{type(e).__name__}: {e}"
+            if detail:
+                raise VerificationError(
+                    f"{spec.algorithm} n={spec.n} seed={seed} "
+                    f"pipeline={name}: {detail}",
+                    emit_program(circ), emit_program(out))
             rows.append(ReportRow(spec.algorithm, spec.n, name, cx_count(out),
                                   count_1q(out), depth(out), ms, seed, checked))
     return rows

@@ -136,9 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--coupling", help="coupling map name or JSON path")
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--no-qbo", action="store_true")
-    po.add_argument("--no-qpo", action="store_true")
-    po.add_argument("--blocks", action="store_true",
-                    help="enable two-qubit block re-synthesis")
+    qpo = po.add_mutually_exclusive_group()  # blocks run inside qpo
+    qpo.add_argument("--no-qpo", action="store_true")
+    qpo.add_argument("--blocks", action="store_true",
+                     help="enable two-qubit block re-synthesis")
     po.add_argument("-o", "--output")
     po.set_defaults(fn=_cmd_optimize)
 

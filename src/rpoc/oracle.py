@@ -42,7 +42,8 @@ records its wire.
 
 An equivalence check simulates its source on the source's touched wires,
 embeds that state into the wires it compares on, and keeps it for the next
-check of a source with the same widths and instructions.
+check of a source with the same widths and instructions.  WidthError, raised
+by simulate(), is the one too-wide signal; any other ValueError is a failure.
 
 Conventions: qubit 0 is the high-order bit of the amplitude index; measured
 circuits yield an exact outcome distribution keyed by classical-bit strings
@@ -101,6 +102,10 @@ class AnnotationError(ValueError):
 
 class ResetError(ValueError):
     """RESET applied to a qubit that is entangled or mixed."""
+
+
+class WidthError(ValueError):
+    """More than MAX_QUBITS wires to simulate (the one too-wide signal)."""
 
 
 class EquivalenceReport(NamedTuple):
@@ -283,9 +288,9 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
     spans all `c.n_qubits` wires.  With `wires`, exactly those wires are
     simulated and axis i of the returned vector is wire `wires[i]`; every
     touched wire must be listed, the rest stay |0>, and `initial_state` is a
-    state over `wires`.  At most MAX_QUBITS wires are simulated, and a full
-    statevector is returned for at most MAX_QUBITS wires.  `initial_state` is
-    copied, never modified.
+    state over `wires`.  More than MAX_QUBITS wires to simulate, or a full
+    statevector over more than MAX_QUBITS wires, raise WidthError, the
+    oracle's one too-wide signal.  `initial_state` is copied, never modified.
     """
     n = c.n_qubits
     full = wires is None
@@ -293,7 +298,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
         wires = range(n) if initial_state is not None else touched_wires(c)
     width = len(wires)
     if width > MAX_QUBITS:
-        raise ValueError(f"simulation limited to {MAX_QUBITS} qubits, got {width}")
+        raise WidthError(f"simulation limited to {MAX_QUBITS} qubits, got {width}")
     axis = [-1] * n
     for i, w in enumerate(wires):
         if not 0 <= w < n or axis[w] >= 0:
@@ -598,7 +603,7 @@ def simulate(c: Circuit, initial_state: np.ndarray | None = None, *,
     if not full or width == n:
         return state
     if n > MAX_QUBITS:
-        raise ValueError(f"simulation limited to {MAX_QUBITS} qubits, got {n}")
+        raise WidthError(f"simulation limited to {MAX_QUBITS} qubits, got {n}")
     return expand_statevector(state, n, list(wires))
 
 
@@ -645,29 +650,6 @@ def expand_statevector(sv: np.ndarray, n_out: int, wire_map: list[int]) -> np.nd
     return out.reshape(-1)
 
 
-def _compared_wires(a: Circuit, b: Circuit, perm, ta: list[int]):
-    """W, the wires of b that the equivalence check simulates, and the
-    positions in W that a's touched wires `ta` land on (None when the widths
-    differ and no perm is given: then only outcome distributions compare)."""
-    if perm is None:
-        if a.n_qubits != b.n_qubits:
-            return touched_wires(b), None
-        perm = range(a.n_qubits)
-    if (len(perm) != a.n_qubits or len(set(perm)) != len(perm)
-            or not all(0 <= w < b.n_qubits for w in perm)):
-        raise ValueError("perm must map a's wires 1-1 onto b's wires")
-    wb = sorted(set(touched_wires(b)).union(perm[q] for q in ta))
-    at = {w: i for i, w in enumerate(wb)}
-    return wb, [at[perm[q]] for q in ta]
-
-
-def simulated_width(a: Circuit, b: Circuit, perm: list[int] | None = None) -> int:
-    """Wires `equivalent_up_to_global_phase(a, b, perm=perm)` simulates at
-    once; it can check the pair when this is at most MAX_QUBITS."""
-    ta = touched_wires(a)
-    return max(len(ta), len(_compared_wires(a, b, perm, ta)[0]))
-
-
 # The last check's source: n_qubits, n_clbits, a copy of its instruction
 # list, its touched wires and its simulation on them (only read, never
 # returned).  One tuple, so a check in another thread reads a whole entry.
@@ -685,18 +667,27 @@ def equivalent_up_to_global_phase(a: Circuit, b: Circuit,
     by exact outcome distributions.  `perm` maps a's wires onto b's wires
     (identity-padded widths), as produced by routing.  b is simulated on
     W = touched(b) | perm(touched(a)) only (wires idle in both circuits are
-    |0> throughout and factor out), so the widths of a and b do not matter,
-    only |W| <= MAX_QUBITS does.  a is simulated on touched(a) and embedded
-    into W (a measured a compares by its distribution, which no wire map
-    changes); the next check of a source with a's widths and instructions
-    reuses that simulation.
+    |0> throughout and factor out), so the widths of a and b do not matter:
+    only a W or touched(a) over MAX_QUBITS wires does (WidthError).  a is
+    simulated on touched(a) and embedded into W (a measured a compares by its
+    distribution, which no wire map changes); the next check of a source
+    with a's widths and instructions reuses that simulation.
     """
     global _last_source
     n, n_c, insts, ta, ra = _last_source
     hit = n == a.n_qubits and n_c == a.n_clbits and insts == a.instructions
     if not hit:
         ta = touched_wires(a)
-    wb, pos = _compared_wires(a, b, perm, ta)
+    # pos: where a's touched wires land in W (None: only distributions compare).
+    if perm is None and a.n_qubits != b.n_qubits:
+        wb, pos = touched_wires(b), None
+    else:
+        perm = range(a.n_qubits) if perm is None else perm
+        if (len(perm) != a.n_qubits or len(set(perm)) != len(perm)
+                or not all(0 <= w < b.n_qubits for w in perm)):
+            raise ValueError("perm must map a's wires 1-1 onto b's wires")
+        wb = sorted(set(touched_wires(b)).union(perm[q] for q in ta))
+        pos = [wb.index(perm[q]) for q in ta]
     if not hit:
         ra = simulate(a, wires=ta)
         _last_source = (a.n_qubits, a.n_clbits, list(a.instructions), ta, ra)

@@ -397,10 +397,13 @@ class CouplingMap:
     @staticmethod
     def from_dict(d) -> "CouplingMap":
         try:
-            return CouplingMap(int(d["n"]), d["edges"])
-        except (KeyError, TypeError) as e:
+            n, edges = d["n"], [(a, b) for a, b in d["edges"]]
+            if {type(x) for e in [(n,), *edges] for x in e} != {int}:
+                raise TypeError("node ids must be integers")
+        except (KeyError, TypeError, ValueError) as e:
             raise ValueError('coupling map must be {"n": N, "edges": '
                              f'[[a, b], ...]}} ({e!r})') from None
+        return CouplingMap(n, edges)
 
     @staticmethod
     def from_json_file(path: str) -> "CouplingMap":

@@ -234,16 +234,27 @@ class TestHarness:
 
     def test_rows_are_verified_or_flagged(self, monkeypatch):
         import rpoc.oracle
-        calls = []
+        calls = []  # the outcome of each check: its report or its error type
         check = rpoc.oracle.equivalent_up_to_global_phase
-        monkeypatch.setattr(rpoc.oracle, "equivalent_up_to_global_phase",
-                            lambda *a, **k: calls.append(1) or check(*a, **k))
-        # bv14 touches 15 wires: every row is checked.
+
+        def spy(*a, **k):
+            try:
+                calls.append(check(*a, **k))
+            except ValueError as e:
+                calls.append(type(e))
+                raise
+            return calls[-1]
+
+        monkeypatch.setattr(rpoc.oracle, "equivalent_up_to_global_phase", spy)
+        # bv14 touches 15 wires: each output is checked once, and verified.
         rows = run_bench(BenchSpec("bv", 14, reps=1))
-        assert [r.verified for r in rows] == [True, True] and len(calls) == 2
-        # bv16 touches 17: too wide for the oracle, flagged, not checked.
+        assert [r.verified for r in rows] == [True, True]
+        assert [rep.equivalent for rep in calls] == [True, True]
+        # bv16 touches 17: each check raises WidthError; the rows are flagged.
+        calls.clear()
         rows = run_bench(BenchSpec("bv", 16, reps=1))
-        assert [r.verified for r in rows] == [False, False] and len(calls) == 2
+        assert [r.verified for r in rows] == [False, False]
+        assert calls == [rpoc.oracle.WidthError] * 2
         rows = run_bench(BenchSpec("bv", 3, reps=1), verify=False)
         assert not any(r.verified for r in rows)
 

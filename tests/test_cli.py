@@ -1,5 +1,6 @@
 """Exit codes of the command-line interface: 0 success, 1 verification
 failure, 2 input error."""
+import math
 import os
 import platform
 import re
@@ -12,7 +13,7 @@ import pytest
 import rpoc
 from rpoc.bench import (ALGORITHMS, CSV_HEADER, BenchSpec, build_circuit,
                         gen_qpe)
-from rpoc.circuit import GateKind, emit_program, parse_program
+from rpoc.circuit import GateKind, Instruction, emit_program, parse_program
 from rpoc.cli import main
 from rpoc.oracle import equivalent_up_to_global_phase, simulate
 from rpoc.passes import PipelineOptions, line_coupling, pipeline
@@ -75,6 +76,30 @@ def test_bad_coupling_file_exits_2(files, capsys, cmap):
     src = files("bell.qasm", BELL)
     assert main(["optimize", src, "--coupling", files("map.json", cmap)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edges", [
+    "[[0, 1.7], [1, 2]]",     # a float id is not truncated onto edge 0-1
+    "[[0, true], [1, 2]]",    # nor is a bool taken for 1
+    "[[0, 1], [1, 2], [2]]",  # an edge that is not a pair
+])
+def test_coupling_ids_must_be_integer_pairs(files, capsys, edges):
+    src = files("bell.qasm", BELL)
+    cmap = files("map.json", f'{{"n": 3, "edges": {edges}}}')
+    assert main(["optimize", src, "--coupling", cmap]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(
+        'error: coupling map must be {"n": N, "edges": [[a, b], ...]} (')
+    assert out.out == ""
+
+
+def test_blocks_and_no_qpo_exclude_each_other(files, capsys):
+    # Blocks are resynthesized inside qpo, so the pair would run no blocks.
+    src = files("bell.qasm", BELL)
+    with pytest.raises(SystemExit) as e:
+        main(["optimize", src, "--blocks", "--no-qpo"])
+    assert e.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_non_finite_angle_is_an_input_error(files, capsys):
@@ -140,6 +165,32 @@ def test_bench_verification_failure_exits_1(monkeypatch, capsys):
     src = build_circuit(BenchSpec("qpe", 3))
     assert f"--- original ---\n{emit_program(src)}" in out.err
     assert f"--- optimized ---\n{emit_program(broken[0])}" in out.err
+
+
+def test_bench_oracle_error_exits_1(monkeypatch, capsys):
+    # An annotation that does not hold, prepended to every output: the
+    # oracle's AnnotationError fails the output, it is no input error.
+    import rpoc.bench
+    real = rpoc.bench.pipeline
+    outs = []
+
+    def annotate(c, opts):
+        out = real(c, opts)
+        outs.append(out.replace(
+            [Instruction(GateKind.ANNOT, (0,), (math.pi, 0.0)), *out]))
+        return outs[-1]
+
+    monkeypatch.setattr(rpoc.bench, "pipeline", annotate)
+    assert main(["bench", "--alg", "bv", "--n", "3", "--reps", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(outs) == 1
+    assert out.err.startswith(
+        "verification failed: bv n=3 seed=0 pipeline=baseline: "
+        "AnnotationError: annotation on qubit 0 at instruction 0 does not "
+        "hold")
+    src = build_circuit(BenchSpec("bv", 3))
+    assert f"--- original ---\n{emit_program(src)}" in out.err
+    assert f"--- optimized ---\n{emit_program(outs[0])}" in out.err
 
 
 def test_empty_size_range_is_an_input_error(capsys):

@@ -39,7 +39,7 @@ from pathlib import Path
 from rpoc import (PipelineOptions, count_1q, cx_count, depth, emit_program,
                   gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry,
                   grid_coupling, line_coupling, parse_program, pipeline)
-from rpoc.oracle import MAX_QUBITS, equivalent_up_to_global_phase
+from rpoc.oracle import WidthError, equivalent_up_to_global_phase
 
 from helpers import random_circuit
 
@@ -106,12 +106,12 @@ def _bench_outputs():
 
 def _verdict(src, out) -> str:
     """The oracle's verdict on out against src, with its fidelity or total
-    variation distance; an error is "unverified" for a circuit wider than
-    the oracle's limit and "failed" otherwise, as in the benchmark."""
+    variation distance; a WidthError (too wide for the oracle) is
+    "unverified" and any other error "failed", as in `rpoc bench`."""
     try:
         rep = equivalent_up_to_global_phase(src, out, perm=out.layout)
     except ValueError as e:
-        wide = max(src.n_qubits, out.n_qubits) > MAX_QUBITS
+        wide = isinstance(e, WidthError)
         return f"{'unverified' if wide else 'failed'} {type(e).__name__}: {e}"
     verdict = "ok" if rep.equivalent else "failed"
     if rep.detail.startswith("total variation"):

@@ -9,8 +9,8 @@ from rpoc import (AnnotationError, Circuit, GateKind, Instruction,
                   equivalent_up_to_global_phase, reduced_qubit_state, simulate)
 from rpoc import oracle
 from rpoc.bench import gen_grover, gen_qv_like
-from rpoc.oracle import (MAX_QUBITS, ResetError, expand_statevector,
-                         simulated_width, total_variation_distance,
+from rpoc.oracle import (MAX_QUBITS, ResetError, WidthError,
+                         expand_statevector, total_variation_distance,
                          touched_wires, trace_distance_to_pure)
 from rpoc.passes import PipelineOptions, line_coupling, pipeline
 from rpoc.synth import pure_state_vector
@@ -54,7 +54,7 @@ class TestSimulate:
         assert abs(np.linalg.norm(sv) - 1.0) < 1e-10
 
     def test_width_limit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(WidthError, match="limited to 16 qubits, got 17"):
             simulate(Circuit(17))
 
     def test_swapz_definition(self):
@@ -901,7 +901,6 @@ class TestTouchedWires:
         perm = list(range(20))
         perm[3], perm[0] = 0, 3
         b = _relabel(a, perm, 20)
-        assert simulated_width(a, b, perm) == 2
         assert equivalent_up_to_global_phase(a, b, perm=perm).equivalent
 
     def test_unmeasured_wide_circuit_compares_on_touched_wires(self):
@@ -916,22 +915,20 @@ class TestTouchedWires:
         perm = [19 - q for q in range(20)]
         rep = equivalent_up_to_global_phase(a, b, perm=perm)
         assert rep.equivalent and rep.fidelity == pytest.approx(1.0)
-        assert simulated_width(a, b, perm) == 13
         # Without the perm, a's wires 0-12 and b's 7-19 are all compared.
-        assert simulated_width(a, b) == 20
-        with pytest.raises(ValueError, match="limited to 16"):
+        with pytest.raises(WidthError, match="limited to 16 qubits, got 20"):
             equivalent_up_to_global_phase(a, b)
 
     def test_too_many_touched_wires_rejected(self):
         c = Circuit(20)
         for q in range(MAX_QUBITS + 1):
             c.h(q)
-        with pytest.raises(ValueError, match="limited to 16"):
+        with pytest.raises(WidthError, match="limited to 16 qubits, got 17"):
             equivalent_up_to_global_phase(c, c)
 
     def test_full_vector_keeps_the_width_limit(self):
         # Returning a 2^17 vector is refused even though no wire is touched.
-        with pytest.raises(ValueError):
+        with pytest.raises(WidthError, match="limited to 16 qubits, got 17"):
             simulate(Circuit(17))
         assert simulate(Circuit(17), wires=[]).tolist() == [1.0]
 
@@ -1096,12 +1093,14 @@ class TestSourceSlot:
         wide = a.replace(a.instructions)
         for q in range(MAX_QUBITS + 1):
             wide.h(q)
-        for b, match in ((measured, "measurement structure"),
-                         (narrow, "width mismatch"), (wide, "limited to 16")):
+        for b, match, error in (
+                (measured, "measurement structure", ValueError),
+                (narrow, "width mismatch", ValueError),
+                (wide, "limited to 16", WidthError)):
             assert equivalent_up_to_global_phase(a, a).equivalent  # a kept
             with pytest.raises(ValueError, match=match) as e:
                 equivalent_up_to_global_phase(a, b)
-            assert type(e.value) is ValueError
+            assert type(e.value) is error
 
     def test_corpus_verdicts_match_plain_simulation(self, monkeypatch):
         # Perms, idle wires and measurement; each source is checked against
