@@ -674,6 +674,8 @@ def equivalent_up_to_global_phase(a: Circuit, b: Circuit,
     with a's widths and instructions reuses that simulation.
     """
     global _last_source
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must be in [0, 1), got {tol}")
     n, n_c, insts, ta, ra = _last_source
     hit = n == a.n_qubits and n_c == a.n_clbits and insts == a.instructions
     if not hit:

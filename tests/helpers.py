@@ -6,11 +6,15 @@ import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
-from rpoc import Circuit, GateKind, Instruction
-from rpoc.analysis import BasisState
+from rpoc import Circuit, GateKind, Instruction, equivalent_up_to_global_phase
+from rpoc.analysis import BasisState, basis_of
 from rpoc.circuit import angles_equal
-from rpoc.synth import U3Params, as_u3params, zyz_decompose
+from rpoc.oracle import trace_distance_to_pure
+from rpoc.passes import qbo
+from rpoc.synth import (U3Params, as_u3params, pure_state_vector,
+                        zyz_decompose)
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,6 +132,55 @@ def two_wire_cases(kind: GateKind):
         for sb in SEVEN:
             yield sa, sb, [Circuit(2).extend(pa + pb + [Instruction(kind, (0, 1))])
                            for pa in preps(sa, 0) for pb in preps(sb, 1)]
+
+
+def qbo_cases(kind: GateKind):
+    """Every two_wire_cases pair with qbo's output on each of its circuits.
+    Each output is checked against its input by the oracle, and all outputs
+    of a pair must rewrite the gate alike: the prep is kept as it is, and the
+    replacement after it does not depend on which TOP_SPAN input was used."""
+    for sa, sb, circuits in two_wire_cases(kind):
+        outs = [qbo(c) for c in circuits]
+        tails = set()
+        for c, out in zip(circuits, outs):
+            assert equivalent_up_to_global_phase(c, out).equivalent, (sa, sb)
+            prep = c.instructions[:-1]
+            assert out.instructions[:len(prep)] == prep
+            tails.add(tuple(out.instructions[len(prep):]))
+        assert len(tails) == 1, (sa, sb)
+        yield sa, sb, outs
+
+
+_R2 = 1 / math.sqrt(2)
+# The six rays as statevectors, written out independently of analysis.py.
+_RAY_VECTORS = {
+    BasisState.ZERO: [1, 0], BasisState.ONE: [0, 1],
+    BasisState.PLUS: [_R2, _R2], BasisState.MINUS: [_R2, -_R2],
+    BasisState.PLUS_I: [_R2, 1j * _R2], BasisState.MINUS_I: [_R2, -1j * _R2],
+}
+
+
+def ray_vector(s: BasisState) -> np.ndarray:
+    return np.array(_RAY_VECTORS[s], dtype=complex)
+
+
+def check_claims(tr, rho_of, where) -> int:
+    """Every known state of the tracker `tr`, and the ray basis_of reads off
+    it, must match `rho_of(q)`, the simulated reduced state of its wire.
+    Returns the number of known states checked."""
+    known = 0
+    for q, s in enumerate(tr.states):
+        if s is None:
+            continue
+        known += 1
+        rho = rho_of(q)
+        td = trace_distance_to_pure(rho, pure_state_vector(*s))
+        assert td <= 1e-8, (where, q, s, td)
+        ray = basis_of(s)
+        if ray is not BasisState.TOP:
+            td = trace_distance_to_pure(rho, ray_vector(ray))
+            assert td <= 1e-8, (where, q, ray, td)
+    return known
 
 
 def depth_oracle(c: Circuit) -> int:
@@ -399,6 +452,19 @@ def random_full_circuit(rng: random.Random, n: int, length: int,
         for q, b in zip(wires, rng.sample(range(n), len(wires))):
             c.measure(q, b)
     return c
+
+
+@st.composite
+def random_circuits(draw) -> Circuit:
+    """A circuit of 1 to 6 wires and at most 45 draws, from random_circuit
+    (2 or more wires; resets half the time) or from random_full_circuit
+    (terminal measurement half the time)."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    length = draw(st.integers(0, 45))
+    if n >= 2 and draw(st.booleans()):
+        return random_circuit(rng, n, length, allow_reset=draw(st.booleans()))
+    return random_full_circuit(rng, n, length, measure=draw(st.booleans()))
 
 
 def ref_u3params_instruction(p: U3Params, q: int) -> Instruction | None:

@@ -102,6 +102,19 @@ def test_blocks_and_no_qpo_exclude_each_other(files, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_tol_outside_unit_interval_is_an_input_error(files, capsys):
+    # h against x has fidelity 0.5; a tol of 1 or more would pass any pair,
+    # and a negative or NaN tol would fail identical files.
+    h = files("h.qasm", "qreg q[1];\nh q[0];\n")
+    x = files("x.qasm", "qreg q[1];\nx q[0];\n")
+    for pair, tol in [((h, x), "1"), ((h, x), "2"), ((h, x), "inf"),
+                      ((h, h), "-1"), ((h, h), "nan")]:
+        assert main(["verify", *pair, "--tol", tol]) == 2, tol
+        out = capsys.readouterr()
+        assert out.err.startswith("error: tol must be in [0, 1)"), tol
+        assert out.out == ""
+
+
 def test_non_finite_angle_is_an_input_error(files, capsys):
     src = files("nan.qasm", "qreg q[1];\nu1(nan) q[0];\n")
     for argv in (["optimize", src], ["verify", src, src], ["stats", src]):

@@ -236,6 +236,17 @@ class TestEquivalence:
         rep = equivalent_up_to_global_phase(a, b)
         assert not rep.equivalent and rep.fidelity < 0.9
 
+    def test_tol_outside_unit_interval_rejected(self):
+        a = Circuit(1)
+        a.h(0)
+        m = Circuit(1, 1)
+        m.h(0)
+        m.measure(0, 0)
+        for c in (a, m):  # the fidelity and the distribution check
+            for tol in (-1e-9, 1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match=r"tol must be in \[0, 1\)"):
+                    equivalent_up_to_global_phase(c, c, tol=tol)
+
     def test_width_mismatch_without_perm(self):
         with pytest.raises(ValueError):
             equivalent_up_to_global_phase(Circuit(1), Circuit(2))

@@ -11,35 +11,17 @@ from hypothesis import given, settings, strategies as st
 from rpoc import (Circuit, CouplingMap, GateKind, Instruction,
                   PipelineOptions, cx_count, emit_program, gen_grover,
                   equivalent_up_to_global_phase, line_coupling, grid_coupling,
-                  parse_program, pipeline, qbo, qpo, route, simulate,
-                  unroll)
+                  parse_program, pipeline, qbo, qpo, route, unroll)
 from rpoc import passes, synth
 from rpoc.analysis import BasisState
 from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                         merge_1q_runs, zyz_decompose)
-from helpers import (BASIS_PREP, random_circuit, random_full_circuit,
-                     ref_matrix_1q, spy_calls, two_wire_cases)
+from helpers import (BASIS_PREP, random_circuit, random_circuits,
+                     random_full_circuit, ref_matrix_1q, spy_calls)
 
 PI = math.pi
 B = BasisState
-
-
-def _qbo_cases(kind):
-    """Every two_wire_cases pair with qbo's output on each of its circuits.
-    Each output is checked against its input by the oracle, and all outputs
-    of a pair must rewrite the gate alike: the prep is kept as it is, and the
-    replacement after it does not depend on which TOP_SPAN input was used."""
-    for sa, sb, circuits in two_wire_cases(kind):
-        outs = [qbo(c) for c in circuits]
-        tails = set()
-        for c, out in zip(circuits, outs):
-            assert equivalent_up_to_global_phase(c, out).equivalent, (sa, sb)
-            prep = c.instructions[:-1]
-            assert out.instructions[:len(prep)] == prep
-            tails.add(tuple(out.instructions[len(prep):]))
-        assert len(tails) == 1, (sa, sb)
-        yield sa, sb, outs
 
 
 def _cx(c):
@@ -71,13 +53,8 @@ swap q[1],q[0];
 
 
 class TestTableCX:
-    """The paper's CX table, realized by qbo's multi-controlled-X rule."""
-
-    def test_every_state_pair(self):
-        for ctrl, tgt, outs in _qbo_cases(GateKind.CX):
-            removed = ctrl in (B.ZERO, B.ONE) or tgt in (B.PLUS, B.MINUS)
-            assert {_cx(out) for out in outs} == {0 if removed else 1}, (
-                ctrl, tgt)
+    """The paper's CX table, realized by qbo's multi-controlled-X rule.
+    Acceptance criterion 1 checks every cell on every input class."""
 
     def test_cell_structure(self):
         def rewrite(prep):
@@ -94,10 +71,8 @@ class TestTableCX:
 
 
 class TestTableSWAP:
-    """The paper's SWAP table, realized by the SWAP rule on ray states."""
-
-    def test_every_state_pair(self):
-        assert len(list(_qbo_cases(GateKind.SWAP))) == 49
+    """The paper's SWAP table, realized by the SWAP rule on ray states.
+    Acceptance criterion 2 checks every cell on every input class."""
 
     def test_cell_structure(self):
         def kinds(prep):
@@ -113,12 +88,6 @@ class TestTableSWAP:
         assert kinds(top + " h q[1];") == [(GateKind.SWAPZ, (0, 1))]
         # Both known, Y rays included: single-qubit gates only.
         assert kinds("h q[0]; s q[0]; x q[1];") == []
-
-    def test_swap_cost_never_exceeds_original(self):
-        # 3 CX for unknown/unknown, at most 2 for one known, 0 for both known.
-        for top, bot, outs in _qbo_cases(GateKind.SWAP):
-            known = (top is not B.TOP) + (bot is not B.TOP)
-            assert max(_cx(out) for out in outs) <= (3, 2, 0)[known], (top, bot)
 
 
 class TestQBO:
@@ -449,26 +418,6 @@ class TestQBO:
             assert equivalent_up_to_global_phase(c, out).equivalent, case
             assert cx_count(unroll(out)) == 0, case
 
-    def test_bv_conversion(self):
-        from rpoc import gen_bv
-        bv = gen_bv(4, "1011", "boolean")
-        out = qbo(bv)
-        assert cx_count(out) == 0
-        assert sum(1 for i in out.instructions if i.kind is GateKind.Z) == 3
-        # Two different circuits need not round alike: same outcomes, and
-        # probabilities well inside the oracle's 1e-9 tolerance.
-        got, want = simulate(out), simulate(bv)
-        assert got.keys() == want.keys()
-        assert all(abs(got[k] - want[k]) <= 1e-12 for k in want)
-
-    def test_cx_monotone_on_random_corpus(self):
-        rng = random.Random(1234)
-        for _ in range(60):
-            c = random_circuit(rng, rng.randrange(2, 6), rng.randrange(5, 40))
-            out = qbo(c)
-            assert cx_count(unroll(out)) <= cx_count(unroll(c))
-            assert equivalent_up_to_global_phase(c, out).equivalent
-
     def test_idempotent_on_fixpoints(self):
         rng = random.Random(77)
         for _ in range(20):
@@ -482,17 +431,19 @@ class TestQBO:
 class TestRewritePassesAddNoCX:
     """qbo, qpo and qpo with block resynthesis each return a circuit that is
     oracle-equivalent to their input and has no more CX once unrolled, on
-    random circuits over every gate kind, unrouted and routed on line5."""
+    `helpers.random_circuits` as drawn, unrolled to the basis with SWAP and
+    SWAPZ kept (the form the pipeline passes on), or so unrolled and routed
+    on line6.  This is the one check of per-pass CX monotonicity."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(n=st.integers(1, 5), length=st.integers(1, 40),
-           seed=st.integers(0, 2 ** 32 - 1), routed=st.booleans())
-    def test_no_rewrite_pass_adds_cx(self, n, length, seed, routed):
-        c = random_full_circuit(random.Random(seed), n, length)
-        if routed:
-            c, _ = route(unroll(c, DEFAULT_BASIS | {GateKind.SWAP,
-                                                    GateKind.SWAPZ}),
-                         line_coupling(5), seed)
+    @given(c=random_circuits(), form=st.sampled_from(["raw", "unrolled",
+                                                      "routed"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_no_rewrite_pass_adds_cx(self, c, form, seed):
+        if form != "raw":
+            c = unroll(c, DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ})
+        if form == "routed":
+            c, _ = route(c, line_coupling(6), seed)
         before = cx_count(unroll(c))
         for rewrite in (qbo, qpo, functools.partial(qpo, resynth_blocks=True)):
             out = rewrite(c)
@@ -776,18 +727,6 @@ class TestQPO:
         assert cx_count(out) <= 1
         assert equivalent_up_to_global_phase(c, out).equivalent
 
-    def test_cx_monotone_on_random_corpus(self):
-        rng = random.Random(4321)
-        for _ in range(40):
-            c = random_circuit(rng, rng.randrange(2, 6), rng.randrange(5, 40))
-            base = unroll(c, frozenset(
-                {GateKind.U1, GateKind.U2, GateKind.U3, GateKind.ID,
-                 GateKind.CX, GateKind.SWAP, GateKind.SWAPZ}))
-            for blocks in (False, True):
-                out = qpo(base, resynth_blocks=blocks)
-                assert cx_count(unroll(out)) <= cx_count(unroll(base))
-                assert equivalent_up_to_global_phase(c, out).equivalent
-
 
 class TestCouplingMap:
     def test_validation(self):
@@ -933,20 +872,6 @@ class TestRoute:
 
 
 class TestPipeline:
-    def test_bv_goes_to_zero_cx(self):
-        from rpoc import gen_bv
-        out = pipeline(gen_bv(4, "1011", "boolean"))
-        assert cx_count(out) == 0
-        assert simulate(out) == {"1011": pytest.approx(1.0)}
-
-    def test_deterministic_output_text(self):
-        rng = random.Random(8)
-        c = random_circuit(rng, 4, 30)
-        opts = PipelineOptions(coupling=line_coupling(5), seed=13)
-        a = emit_program(pipeline(c, opts))
-        b = emit_program(pipeline(c, opts))
-        assert a == b
-
     def test_flags_disable_passes(self):
         c = Circuit(2)
         c.x(0)
@@ -955,34 +880,6 @@ class TestPipeline:
         assert cx_count(base) == 1
         opt = pipeline(c)
         assert cx_count(opt) == 0
-
-    def test_output_respects_coupling(self):
-        rng = random.Random(9)
-        cmap = grid_coupling(2, 3)
-        for seed in range(5):
-            c = random_circuit(rng, 5, 30)
-            out = pipeline(c, PipelineOptions(coupling=cmap, seed=seed))
-            for inst in out.instructions:
-                if len(inst.qubits) == 2:
-                    assert cmap.adjacent(*inst.qubits)
-
-    def test_unrolled_output_kinds(self):
-        rng = random.Random(10)
-        c = random_circuit(rng, 4, 30)
-        out = pipeline(c)
-        allowed = {GateKind.U1, GateKind.U2, GateKind.U3, GateKind.ID,
-                   GateKind.CX, GateKind.RESET, GateKind.ANNOT,
-                   GateKind.MEASURE, GateKind.BARRIER}
-        assert all(i.kind in allowed for i in out.instructions)
-
-    def test_equivalence_random_corpus(self):
-        rng = random.Random(11)
-        for i in range(30):
-            c = random_circuit(rng, rng.randrange(2, 6), rng.randrange(5, 40))
-            out = pipeline(c, PipelineOptions(
-                enable_block_resynth=bool(i % 2)))
-            rep = equivalent_up_to_global_phase(c, out)
-            assert rep.equivalent, emit_program(c)
 
     def test_fredkin_rule_reached(self):
         # The first unroll expands every CSWAP, so qbo's Fredkin rule must
@@ -997,15 +894,6 @@ class TestPipeline:
             assert cmap is not None or cx_count(out) <= 4
             rep = equivalent_up_to_global_phase(c, out, perm=out.layout)
             assert rep.equivalent, cmap
-
-    def test_equivalence_with_coupling(self):
-        rng = random.Random(12)
-        cmap = line_coupling(6)
-        for seed in range(10):
-            c = random_circuit(rng, 4, 25)
-            out = pipeline(c, PipelineOptions(coupling=cmap, seed=seed))
-            rep = equivalent_up_to_global_phase(c, out, perm=out.layout)
-            assert rep.equivalent, emit_program(c)
 
     # The stages pipeline() runs, by the names it calls them under (qbo
     # runs as _qbo, which also says whether qpo has work); _merge_runs with
@@ -1228,19 +1116,6 @@ class TestPipeline:
             assert emit_program(out) == emit_program(full)  # and the layout
         assert skipped_with_swaps >= 5 and ran >= 5
 
-    @pytest.mark.parametrize("config", [
-        dict(enable_qbo=False, enable_qpo=False), dict(),
-        dict(coupling=line_coupling(5)),
-        dict(enable_block_resynth=True)], ids=["baseline", "rpo", "routed",
-                                               "blocks"])
-    def test_output_is_cleanup_fixpoint(self, config):
-        rng = random.Random(15)
-        for seed in range(15):
-            c = random_circuit(rng, rng.randrange(2, 6), rng.randrange(5, 40))
-            out = pipeline(c, PipelineOptions(seed=seed, **config))
-            assert cancel_adjacent_cx(out).instructions == out.instructions
-            assert merge_1q_runs(out).instructions == out.instructions
-
     def test_never_worse_than_baseline(self):
         rng = random.Random(13)
         cmap = line_coupling(6)
@@ -1267,18 +1142,6 @@ class TestPipeline:
         base = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         rpo = pipeline(c, PipelineOptions())
         assert cx_count(rpo) <= cx_count(base)
-
-    def test_equivalence_with_resets(self):
-        rng = random.Random(14)
-        found = 0
-        for _ in range(80):
-            c = random_circuit(rng, 4, 25, allow_reset=True)
-            if not any(i.kind is GateKind.RESET for i in c.instructions):
-                continue
-            found += 1
-            out = pipeline(c)
-            assert equivalent_up_to_global_phase(c, out).equivalent
-        assert found >= 5  # the corpus really exercised the reset path
 
     def test_y_basis_swap_cell_repro(self):
         # The SWAP of (|+i>, |1>) becomes two rotations; the wire that
@@ -1328,27 +1191,10 @@ class TestPipeline:
             assert equivalent_up_to_global_phase(c, out).equivalent
             assert cx_count(out) == 0, opts
 
-    def test_output_is_cleanup_fixpoint(self):
-        from rpoc import gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry
-        rng = random.Random(15)
-        circuits = [gen_bv(4, "1011", "boolean"), gen_qpe(3, 7 / 8),
-                    gen_grover(3, 5, 2),
-                    gen_grover(4, 11, 1, use_ancilla=True, annotate=True),
-                    gen_vqe_ry(4, 2, [0.3 * k for k in range(12)]),
-                    gen_qv_like(4, 4, seed=1)]
-        circuits += [random_circuit(rng, 4, 30) for _ in range(6)]
-        for c in circuits:
-            for cmap in (None, line_coupling(5)):
-                for on_qbo, on_qpo in itertools.product((False, True), repeat=2):
-                    out = pipeline(c, PipelineOptions(
-                        coupling=cmap, enable_qbo=on_qbo, enable_qpo=on_qpo))
-                    again = cancel_adjacent_cx(merge_1q_runs(out))
-                    assert again.instructions == out.instructions, (
-                        emit_program(c), cmap, on_qbo, on_qpo)
-
     def test_pass_outputs_are_canonical(self, monkeypatch):
         # Passes build instructions unchecked; each one must equal its
-        # checked rebuild, with int qubits and float angles, in range.
+        # checked rebuild, with int qubits and float angles, in range.  The
+        # output is also a fixpoint of the merge and the CX cancellation.
         from rpoc import gen_bv, gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry
         from rpoc import passes
 
@@ -1391,6 +1237,9 @@ class TestPipeline:
                         enable_qbo=on[0], enable_qpo=on[1],
                         enable_block_resynth=on[2]))
                     check(out, (emit_program(c), cmap, on))
+                    again = cancel_adjacent_cx(merge_1q_runs(out))
+                    assert again.instructions == out.instructions, (
+                        emit_program(c), cmap, on)
 
     def test_measured_circuit_with_coupling(self):
         c = Circuit(3, 3)
@@ -1409,7 +1258,10 @@ class TestPipeline:
 
     def test_compile_steps_leave_no_cyclic_garbage(self):
         # Each pass is freed by reference counting alone: with the collector
-        # off, a collection after any step finds nothing unreachable.
+        # off, a collection after any step finds nothing unreachable.  What
+        # a step allocates is still in generation 0 when it returns, so one
+        # full collection first and then a generation-0 one per step finds
+        # any cycle, without walking the whole session's heap each time.
         from rpoc import gen_bv, gen_grover, gen_qpe
         circuits = [gen_bv(12, "101101110010", "boolean"), gen_qpe(6, 45 / 64),
                     gen_grover(4, 11, 1, use_ancilla=True, annotate=True)]
@@ -1428,6 +1280,6 @@ class TestPipeline:
             for c in circuits:
                 for step in steps:
                     step(c)
-                    assert gc.collect() == 0, (step, emit_program(c))
+                    assert gc.collect(0) == 0, (step, emit_program(c))
         finally:
             gc.enable()
