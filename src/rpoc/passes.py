@@ -9,6 +9,8 @@ gate never clobbers the states it would have destroyed:
   (through the multi-controlled-X rule), CZ, CCX/MCX, SWAPZ, CSWAP and
   CU3; it drops a single-qubit gate that fixes its wire's known state.
   The CSWAP rule also takes known pure targets off the rays (Fredkin).
+  A controlled-u3 whose target is a tracked eigenstate becomes a u1 on the
+  control (phase kickback).
 - qpo: strength-reduces SWAPs on known pure states, and optionally
   re-synthesizes two-qubit blocks with known inputs into a
   state-preparation circuit of at most one CX.
@@ -24,6 +26,7 @@ numpy is imported lazily, by qpo's block resynthesis and `simulate` below.
 """
 from __future__ import annotations
 
+import cmath
 import random
 from collections import deque
 from typing import NamedTuple
@@ -36,8 +39,8 @@ from .circuit import (Circuit, GateKind, GATES_1Q, Instruction, angles_equal,
 from .synth import (DEFAULT_BASIS, as_u3params, cswap_to_ccx, merge_1q_runs,
                     prepare_two_qubit_state, pure_state_vector,
                     pure_to_pure_gate, pure_to_zero_gate, swapz_to_cx, unroll,
-                    _i, _make_mcx, _merge_runs, _open_control_wrap, _u_gate,
-                    _KEEP_ALWAYS)
+                    _i, _make_mcx, _merge_runs, _open_control_wrap,
+                    _u3_entries, _u_gate, _KEEP_ALWAYS)
 
 _K = GateKind
 
@@ -156,9 +159,20 @@ def _qbo_rule(inst: Instruction, states: list,
         return [] if p.is_identity() else [
             _i(_K.CU3, (cq, t1), p[:3]), _i(_K.CU3, (cq, t2), p.inverse()[:3])]
     if k is _CU3:
-        rc = ray(states[qs[0]])
-        return ([] if rc is _ZERO
-                else [_i(_K.U3, qs[1:], inst.params)] if rc is _ONE else None)
+        rc, s = ray(states[qs[0]]), states[qs[1]]
+        if rc is _ZERO or rc is _ONE:
+            return [] if rc is _ZERO else [_i(_K.U3, qs[1:], inst.params)]
+        if ray(s) is _TOP:
+            return None
+        # A target on a ray that the u3 fixes up to phase: phase kickback,
+        # u1(arg <s|U|s>) on the control (the ray's v0 is real).
+        v0, _, v1, _ = _u3_entries(s[0], s[1], 0.0)
+        u00, u01, u10, u11 = _u3_entries(*inst.params)
+        e = v0 * (u00 * v0 + u01 * v1) + v1.conjugate() * (u10 * v0 + u11 * v1)
+        if abs(abs(e) - 1.0) > 1e-12:
+            return None
+        g = _u_gate(0.0, 0.0, cmath.phase(e))
+        return [] if g is None else [_i(g[0], qs[:1], g[1])]
     return None
 
 
@@ -170,10 +184,12 @@ _ACT_ON_TOP = frozenset({_RESET, _ANNOT, _SWAPZ})
 def qbo(c: Circuit) -> Circuit:
     """Basis-state rewrite pass: one in-order traversal that interleaves
     state tracking with strength reduction of CX/CZ/SWAP/SWAPZ, Toffoli-style
-    multi-controlled gates and controlled swaps (`_qbo_rule`; a controlled
-    swap of two known pure targets becomes two controlled-u3).  A 1q gate
-    that fixes its wire's known state is dropped; SWAPs go through
-    `swap_rule` with the operands' ray states.  CX count never increases.
+    multi-controlled gates, controlled swaps and controlled-u3s
+    (`_qbo_rule`; a controlled swap of two known pure targets becomes two
+    controlled-u3, and a controlled-u3 whose target is a tracked eigenstate
+    becomes a u1 on the control).  A 1q gate that fixes its wire's known
+    state is dropped; SWAPs go through `swap_rule` with the operands' ray
+    states.  CX count never increases.
 
     A gate whose operands are all unknown is kept as it is, with no rule or
     tracker work: every rule needs a known operand, and such a gate leaves

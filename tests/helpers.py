@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from rpoc import Circuit, GateKind, Instruction, equivalent_up_to_global_phase
-from rpoc.analysis import BasisState, basis_of
+from rpoc.analysis import BasisState, Tracker, basis_of
 from rpoc.circuit import angles_equal
 from rpoc.oracle import trace_distance_to_pure
 from rpoc.passes import qbo
@@ -88,6 +88,20 @@ def random_circuit(rng: random.Random, n: int, length: int,
             if not entangled[q]:
                 c.reset(q)
     return c
+
+
+def swap_operand_off_ray(c: Circuit) -> bool:
+    """Whether a SWAP of c has an operand known off the six rays, as a
+    Tracker that rewrites nothing reads it.  qbo's tracking knows at least
+    these states, so such a SWAP is one qbo keeps and only qpo reduces."""
+    tr = Tracker(c.n_qubits)
+    for inst in c.instructions:
+        if inst.kind is GateKind.SWAP and any(
+                tr.states[q] is not None and basis_of(tr.states[q])
+                is BasisState.TOP for q in inst.qubits):
+            return True
+        tr.step(inst)
+    return False
 
 
 # Gates preparing each tracked basis state from |0>.
@@ -397,23 +411,37 @@ def ref_embed(sv: np.ndarray, n_out: int, perm: list[int]) -> np.ndarray:
     return out
 
 
+# Per ray, u3 params (from a random angle a) that leave it fixed up to phase.
+_RAY_EIGEN_U3 = {
+    BasisState.ZERO: lambda a: (0.0, 0.0, a),
+    BasisState.ONE: lambda a: (0.0, a, 1.0),
+    BasisState.PLUS: lambda a: (a, -math.pi / 2, math.pi / 2),
+    BasisState.MINUS: lambda a: (math.pi, 0.0, math.pi),
+    BasisState.PLUS_I: lambda a: (a, 0.0, 0.0),
+    BasisState.MINUS_I: lambda a: (math.pi, math.pi / 2, math.pi / 2),
+}
+
+
 def random_full_circuit(rng: random.Random, n: int, length: int,
                         active: list[int] | None = None,
-                        measure: bool = False) -> Circuit:
+                        measure: bool = False,
+                        kickback: bool = False) -> Circuit:
     """Random circuit over every gate kind, acting only on `active` wires
     (default all): open controls, mcx, cu3, cswap, swapz, barriers, resets
     and annotations (both placed only where they hold, by reference
-    simulation) and, with `measure`, terminal measurement."""
+    simulation) and, with `measure`, terminal measurement.  With
+    `kickback`, also a cu3 whose target, where it is pure, is reset and
+    prepared on a ray that the u3 leaves fixed up to phase."""
     active = list(range(n)) if active is None else active
     c = Circuit(n, n if measure else 0)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     kinds = ["1q", "u", "cx", "cz", "cu3", "swap", "swapz", "ccx", "mcx",
-             "cswap", "barrier", "annot", "reset"]
+             "cswap", "barrier", "annot", "reset"] + ["kickback"] * kickback
     for _ in range(length):
         kind = rng.choice(kinds)
-        need = {"cx": 2, "cz": 2, "cu3": 2, "swap": 2, "swapz": 2, "ccx": 3,
-                "mcx": 3, "cswap": 3}.get(kind, 1)
+        need = {"cx": 2, "cz": 2, "cu3": 2, "kickback": 2, "swap": 2,
+                "swapz": 2, "ccx": 3, "mcx": 3, "cswap": 3}.get(kind, 1)
         if need > len(active):
             continue
         if kind == "mcx":
@@ -433,6 +461,14 @@ def random_full_circuit(rng: random.Random, n: int, length: int,
         elif kind == "cu3":
             inst = Instruction(GateKind.CU3, qs, tuple(rng.uniform(0, TWO_PI)
                                                        for _ in range(3)))
+        elif kind == "kickback":
+            if ref_pure_params(partial_trace_oracle(state, qs[1])) is None:
+                continue
+            ray = rng.choice(list(_RAY_EIGEN_U3))
+            insts = [Instruction(GateKind.RESET, qs[1:]),
+                     *(Instruction(k, qs[1:]) for k in BASIS_PREP[ray]),
+                     Instruction(GateKind.CU3, qs, _RAY_EIGEN_U3[ray](
+                         rng.uniform(0, TWO_PI)))]
         elif kind == "barrier":
             inst = Instruction(GateKind.BARRIER, qs)
         elif kind in ("annot", "reset"):
@@ -443,10 +479,9 @@ def random_full_circuit(rng: random.Random, n: int, length: int,
                     else Instruction(GateKind.RESET, qs))
         else:
             inst = Instruction(GateKind(kind), qs)
-        step = Circuit(n)
-        step.append(inst)
+        step = Circuit(n).extend(insts if kind == "kickback" else [inst])
         state = ref_simulate(step, initial_state=state)
-        c.append(inst)
+        c.extend(step.instructions)
     if measure:
         wires = rng.sample(range(n), rng.randint(1, n))
         for q, b in zip(wires, rng.sample(range(n), len(wires))):
@@ -456,15 +491,17 @@ def random_full_circuit(rng: random.Random, n: int, length: int,
 
 @st.composite
 def random_circuits(draw) -> Circuit:
-    """A circuit of 1 to 6 wires and at most 45 draws, from random_circuit
-    (2 or more wires; resets half the time) or from random_full_circuit
-    (terminal measurement half the time)."""
-    n = draw(st.integers(1, 6))
+    """A circuit of 2 to 6 wires, or seldom one, and at most 45 draws, from
+    random_circuit (resets half the time) or from random_full_circuit
+    (kickback cu3s included; terminal measurement half the time)."""
+    # One wire in 16 draws: there no multi-qubit rule can fire.
+    n = draw(st.sampled_from([1] + [2, 3, 4, 5, 6] * 3))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     length = draw(st.integers(0, 45))
     if n >= 2 and draw(st.booleans()):
         return random_circuit(rng, n, length, allow_reset=draw(st.booleans()))
-    return random_full_circuit(rng, n, length, measure=draw(st.booleans()))
+    return random_full_circuit(rng, n, length, measure=draw(st.booleans()),
+                               kickback=True)
 
 
 def ref_u3params_instruction(p: U3Params, q: int) -> Instruction | None:

@@ -210,6 +210,30 @@ def test_criterion_6_qpe_directional():
         f"(never worse) in {elapsed:.1f}s")
 
 
+def test_criterion_12_qpe3_phase_kickback():
+    # The paper's QPE-3: each controlled phase's target is the prepared
+    # eigenstate |1>, so qbo kicks the phase back onto its counting wire.
+    # For a dyadic theta the counting wires then stay known through the
+    # inverse QFT and qbo removes its CX too.  At theta = 0.3 half the CX
+    # stay: the kickback does not rest on a basis-state output the compiler
+    # can infer.  (rpo CX unrouted, on line4); the baseline's 12 and 36.
+    want = {1 / 8: (0, 0), 5 / 8: (0, 0), 0.3: (6, 12)}
+    for theta, rpo_cx in want.items():
+        c = gen_qpe(3, theta)
+        for cmap, rpo_want, base_want in zip((None, line_coupling(4)), rpo_cx,
+                                             (12, 36)):
+            base = pipeline(c, PipelineOptions(
+                coupling=cmap, enable_qbo=False, enable_qpo=False))
+            rpo = pipeline(c, PipelineOptions(coupling=cmap))
+            assert (cx_count(rpo), cx_count(base)) == (rpo_want, base_want), (
+                theta, cmap)
+            for out in (base, rpo):
+                rep = equivalent_up_to_global_phase(c, out, perm=out.layout)
+                assert rep.equivalent, (theta, cmap, rep.detail)
+    _ok(f"criterion 12: QPE-3 rpo CX (unrouted, line4) {want} against the "
+        f"baseline's (12, 36), each output oracle-verified")
+
+
 def _bench_instances():
     yield gen_bv(4, "1011", "boolean"), "line5"
     yield gen_bv(8, "10110110", "boolean"), None

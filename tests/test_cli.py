@@ -170,12 +170,12 @@ def test_bench_verification_failure_exits_1(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(rpoc.bench, "pipeline", drop_one_cx)
-    assert main(["bench", "--alg", "qpe", "--n", "3", "--reps", "1"]) == 1
+    assert main(["bench", "--alg", "qv_like", "--n", "3", "--reps", "1"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and len(broken) == 1
     assert out.err.startswith(
-        "verification failed: qpe n=3 seed=0 pipeline=rpo: ")
-    src = build_circuit(BenchSpec("qpe", 3))
+        "verification failed: qv_like n=3 seed=0 pipeline=rpo: ")
+    src = build_circuit(BenchSpec("qv_like", 3))
     assert f"--- original ---\n{emit_program(src)}" in out.err
     assert f"--- optimized ---\n{emit_program(broken[0])}" in out.err
 

@@ -43,8 +43,8 @@ from rpoc.oracle import WidthError, equivalent_up_to_global_phase
 
 from helpers import random_circuit
 
-GOLDEN_SHA256 = ("03c9581665a42e5a124b3f535cc25beb"
-                 "1ecf68012c98cae8c1e726d08cdbc25c")
+GOLDEN_SHA256 = ("b1a2881296ee8c03d13d92de7bfcac79"
+                 "fbd10caed1f99a01b06987a02915049c")
 
 SUITE = {
     "bv12": lambda: gen_bv(12, "101101001101"),

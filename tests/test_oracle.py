@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -803,6 +804,28 @@ class TestCXFrame:
         for n in (3, 7):
             c = _cx_run_circuit(rng, n, 200)
             _assert_same(simulate(c), ref_simulate(c), _has_reset(c))
+
+    def test_parity_cache_holds_at_most_its_bound(self, monkeypatch):
+        # The odd-parity indices cached at once cover at most
+        # _ODD_CACHE_AMPS amplitudes (here at least the 2^7 of the state),
+        # read off simulate's cache each time odd_parity returns.
+        bound = 256
+        monkeypatch.setattr(oracle, "_ODD_CACHE_AMPS", bound)
+        held = []
+
+        def watch(frame, event, arg):
+            if event == "return" and frame.f_code.co_name == "odd_parity":
+                odd = frame.f_locals["odd"]
+                held.append(sum(v.size for v in odd.values()))
+
+        c = _cx_run_circuit(random.Random(47), 7, 200)
+        sys.setprofile(watch)
+        try:
+            got = simulate(c)
+        finally:
+            sys.setprofile(None)
+        _assert_same(got, ref_simulate(c), _has_reset(c))
+        assert held and max(held) <= bound
 
     @pytest.mark.parametrize("n", [4, 6, 15])
     def test_gather_at_short_queues(self, monkeypatch, n):

@@ -12,14 +12,14 @@ import pytest
 
 from rpoc import (Circuit, GateKind, PipelineOptions, cancel_adjacent_cx,
                   cx_count, equivalent_up_to_global_phase,
-                  gen_grover, gen_qpe, gen_vqe_ry, line_coupling,
+                  gen_grover, gen_qpe, gen_qv_like, gen_vqe_ry, line_coupling,
                   merge_1q_runs, pipeline, qbo, qpo, route, simulate, unroll)
 
 from rpoc import passes
 from rpoc.circuit import count_gates
-from rpoc.synth import _merge_runs
+from rpoc.synth import DEFAULT_BASIS, _merge_runs
 
-from helpers import ref_simulate, spy_calls
+from helpers import ref_simulate, spy_calls, swap_operand_off_ray
 
 LINE15 = line_coupling(15)
 UNROLLED = {
@@ -134,7 +134,7 @@ PIPELINE_IN = {
 }
 PIPELINE_OUT = {
     ("grover6", "baseline"): (1560, 744), ("grover6", "rpo"): (1560, 744),
-    ("qpe10", "baseline"): (286, 110), ("qpe10", "rpo"): (286, 110),
+    ("qpe10", "baseline"): (286, 110), ("qpe10", "rpo"): (16, 0),
 }
 
 
@@ -147,12 +147,12 @@ def test_pipeline_unrouted(benchmark, circuit, config):
     benchmark(pipeline, c, opts)
 
 
-# pipeline() on line15, where qpo runs on the SWAPs routing leaves (on
-# qpe10; every SWAP operand of grover6 is unknown) and the cleanup pass
-# expands the rest; (gates, CX) out.
+# pipeline() on line15, where the cleanup pass expands the SWAPs routing
+# leaves; (gates, CX) out.  Under rpo qpe10's controlled phases kick back
+# onto the counting wires, which stay known, so qbo removes every CX.
 PIPELINE_ROUTED_OUT = {
     ("grover6", "baseline"): (4365, 3549), ("grover6", "rpo"): (4359, 3539),
-    ("qpe10", "baseline"): (1293, 1100), ("qpe10", "rpo"): (1113, 920),
+    ("qpe10", "baseline"): (1293, 1100), ("qpe10", "rpo"): (16, 0),
 }
 
 
@@ -166,28 +166,34 @@ def test_pipeline_routed(benchmark, circuit, config):
     benchmark(pipeline, c, opts)
 
 
-# The stages after the second qbo: qpo and its merge run only where a SWAP
-# has an operand known off the rays.
+# Each source on line15 with the stages after the second qbo: qpo and its
+# merge run only where a SWAP has an operand known off the rays, as one of
+# qv_like10's does and none of grover6's.
 ROUTED_TAIL = {
-    "grover6": ["_qbo", "_merge_runs+cancel"],
-    "qpe10": ["_qbo", "merge_1q_runs", "qpo", "_merge_runs+cancel"],
+    "grover6": (PIPELINE_IN["grover6"], ["_qbo", "_merge_runs+cancel"]),
+    "qv_like10": (lambda: gen_qv_like(10, 10, 7),
+                  ["_qbo", "merge_1q_runs", "qpo", "_merge_runs+cancel"]),
 }
 
 
-@pytest.mark.parametrize("circuit", list(PIPELINE_IN))
+@pytest.mark.parametrize("circuit", list(ROUTED_TAIL))
 def test_pipeline_routed_runs_one_cleanup_pass(monkeypatch, circuit):
     # No unroll after the second qbo or qpo, and one cleanup pass: nothing
     # it joins fuses to the identity.
+    make, tail = ROUTED_TAIL[circuit]
+    routed = route(unroll(qbo(make()), DEFAULT_BASIS | {
+        GateKind.SWAP, GateKind.SWAPZ}), LINE15)[0]
+    assert swap_operand_off_ray(routed) == ("qpo" in tail)
     calls = spy_calls(monkeypatch, passes,
                       ("_qbo", "unroll", "merge_1q_runs", "qpo"))
     merge = passes._merge_runs
     monkeypatch.setattr(passes, "_merge_runs", lambda cur, cancel=False: (
         calls.append("_merge_runs+cancel" if cancel else "_merge_runs"),
         merge(cur, cancel=cancel))[1])
-    pipeline(PIPELINE_IN[circuit](), PipelineOptions(coupling=LINE15))
+    pipeline(make(), PipelineOptions(coupling=LINE15))
     assert calls.count("_qbo") == 2
     second = calls.index("_qbo", calls.index("_qbo") + 1)
-    assert calls[second:] == ROUTED_TAIL[circuit]
+    assert calls[second:] == tail
 
 
 def test_simulate_routed_grover6(benchmark):

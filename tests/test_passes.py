@@ -18,7 +18,8 @@ from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                         merge_1q_runs, zyz_decompose)
 from helpers import (BASIS_PREP, random_circuit, random_circuits,
-                     random_full_circuit, ref_matrix_1q, spy_calls)
+                     random_full_circuit, ray_vector, ref_matrix_1q,
+                     spy_calls, swap_operand_off_ray)
 
 PI = math.pi
 B = BasisState
@@ -339,6 +340,65 @@ class TestQBO:
         out = qbo(c)
         assert [i.kind for i in out.instructions] == [GateKind.X, GateKind.U3]
         assert equivalent_up_to_global_phase(c, out).equivalent
+
+    # Per target ray, u3 params it is an eigenstate of: diagonal ones (a u1
+    # and a theta-0 u3) on |0>, where the phase is 0, and |1>; X or Y and a
+    # rotation about the ray's axis on the equator.
+    KICKBACK_U3 = {
+        B.ZERO: [(0.0, 0.0, 0.9), (0.0, 0.3, 0.9)],
+        B.ONE: [(0.0, 0.0, 0.9), (0.0, 0.3, 0.9)],
+        B.PLUS: [(PI, 0.0, PI), (0.7, -PI / 2, PI / 2)],
+        B.MINUS: [(PI, 0.0, PI), (0.7, -PI / 2, PI / 2)],
+        B.PLUS_I: [(PI, PI / 2, PI / 2), (0.7, 0.0, 0.0)],
+        B.MINUS_I: [(PI, PI / 2, PI / 2), (0.7, 0.0, 0.0)],
+    }
+    # The control entangled with wire 2 (TOP), or known off the rays.
+    CONTROLS = {"top": "h q[2]; cx q[2],q[0];",
+                "off_ray": "u3(1.1,0.4,0) q[0];"}
+
+    def _cu3(self, control, target_prep, params):
+        return parse_program(f"qreg q[3]; {self.CONTROLS[control]} "
+                             f"{target_prep} cu3({params[0]},{params[1]},"
+                             f"{params[2]}) q[0],q[1];")
+
+    @pytest.mark.parametrize("ray", list(KICKBACK_U3), ids=lambda r: r.name)
+    @pytest.mark.parametrize("control", list(CONTROLS))
+    def test_cu3_target_eigenstate_kicks_back(self, control, ray):
+        # The cu3 becomes u1(arg <s|U|s>) on the control, or nothing when
+        # that phase is 0.
+        target = " ".join(f"{k.value} q[1];" for k in BASIS_PREP[ray])
+        for params in self.KICKBACK_U3[ray]:
+            c = self._cu3(control, target, params)
+            v, u = ray_vector(ray), ref_matrix_1q(GateKind.U3, params)
+            phase = np.angle(np.vdot(v, u @ v))
+            out = qbo(c)
+            prep = c.instructions[:-1]
+            assert out.instructions[:len(prep)] == prep
+            tail = out.instructions[len(prep):]
+            if abs(phase) < 1e-9:
+                assert tail == [], (params, tail)
+            else:
+                assert [(i.kind, i.qubits) for i in tail] == [
+                    (GateKind.U1, (0,))], (params, tail)
+                assert math.isclose(tail[0].params[0] % (2 * PI),
+                                    phase % (2 * PI), abs_tol=1e-9), params
+            assert equivalent_up_to_global_phase(c, out).equivalent, params
+
+    @pytest.mark.parametrize("control", list(CONTROLS))
+    def test_cu3_kept_unless_target_is_a_ray_eigenstate(self, control):
+        # Ray targets the u3 moves, and an eigenstate of the u3 off the rays:
+        # the rule reads rays only, so it stays inside qbo's ablation.
+        u = U3Params(0.7, 0.3, 0.0).matrix()
+        v = zyz_decompose(u @ ref_matrix_1q(GateKind.T) @ u.conj().T)
+        cases = [("h q[1];", (0.0, 0.0, 0.9)), ("", (PI, 0.0, PI)),
+                 ("h q[1]; s q[1];", (0.7, -PI / 2, PI / 2)),
+                 ("x q[1];", (0.3, 0.0, 0.0)),
+                 ("u3(0.7,0.3,0) q[1];", (v.theta, v.phi, v.lam))]
+        for target_prep, params in cases:
+            c = self._cu3(control, target_prep, params)
+            out = qbo(c)
+            assert out.instructions[-1].kind is GateKind.CU3, target_prep
+            assert equivalent_up_to_global_phase(c, out).equivalent
 
     def test_barrier_is_a_fence(self):
         c = Circuit(2)
@@ -908,6 +968,10 @@ class TestPipeline:
     # only qpo reduces it.
     OFF_RAY_SRC = ("qreg q[4]; h q[0]; cx q[0],q[1]; swap q[1],q[2];"
                    " u3(0.3,0.2,0.1) q[3]; swap q[2],q[3]; cx q[3],q[0];")
+    # On line3, routing moves wire 0, known off the rays, past the entangled
+    # wire 1 with a SWAP.
+    ROUTED_OFF_RAY_SRC = ("qreg q[3]; h q[1]; cx q[1],q[2];"
+                          " u3(0.3,0.2,0.1) q[0]; cx q[0],q[2];")
 
     def _stages(self, monkeypatch, c, **opts) -> list[str]:
         calls = spy_calls(monkeypatch, passes, self.STAGES)
@@ -927,9 +991,11 @@ class TestPipeline:
         # The cleanup pass expands the SWAP/SWAPZ qpo leaves; no unroll
         # runs after the second qbo or after qpo.  qpo and its merge run
         # only when a SWAP left has an operand known off the rays.
-        from rpoc import gen_qpe
-        calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
-                             coupling=line_coupling(5))
+        c = parse_program(self.ROUTED_OFF_RAY_SRC)
+        swap_basis = DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ}
+        assert swap_operand_off_ray(route(
+            unroll(qbo(c), swap_basis), line_coupling(3))[0])
+        calls = self._stages(monkeypatch, c, coupling=line_coupling(3))
         assert calls == ["_qbo", "unroll", "route", "_qbo", "merge_1q_runs",
                          "qpo", "_merge_runs+cancel"]
         calls = self._stages(monkeypatch, parse_program(self.OFF_RAY_SRC))
@@ -939,7 +1005,6 @@ class TestPipeline:
         calls = self._stages(monkeypatch, c)
         assert calls == ["_qbo", "unroll", "_qbo", "_merge_runs+cancel"]
         # The SWAPZ is still there for the cleanup to expand.
-        swap_basis = DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ}
         left = qbo(unroll(qbo(c), swap_basis))
         assert GateKind.SWAPZ in {i.kind for i in left.instructions}
         # Without qbo, any SWAP left runs them.
