@@ -533,9 +533,8 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
     SWAPs); 1q-run merging and the pure-state pass; then the cleanup,
     `_merge_runs(cur, cancel=True)`: one pass that expands the SWAP/SWAPZ
     left, merges 1q runs, cancels CX pairs and merges the runs a cancelled
-    pair joins.  It runs again only after a joined run fused to the
-    identity, which can make two CX adjacent; each pass after the first
-    removes gates, so the loop ends.  The second basis-state pass is not
+    pair joins, dropping those that fuse to the identity; nothing more
+    merges or cancels in its output.  The second basis-state pass is not
     unrolled: on unrolled input it emits only basis kinds, SWAP/SWAPZ, X
     and Z, and the merges fuse a named 1q gate to the u-gate unroll would.
 
@@ -547,7 +546,9 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
       or SWAPZ is left.  The cleanup gives the same output on merged and
       unmerged input.
     The cleanup cannot change a tracked state, so qbo (at most twice) and
-    qpo (once) are not re-run.  Deterministic for fixed (circuit, options)."""
+    qpo (once) are not re-run.  The output's layout says where the source's
+    own wires end up: a source that has a layout keeps it, composed with
+    the routing's.  Deterministic for fixed (circuit, options)."""
     opts = opts or PipelineOptions()
     # SWAP/SWAPZ stay compound until after the pure-state pass, which is the
     # only consumer that can strength-reduce them; the cleanup expands the
@@ -567,9 +568,9 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
                 inst.kind for inst in cur.instructions})):
         cur = qpo(merge_1q_runs(cur), resynth_blocks=opts.enable_block_resynth)
 
-    more = True
-    while more:
-        cur, more = _merge_runs(cur, cancel=True)
-
+    cur = _merge_runs(cur, cancel=True)
+    if c.layout is not None:  # where the source's own wires end up
+        layout = (list(c.layout) if layout is None
+                  else [layout[w] for w in c.layout])
     cur.layout = layout
     return cur

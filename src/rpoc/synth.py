@@ -3,9 +3,9 @@
 Covers ZYZ re-synthesis of 2x2 unitaries, u3 composition, unrolling of
 compound gates into a {u1,u2,u3,id,cx} basis (an MCX with k >= 3 controls
 as a Gray-code phase polynomial of 2^(k+1)-2 CX), adjacent-gate cleanup
-(one pass merges 1q runs, and can expand SWAPs and cancel CX pairs), and
-two-qubit state preparation from known product inputs.  One rule picks
-every u-gate.
+(one pass merges 1q runs, and can expand SWAPs and cancel CX pairs until
+nothing more merges or cancels), and two-qubit state preparation from known
+product inputs.  One rule picks every u-gate.
 
 The 1q algebra is closed-form over the four entries of a 2x2 matrix: no numpy
 or BLAS runs on the compile path outside --blocks.  The helpers that take or
@@ -444,26 +444,28 @@ def _emitted(run: list, q: int, fused: dict) -> Instruction | None:
     return None if g is None else _i(g[0], (q,), g[1])
 
 
-def _merge_runs(c: Circuit, cancel: bool = False) -> tuple[Circuit, bool]:
-    """`merge_1q_runs(c)`, and whether it dropped a run.  With `cancel`,
-    R = merge_1q_runs(cancel_adjacent_cx(merge_1q_runs(x))), x being c with
-    each SWAP/SWAPZ expanded (each distinct one once), and whether another
-    pass is needed.  Each gate the merge emits goes straight through
-    cancel_adjacent_cx's bookkeeping.  A 1q gate a cancelled pair exposes is
-    re-opened, with the first-merge gates it was fused from, as the start of
-    its wire's next run.  A run so joined that fuses to the identity is left
-    in place, as dropping it can make two CX adjacent: the result merges to
-    R, and another pass is due."""
+def _merge_runs(c: Circuit, cancel: bool = False) -> Circuit:
+    """`merge_1q_runs(c)`.  With `cancel`, pipeline()'s cleanup: c with each
+    SWAP/SWAPZ expanded (each distinct one once), its 1q runs merged and its
+    adjacent CX pairs cancelled, in one pass whose output neither
+    merge_1q_runs nor cancel_adjacent_cx changes.  Each gate the merge emits
+    goes straight through cancel_adjacent_cx's bookkeeping.  A 1q gate a
+    cancelled pair exposes is re-opened, with the first-merge gates it was
+    fused from, as the start of its wire's next run, and its wire's top
+    moves down beneath it.  A run so joined that fuses to the identity is
+    dropped like any other, and a CX pair it kept apart cancels when the
+    second CX arrives."""
     n = c.n_qubits
     out: list[Instruction | None] = []
     # Per wire: a gate or a list; a re-opened run's list starts with a list.
     runs: list = [None] * n
     fused, swaps = {}, {}  # run -> `_fuse`; SWAP/SWAPZ -> (first CX, the rest)
-    top, below = [-1] * n, {}  # as in cancel_adjacent_cx
-    # Index in `out` of a re-opened run's last gate -> (its first-merge
-    # gates, index of its first gate, below the last if left in place).
-    parts: dict[int, tuple[list, int]] = {}
-    dropped = cancelled = False
+    # As in cancel_adjacent_cx, and each emitted 1q gate -> its wire's top
+    # before it.
+    top, below = [-1] * n, {}
+    # Index in `out` of a re-opened run's gate -> its first-merge gates.
+    parts: dict[int, list] = {}
+    cancelled = False
     # A barrier on every wire flushes the runs still open at the end, in
     # wire order; it is popped after.
     it = base = iter(c.instructions + [_i(GateKind.BARRIER, tuple(range(n)))])
@@ -497,24 +499,18 @@ def _merge_runs(c: Circuit, cancel: bool = False) -> tuple[Circuit, bool]:
                     continue
                 runs[q] = None
                 if type(run) is not list:
-                    if _is_canonical_u(run):
-                        top[q] = len(out)
-                        out.append(run)
-                        continue
-                    run = [run]
-                elif type(run[0]) is list:  # fused as the second merge does
+                    g = (run if _is_canonical_u(run)
+                         else _emitted([run], q, fused))
+                elif type(run[0]) is list:  # fused as a second merge would
                     h = run[0]
                     if len(run) > 1 and (g := _emitted(run[1:], q, fused)):
                         h.append(g)
-                    g, first = _emitted(h, q, fused), len(out)
-                    out += h if g is None else [g]
-                    top[q] = len(out) - 1
-                    parts[top[q]] = h, first
-                    continue
-                g = _emitted(run, q, fused)
-                if g is None:
-                    dropped = True
+                    if g := _emitted(h, q, fused):
+                        parts[len(out)] = h
                 else:
+                    g = _emitted(run, q, fused)
+                if g is not None:
+                    below[len(out)] = top[q]
                     top[q] = len(out)
                     out.append(g)
             if cancel:
@@ -527,9 +523,9 @@ def _merge_runs(c: Circuit, cancel: bool = False) -> tuple[Circuit, bool]:
                         cancelled = True
                         for q in qs:  # re-open a 1q gate the pair exposed
                             if (t := top[q]) >= 0 and out[t].kind in GATES_1Q:
-                                h, first = parts.pop(t, None) or ([out[t]], t)
-                                out[first:t + 1] = [None] * (t + 1 - first)
-                                runs[q] = [h]
+                                runs[q] = [parts.pop(t, None) or [out[t]]]
+                                out[t] = None
+                                top[q] = below.pop(t)
                         if rest:  # the SWAP's other CX, through the loop
                             it = chain(rest, base)
                             break
@@ -548,8 +544,7 @@ def _merge_runs(c: Circuit, cancel: bool = False) -> tuple[Circuit, bool]:
     out.pop()
     if cancelled:
         out = list(filter(None, out))  # Instructions are non-empty tuples
-    return c.replace(out), (any(t > i for t, (_, i) in parts.items())
-                            if cancel else dropped)
+    return c.replace(out)
 
 
 def merge_1q_runs(c: Circuit) -> Circuit:
@@ -564,8 +559,9 @@ def merge_1q_runs(c: Circuit) -> Circuit:
     params) sequence to the fused gate's, which each repeat rebuilds on its
     own wire.  The fused gate is a pure function of that sequence, so
     repeats come out identical; merged input comes back unchanged.  The
-    pass behind it, `_merge_runs`, is with `cancel` pipeline()'s cleanup."""
-    return _merge_runs(c)[0]
+    pass behind it, `_merge_runs`, is with `cancel` pipeline()'s cleanup:
+    one pass whose output nothing more merges or cancels."""
+    return _merge_runs(c)
 
 
 def cancel_adjacent_cx(c: Circuit) -> Circuit:

@@ -8,7 +8,8 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from rpoc import Circuit, GateKind, Instruction, equivalent_up_to_global_phase
+from rpoc import (Circuit, GateKind, Instruction,
+                  equivalent_up_to_global_phase, parse_program)
 from rpoc.analysis import BasisState, Tracker, basis_of
 from rpoc.circuit import angles_equal
 from rpoc.oracle import trace_distance_to_pure
@@ -102,6 +103,38 @@ def swap_operand_off_ray(c: Circuit) -> bool:
             return True
         tr.step(inst)
     return False
+
+
+def nested_cx_pairs() -> Circuit:
+    """60 CX pairs nested around u3(a_k), u3(-a_k) pairs on the control."""
+    angles = [0.1 + 0.01 * k for k in range(60)]
+    c = Circuit(2)
+    for a in angles:
+        c.cx(0, 1)
+        c.u3(a, 0, 0, 0)
+    for a in reversed(angles):
+        c.u3(-a, 0, 0, 0)
+        c.cx(0, 1)
+    return c
+
+
+# Cleanup inputs where a cancelled CX pair joins a 1q run that fuses to the
+# identity, and the CX around that run cancel only once it is dropped; a
+# SWAP, a SWAPZ or a run re-opened twice supplies the pairs in turn.  The
+# last one's joined run fuses to the identity only until a t joins it.
+JOINED_IDENTITY_RUNS = [parse_program("qreg q[3]; " + body) for body in (
+    "cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1]; h q[1]; cx q[0],q[1];",
+    "swap q[0],q[1]; h q[1]; cx q[2],q[1]; cx q[2],q[1]; h q[1];"
+    " cx q[0],q[1];",
+    "cx q[0],q[1]; t q[1]; swap q[0],q[1]; swap q[0],q[1]; tdg q[1];"
+    " cx q[0],q[1];",
+    "cx q[2],q[0]; x q[0]; swapz q[1],q[0]; cx q[0],q[1]; cx q[1],q[0];"
+    " x q[0]; cx q[2],q[0];",
+    "cx q[0],q[1]; h q[1]; cx q[2],q[1]; cx q[2],q[1]; h q[1];"
+    " cx q[2],q[1]; cx q[2],q[1]; cx q[0],q[1];",
+    "cx q[0],q[1]; h q[1]; cx q[2],q[1]; cx q[2],q[1]; h q[1];"
+    " cx q[2],q[1]; cx q[2],q[1]; t q[1]; cx q[0],q[1];",
+)]
 
 
 # Gates preparing each tracked basis state from |0>.

@@ -308,6 +308,20 @@ def test_verify_two_routed_files_through_both_layouts(files, capsys):
     assert "do not fit" in capsys.readouterr().err
 
 
+def test_reoptimized_routed_output_keeps_the_source_layout(files, capsys):
+    # Optimized again, unrouted or on line5, a routed output still says
+    # where the source's wires are, so it verifies against both files.
+    src = files("src.qasm", "qreg q[3]; h q[0]; cx q[0],q[2];"
+                " u3(0.3,0.2,0.1) q[1];\n")
+    r1, r2, r3 = (files(f"r{i}.qasm", "") for i in (1, 2, 3))
+    assert main(["optimize", src, "--coupling", "line5", "-o", r1]) == 0
+    assert main(["optimize", r1, "-o", r2]) == 0
+    assert main(["optimize", r1, "--coupling", "line5", "-o", r3]) == 0
+    for a, b in ((r1, r2), (src, r2), (r1, r3), (src, r3)):
+        assert main(["verify", a, b]) == 0, (a, b)
+    assert capsys.readouterr().out.count("NOT") == 0
+
+
 # MCX, SWAP, CSWAP and open controls on 6 wires; the routed variant spreads
 # the same gates over the 15 wires of line15, so the router inserts SWAPs.
 _MIXED = """qreg q[{n}];

@@ -113,11 +113,10 @@ def test_cancel_adjacent_cx_routed_grover6(benchmark):
 def test_merge_and_cancel_routed_grover6(benchmark):
     # pipeline()'s cleanup pass on routed grover6, its 959 SWAPs expanded in
     # the pass: the merge takes 4,617 gates to 4,437 and the cancellation
-    # 3,621 CX to 3,549.  No run the pairs join fuses further, so one pass is
-    # the fixpoint.
+    # 3,621 CX to 3,549.
     c = PASS_IN["routed_grover6"]()
-    out, more = _merge_runs(c, cancel=True)
-    assert not more and cx_count(out) == 3549 and len(out) == 4365
+    out = _merge_runs(c, cancel=True)
+    assert cx_count(out) == 3549 and len(out) == 4365
     assert out.instructions == merge_1q_runs(cancel_adjacent_cx(
         merge_1q_runs(unroll(c)))).instructions
     benchmark(_merge_runs, c, cancel=True)
@@ -178,8 +177,7 @@ ROUTED_TAIL = {
 
 @pytest.mark.parametrize("circuit", list(ROUTED_TAIL))
 def test_pipeline_routed_runs_one_cleanup_pass(monkeypatch, circuit):
-    # No unroll after the second qbo or qpo, and one cleanup pass: nothing
-    # it joins fuses to the identity.
+    # No unroll after the second qbo or qpo, and one cleanup pass.
     make, tail = ROUTED_TAIL[circuit]
     routed = route(unroll(qbo(make()), DEFAULT_BASIS | {
         GateKind.SWAP, GateKind.SWAPZ}), LINE15)[0]

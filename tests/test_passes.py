@@ -17,9 +17,10 @@ from rpoc.analysis import BasisState
 from rpoc.passes import resolve_coupling
 from rpoc.synth import (DEFAULT_BASIS, U3Params, cancel_adjacent_cx,
                         merge_1q_runs, zyz_decompose)
-from helpers import (BASIS_PREP, random_circuit, random_circuits,
-                     random_full_circuit, ray_vector, ref_matrix_1q,
-                     spy_calls, swap_operand_off_ray)
+from helpers import (BASIS_PREP, JOINED_IDENTITY_RUNS, nested_cx_pairs,
+                     random_circuit, random_circuits, random_full_circuit,
+                     ray_vector, ref_matrix_1q, spy_calls,
+                     swap_operand_off_ray)
 
 PI = math.pi
 B = BasisState
@@ -27,19 +28,6 @@ B = BasisState
 
 def _cx(c):
     return cx_count(unroll(c))
-
-
-def _nested_cx_pairs() -> Circuit:
-    """60 CX pairs nested around u3(a_k), u3(-a_k) pairs on the control."""
-    angles = [0.1 + 0.01 * k for k in range(60)]
-    c = Circuit(2)
-    for a in angles:
-        c.cx(0, 1)
-        c.u3(a, 0, 0, 0)
-    for a in reversed(angles):
-        c.u3(-a, 0, 0, 0)
-        c.cx(0, 1)
-    return c
 
 
 # qpo's rotations split the SWAP pair that the baseline's adjacent-CX
@@ -478,22 +466,15 @@ class TestQBO:
             assert equivalent_up_to_global_phase(c, out).equivalent, case
             assert cx_count(unroll(out)) == 0, case
 
-    def test_idempotent_on_fixpoints(self):
-        rng = random.Random(77)
-        for _ in range(20):
-            c = random_circuit(rng, 4, 20)
-            once = qbo(c)
-            twice = qbo(once)
-            assert cx_count(unroll(twice)) <= cx_count(unroll(once))
-            assert equivalent_up_to_global_phase(once, twice).equivalent
-
 
 class TestRewritePassesAddNoCX:
     """qbo, qpo and qpo with block resynthesis each return a circuit that is
     oracle-equivalent to their input and has no more CX once unrolled, on
     `helpers.random_circuits` as drawn, unrolled to the basis with SWAP and
     SWAPZ kept (the form the pipeline passes on), or so unrolled and routed
-    on line6.  This is the one check of per-pass CX monotonicity."""
+    on line6.  This is the one check of per-pass CX monotonicity, and the
+    one of `route` alone: each two-qubit gate on a map edge, and the routed
+    circuit equivalent through its layout."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(c=random_circuits(), form=st.sampled_from(["raw", "unrolled",
@@ -503,7 +484,13 @@ class TestRewritePassesAddNoCX:
         if form != "raw":
             c = unroll(c, DEFAULT_BASIS | {GateKind.SWAP, GateKind.SWAPZ})
         if form == "routed":
-            c, _ = route(c, line_coupling(6), seed)
+            line6 = line_coupling(6)
+            c, layout = route(unrouted := c, line6, seed)
+            assert all(line6.adjacent(*i.qubits) for i in c.instructions
+                       if len(i.qubits) == 2
+                       and i.kind is not GateKind.BARRIER)
+            assert equivalent_up_to_global_phase(unrouted, c,
+                                                 perm=layout).equivalent
         before = cx_count(unroll(c))
         for rewrite in (qbo, qpo, functools.partial(qpo, resynth_blocks=True)):
             out = rewrite(c)
@@ -861,19 +848,6 @@ class TestRoute:
         assert routed.instructions == c.instructions
         assert layout == [0, 1]
 
-    def test_all_gates_on_edges(self):
-        rng = random.Random(5)
-        cmap = line_coupling(5)
-        for seed in range(10):
-            c = random_circuit(rng, 5, 40)
-            c = unroll(c)
-            routed, layout = route(c, cmap, seed=seed)
-            for inst in routed.instructions:
-                if len(inst.qubits) == 2:
-                    assert cmap.adjacent(*inst.qubits)
-            assert equivalent_up_to_global_phase(c, routed,
-                                                 perm=layout).equivalent
-
     def test_random_layout_mode(self):
         c = Circuit(3)
         c.x(0)
@@ -910,13 +884,6 @@ class TestRoute:
     def test_width_overflow(self):
         with pytest.raises(ValueError):
             route(Circuit(4), line_coupling(3), seed=0)
-
-    def test_deterministic(self):
-        rng = random.Random(6)
-        c = unroll(random_circuit(rng, 5, 30))
-        a, la = route(c, grid_coupling(2, 3), seed=9)
-        b, lb = route(c, grid_coupling(2, 3), seed=9)
-        assert a == b and la == lb
 
     def test_reused_map_routes_like_a_fresh_one(self):
         # A map caches the next-hop tables its shortest paths read; a warm
@@ -1061,48 +1028,38 @@ class TestPipeline:
             unrolled = unroll(out, swap_basis)
             assert (emit_program(merge_1q_runs(out))
                     == emit_program(merge_1q_runs(unrolled)))
-            (a, more_a), (b, more_b) = (synth._merge_runs(x, cancel=True)
-                                        for x in (out, unrolled))
-            assert emit_program(a) == emit_program(b) and more_a is more_b
+            a, b = (synth._merge_runs(x, cancel=True) for x in (out, unrolled))
+            assert emit_program(a) == emit_program(b)
         assert named >= 20
 
-    @pytest.mark.parametrize("body,rounds", [
+    @pytest.mark.parametrize("body", [
         # The merge drops the h-h run, so the cancellation removes both CX
         # pairs; the t gates the pairs join fuse to a gate, not the
-        # identity, so one pass is the fixpoint.
-        ("h q[0]; cx q[0],q[1]; cx q[0],q[1]; t q[1]; cx q[1],q[0]; h q[0];"
-         " h q[0]; cx q[1],q[0]; t q[1];", 1),
+        # identity.
+        "h q[0]; cx q[0],q[1]; cx q[0],q[1]; t q[1]; cx q[1],q[0]; h q[0];"
+        " h q[0]; cx q[1],q[0]; t q[1];",
         # The cancellation joins an h-h run that fuses to the identity: the
-        # pass leaves it in place and asks for another, which drops it and
-        # cancels the CX pair around it.
-        ("cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1]; h q[1];"
-         " cx q[0],q[1];", 2),
+        # pass drops it, and the CX pair around it cancels when its second
+        # CX arrives.
+        "cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1]; h q[1];"
+        " cx q[0],q[1];",
     ], ids=["one_round", "two_rounds"])
-    def test_cleanup_cancels_again_only_after_a_drop(self, monkeypatch, body,
-                                                     rounds):
+    def test_cleanup_cancels_again_only_after_a_drop(self, monkeypatch, body):
         c = parse_program("qreg q[2]; " + body)
         calls = self._stages(monkeypatch, c, enable_qbo=False,
                              enable_qpo=False)
-        # Every pass merges, cancels and merges the joined runs; a pass
-        # runs again only after one left a joined run in place.
-        assert calls == ["unroll", *["_merge_runs+cancel"] * rounds]
+        assert calls == ["unroll", "_merge_runs+cancel"]
         out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         assert cx_count(out) == 0
-        first, more = synth._merge_runs(unroll(c), cancel=True)
-        assert more is (rounds == 2)
-        assert cx_count(first) == 2 * (rounds - 1)
 
     def test_cleanup_calls_no_cancel_adjacent_cx(self, monkeypatch):
-        # The cleanup cancels only in _merge_runs, on every path: one round,
-        # two rounds, routed, with blocks.
+        # The cleanup cancels only in _merge_runs, on every path: a joined
+        # identity run, routed, with blocks.
         from rpoc import gen_qpe
         assert not hasattr(passes, "cancel_adjacent_cx")
         calls = spy_calls(monkeypatch, synth, ("cancel_adjacent_cx",))
-        two_rounds = parse_program(
-            "qreg q[2]; cx q[0],q[1]; h q[1]; cx q[0],q[1]; cx q[0],q[1];"
-            " h q[1]; cx q[0],q[1];")
-        for c in (two_rounds, _nested_cx_pairs(), gen_qpe(4, 5 / 16),
-                  parse_program(self.SWAP_SRC)):
+        for c in (JOINED_IDENTITY_RUNS[0], nested_cx_pairs(),
+                  gen_qpe(4, 5 / 16), parse_program(self.SWAP_SRC)):
             for opts in (dict(enable_qbo=False, enable_qpo=False), dict(),
                          dict(coupling=line_coupling(5)),
                          dict(enable_block_resynth=True)):
@@ -1172,9 +1129,7 @@ class TestPipeline:
                 skipped_with_swaps += bool(
                     {GateKind.SWAP, GateKind.SWAPZ}
                     & {i.kind for i in cur.instructions})
-            more = True
-            while more:
-                full, more = synth._merge_runs(full, cancel=True)
+            full = synth._merge_runs(full, cancel=True)
             full.layout = layout
             out = pipeline(c, PipelineOptions(coupling=cmap, seed=seed,
                                               random_layout=random_layout))
@@ -1200,7 +1155,7 @@ class TestPipeline:
         lambda: parse_program(SPLIT_SWAP_PAIR),  # baseline 2 CX, rpo 4
         # qbo drops the outermost first CX, then keeps its partner once the
         # control is off-ray: baseline 0 CX, rpo 1.
-        _nested_cx_pairs,
+        nested_cx_pairs,
     ], ids=["split-swap-pair", "nested-pairs"])
     def test_never_worse_known_violation(self, make):
         c = make()
@@ -1236,9 +1191,10 @@ class TestPipeline:
             assert cx_count(rpo) <= cx_count(qpo_only), coupling
 
     def test_cleanup_cancels_nested_pairs(self):
-        # Each cleanup round merges the innermost u3(a_k), u3(-a_k) pair away
-        # and exposes one more adjacent CX pair: 60 rounds to empty.
-        c = _nested_cx_pairs()
+        # Each merge of an innermost u3(a_k), u3(-a_k) pair to the identity
+        # makes one more CX pair adjacent: the cleanup cancels all 60 in its
+        # one pass.
+        c = nested_cx_pairs()
         out = pipeline(c, PipelineOptions(enable_qbo=False, enable_qpo=False))
         assert equivalent_up_to_global_phase(c, out).equivalent
         assert cx_count(out) == 0
@@ -1277,12 +1233,11 @@ class TestPipeline:
 
             def run(*args, **kwargs):
                 res = fn(*args, **kwargs)
-                check(res[0] if name in ("_qbo", "route", "_merge_runs")
-                      else res, name)
+                check(res[0] if name in ("_qbo", "route") else res, name)
                 return res
             return run
 
-        # _qbo is both qbo calls, and _merge_runs every cleanup round.
+        # _qbo is both qbo calls, and _merge_runs the cleanup.
         for name in ("_qbo", "qpo", "route", "unroll", "merge_1q_runs",
                      "_merge_runs"):
             monkeypatch.setattr(passes, name, checked(name))

@@ -4,19 +4,22 @@ Each example compiles one `helpers.random_circuits` source (every gate kind,
 open controls, annotations, resets, measured or not, up to 6 wires) under
 the baseline, the optimizing pipeline or the optimizing pipeline with block
 resynthesis, unrouted or on a random connected map of at most 6 nodes, half
-the time from a random layout.  The profile is derandomized, so a run is
-reproducible and a failure shrinks to the same case every time.  This is
-the one place these output properties are checked on random circuits; a
-new property or input class goes here, not into a new seeded loop.
+the time from a random layout, and compiles its output again, unrouted or
+on another map.  Explicit examples add the cleanup inputs of
+`helpers.JOINED_IDENTITY_RUNS` and `nested_cx_pairs`.  The profile is
+derandomized, so a run is reproducible and a failure shrinks to the same
+case every time.  This is the one place these output properties are checked
+on random circuits; a new property or input class goes here, not into a new
+seeded loop.
 """
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rpoc import (CouplingMap, GateKind, PipelineOptions, depth, emit_program,
                   parse_program, pipeline)
 from rpoc.oracle import equivalent_up_to_global_phase
 from rpoc.synth import DEFAULT_BASIS, cancel_adjacent_cx, merge_1q_runs
 
-from helpers import random_circuits
+from helpers import JOINED_IDENTITY_RUNS, nested_cx_pairs, random_circuits
 
 # In the order Hypothesis favours: rpo, which most rules act in, first.
 CONFIGS = {
@@ -42,20 +45,33 @@ def coupling_maps(draw, n: int) -> CouplingMap:
 
 @st.composite
 def jobs(draw):
-    """(source circuit, PipelineOptions) of one compilation."""
+    """(source circuit, PipelineOptions) of one compilation, and the map
+    its output is compiled again on, or None to compile it unrouted."""
     src = draw(random_circuits())
     cmap = draw(st.none() | coupling_maps(src.n_qubits))
     opts = PipelineOptions(
         coupling=cmap, seed=draw(st.integers(0, 2 ** 16)),
         random_layout=cmap is not None and draw(st.booleans()),
         **CONFIGS[draw(st.sampled_from(list(CONFIGS)))])
-    return src, opts
+    width = src.n_qubits if cmap is None else cmap.n_physical
+    return src, opts, draw(st.none() | coupling_maps(width))
+
+
+def cleanup_examples(test):
+    """Also run the baseline, whose cleanup meets its input with no rewrite
+    in front, where a cancelled CX pair joins a 1q run that fuses to the
+    identity and the CX around that run must cancel too."""
+    for src in (*JOINED_IDENTITY_RUNS, nested_cx_pairs()):
+        test = example((src, PipelineOptions(**CONFIGS["baseline"]), None))(
+            test)
+    return test
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(jobs())
+@cleanup_examples
 def test_pipeline_properties(job):
-    src, opts = job
+    src, opts, again_on = job
     out = pipeline(src, opts)
     text = emit_program(out)
     # The output acts as the source does, through its layout.
@@ -85,3 +101,8 @@ def test_pipeline_properties(job):
         assert all(0 <= p < opts.coupling.n_physical for p in layout)
         assert all(opts.coupling.adjacent(*i.qubits) for i in out.instructions
                    if len(i.qubits) == 2 and i.kind is not GateKind.BARRIER)
+    # Compiled again, unrouted or routed, the output still holds the
+    # source's wires where its layout says.
+    again = pipeline(out, opts._replace(coupling=again_on))
+    assert equivalent_up_to_global_phase(src, again,
+                                         perm=again.layout).equivalent
