@@ -113,10 +113,6 @@ class Tracker:
     def __init__(self, n_qubits: int):
         self.states: list[tuple[float, float] | None] = [GROUND] * n_qubits
 
-    def set_top(self, qubits) -> None:
-        for q in qubits:
-            self.states[q] = None
-
     def swap(self, a: int, b: int) -> None:
         self.states[a], self.states[b] = self.states[b], self.states[a]
 
@@ -139,4 +135,5 @@ class Tracker:
                 k is _SWAPZ and is_zero(self.states[inst.qubits[1]])):
             self.swap(*inst.qubits)
         else:
-            self.set_top(inst.qubits)
+            for q in inst.qubits:
+                self.states[q] = None

@@ -1,8 +1,8 @@
 """State-tracking rewrite passes, qubit routing, and the pass pipeline.
 
-Both rewrite passes run one pure-state `Tracker` (analysis.py) and
-interleave it with rewriting in a single in-order traversal, so a removed
-gate never clobbers the states it would have destroyed:
+Both rewrite passes are one in-order traversal (`_qbo`) that runs a
+pure-state `Tracker` (analysis.py) and interleaves it with rewriting, so a
+removed gate never clobbers the states it would have destroyed:
 
 - qbo: reads each wire's state as one of the six basis rays or TOP
   (`basis_of`) and applies `_qbo_rule`, one rule per gate kind, to CX
@@ -11,9 +11,9 @@ gate never clobbers the states it would have destroyed:
   The CSWAP rule also takes known pure targets off the rays (Fredkin).
   A controlled-u3 whose target is a tracked eigenstate becomes a u1 on the
   control (phase kickback).
-- qpo: strength-reduces SWAPs on known pure states, and optionally
-  re-synthesizes two-qubit blocks with known inputs into a
-  state-preparation circuit of at most one CX.
+- qpo: the traversal with those rules off.  It strength-reduces SWAPs on
+  known pure states, and optionally re-synthesizes two-qubit blocks with
+  known inputs into a state-preparation circuit of at most one CX.
 
 Both passes reduce SWAPs with the one `swap_rule`; qbo passes it only the
 states that lie on a ray.  Rewrites change the circuit's unitary but
@@ -22,7 +22,7 @@ SWAP both passes exchange the two states tracked before it, whatever the
 rule emits.  Every rule is covered by a brute-force equivalence test over
 all input classes; nothing here is trusted without the oracle's sign-off.
 
-numpy is imported lazily, by qpo's block resynthesis and `simulate` below.
+numpy is imported lazily, by block resynthesis and `simulate` below.
 """
 from __future__ import annotations
 
@@ -196,16 +196,23 @@ def qbo(c: Circuit) -> Circuit:
     its operands unknown.  Open-control gates, SWAPZ, RESET and ANNOT are
     the exceptions and always take the full path.  Each distinct state is
     snapped to its ray, and each distinct SWAP operand pair given its
-    rotations, once per call."""
+    rotations, once per call.  qpo is the same traversal (`_qbo`) with
+    these rules off."""
     return _qbo(c)[0]
 
 
-def _qbo(c: Circuit) -> tuple[Circuit, bool]:
-    """`qbo(c)`, and whether a SWAP it met had an operand known off the
-    rays, which only qpo's rule can use.  Without block resynthesis qpo
-    rewrites nothing else in qbo's output: every other SWAP left there has
-    two unknown operands, and every SWAPZ an unknown one and one rotated
-    to |0>, which qpo's rule gives back as it is."""
+def _qbo(c: Circuit, rules: bool = True,
+         blocks: bool = False) -> tuple[Circuit, bool]:
+    """The rewrite traversal of both passes: `qbo(c)`, and whether a SWAP it
+    met had an operand known off the rays, which only qpo's rule can use.
+    Without block resynthesis qpo rewrites nothing else in qbo's output:
+    every other SWAP left there has two unknown operands, and every SWAPZ
+    an unknown one and one rotated to |0>, which qpo's rule gives back as
+    it is.
+
+    With `rules` off it is qpo: no `_qbo_rule`, no 1q drop, and
+    `swap_rule` gets every tracked state.  With `blocks` on, a CX, CZ, SWAP
+    or SWAPZ may open a re-synthesized block (`_resynth_block`)."""
     out: list[Instruction] = []
     tr = Tracker(c.n_qubits)
     states = tr.states
@@ -219,7 +226,8 @@ def _qbo(c: Circuit) -> tuple[Circuit, bool]:
             s = states[qs[0]]
             if s is not None:
                 new = pure_transition(s, as_u3params(inst))
-                if angles_equal(new[0], s[0]) and angles_equal(new[1], s[1]):
+                if rules and angles_equal(new[0], s[0]) and angles_equal(
+                        new[1], s[1]):
                     continue  # the gate fixes the tracked state: drop it
                 states[qs[0]] = new
             out.append(inst)
@@ -233,16 +241,21 @@ def _qbo(c: Circuit) -> tuple[Circuit, bool]:
             else:
                 out.append(inst)
                 continue
-        if k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
+        if blocks and k in _BLOCK_CX_COST and not mask and (
+                prep := _resynth_block(c, inst, todo, states)) is not None:
+            out.extend(prep)
+        elif k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
             # A validated SWAPZ is a SWAP.  The rule acts as the SWAP on its
             # tracked inputs, so the states are exchanged whatever it emits.
-            # Only ray states count as known here; qpo uses the rest.
-            pair = states[qs[0]], states[qs[1]]
-            sa, sb = (s if ray(s) is not _TOP else None for s in pair)
-            off_ray = off_ray or sa is not pair[0] or sb is not pair[1]
+            # With the rules on only ray states count as known here; qpo
+            # uses the rest.
+            sa, sb = pair = states[qs[0]], states[qs[1]]
+            if rules:
+                sa, sb = (s if ray(s) is not _TOP else None for s in pair)
+                off_ray = off_ray or sa is not pair[0] or sb is not pair[1]
             out.extend(swap_rule(sa, sb, *qs, gates))
             tr.swap(*qs)
-        elif k in _KEEP_ALWAYS or (
+        elif k in _KEEP_ALWAYS or not rules or (
                 rewrite := _qbo_rule(inst, states, ray)) is None:
             out.append(inst)
             tr.step(inst)
@@ -259,94 +272,60 @@ _BLOCK_KINDS = GATES_1Q | {_K.CX, _K.CZ, _K.SWAP, _K.SWAPZ}
 _BLOCK_CX_COST = {_K.CX: 1, _K.CZ: 1, _K.SWAP: 3, _K.SWAPZ: 2}
 
 
-def _remap(inst: Instruction, wires) -> Instruction:
-    return _i(inst.kind, tuple(wires[q] for q in inst.qubits),
-              inst.params, inst.clbits, inst.open_mask)
+def _resynth_block(c: Circuit, inst: Instruction, todo: list,
+                   states: list) -> list[Instruction] | None:
+    """The replacement of the maximal two-qubit run that `inst` opens, when
+    both its wires are known and the run holds two or more CX; else None,
+    and `inst` goes on through the traversal.
+
+    The run's later gates are taken from the end of `todo`, the remaining
+    input in reverse, stepping past gates on other wires (they commute with
+    the run), and deleted from it.  The run becomes a state-preparation
+    circuit of at most one CX for its output on the known inputs; its wires
+    keep that output's states when it is a product, and are unknown
+    otherwise."""
+    a, b = qs = inst.qubits
+    sa, sb = states[a], states[b]
+    if sa is None or sb is None:
+        return None
+    pair, taken, cost = set(qs), [], _BLOCK_CX_COST[inst.kind]
+    for j in range(len(todo) - 1, -1, -1):
+        k, wires, _, _, mask = todo[j]
+        if pair.isdisjoint(wires):
+            continue
+        if mask or k not in _BLOCK_KINDS or not pair.issuperset(wires):
+            break
+        taken.append(j)
+        cost += _BLOCK_CX_COST.get(k, 0)
+    if cost < 2:
+        return None
+    block = [inst, *(todo[j] for j in taken)]
+    for j in taken:  # descending, so each index still holds its entry
+        del todo[j]
+    import numpy as np
+    init = np.kron(pure_state_vector(*sa), pure_state_vector(*sb))
+    target = np.asarray(simulate(c.replace(block), init, wires=qs))
+    svd = u, s, vh = np.linalg.svd(target.reshape(2, 2))
+    prep = prepare_two_qubit_state(target, sa, sb, svd=svd)
+    if s[1] <= 1e-7:  # product output: states stay known
+        states[a], states[b] = vector_to_pure(u[:, 0]), vector_to_pure(vh[0, :])
+    else:
+        states[a] = states[b] = None
+    return [_i(p.kind, tuple(qs[q] for q in p.qubits), p.params)
+            for p in prep.instructions]
 
 
 def qpo(c: Circuit, *, resynth_blocks: bool = False) -> Circuit:
-    """Pure-state rewrite pass.
+    """Pure-state rewrite pass: qbo's traversal (`_qbo`) with its rules off.
 
     SWAPs, and SWAPZs whose designated wire is |0>, go through `swap_rule`
     with the operands' tracked pure states, which are then exchanged as in
-    qbo.  With `resynth_blocks`, maximal two-qubit runs whose inputs are both
-    known and that contain two or more CX are replaced by a state-preparation
-    circuit with at most one CX.
-    A gate whose operands are all unknown, other than RESET and ANNOT, is
-    kept as it is before any of these tests: none of them can fire, and the
-    gate leaves its operands unknown.
-    """
-    out: list[Instruction] = []
-    tr = Tracker(c.n_qubits)
-    states = tr.states
-    gates = _Memo(_swap_gates)
-    insts = c.instructions
-    consumed: set[int] = set()
-
-    def collect_block(start: int, a: int, b: int) -> tuple[list[int], int]:
-        pair = {a, b}
-        members, cost = [], 0
-        j = start
-        while j < len(insts):
-            ins = insts[j]
-            wires = set(ins.qubits)
-            if j > start and not (wires & pair):
-                j += 1
-                continue  # disjoint wires: commutes past the block
-            if wires <= pair and ins.kind in _BLOCK_KINDS and not ins.open_mask:
-                members.append(j)
-                cost += _BLOCK_CX_COST.get(ins.kind, 0)
-                j += 1
-                continue
-            break
-        return members, cost
-
-    for i, inst in enumerate(insts):
-        if i in consumed:
-            continue
-        k, qs = inst.kind, inst.qubits
-        # A gate whose operands are all TOP is kept: no rule fires and it
-        # leaves them TOP.
-        for q in qs:
-            if states[q] is not None:
-                break
-        else:
-            if k is not _RESET and k is not _ANNOT:
-                out.append(inst)
-                continue
-
-        if resynth_blocks and k in _BLOCK_CX_COST and not inst.open_mask:
-            a, b = qs
-            sa, sb = states[a], states[b]
-            if sa is not None and sb is not None:
-                members, cost = collect_block(i, a, b)
-                if cost >= 2:
-                    import numpy as np
-                    init = np.kron(pure_state_vector(*sa), pure_state_vector(*sb))
-                    target = np.asarray(simulate(
-                        c.replace([insts[j] for j in members]), init,
-                        wires=(a, b)))
-                    svd = u, s, vh = np.linalg.svd(target.reshape(2, 2))
-                    prep = prepare_two_qubit_state(target, sa, sb, svd=svd)
-                    for p in prep.instructions:
-                        out.append(_remap(p, (a, b)))
-                    if s[1] <= 1e-7:  # product output: states stay known
-                        states[a] = vector_to_pure(u[:, 0])
-                        states[b] = vector_to_pure(vh[0, :])
-                    else:
-                        tr.set_top((a, b))
-                    consumed.update(members)
-                    continue
-
-        if k is _SWAP or (k is _SWAPZ and is_zero(states[qs[1]])):
-            # A validated SWAPZ is a SWAP; the states are exchanged as in qbo.
-            out.extend(swap_rule(states[qs[0]], states[qs[1]], *qs, gates))
-            tr.swap(*qs)
-        else:
-            out.append(inst)
-            tr.step(inst)
-
-    return c.replace(out)
+    qbo; no other gate is rewritten or dropped.  With `resynth_blocks`,
+    maximal two-qubit runs whose inputs are both known and that contain two
+    or more CX are replaced by a state-preparation circuit with at most one
+    CX (`_resynth_block`).  A gate whose operands are all unknown is kept as
+    it is, as in qbo."""
+    return _qbo(c, rules=False, blocks=resynth_blocks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +509,14 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
 
     Stage order: basis-state pass; unroll keeping SWAP/SWAPZ; layout+routing
     (when a coupling map is given); basis-state pass again (for the routed
-    SWAPs); 1q-run merging and the pure-state pass; then the cleanup,
-    `_merge_runs(cur, cancel=True)`: one pass that expands the SWAP/SWAPZ
-    left, merges 1q runs, cancels CX pairs and merges the runs a cancelled
-    pair joins, dropping those that fuse to the identity; nothing more
-    merges or cancels in its output.  The second basis-state pass is not
-    unrolled: on unrolled input it emits only basis kinds, SWAP/SWAPZ, X
-    and Z, and the merges fuse a named 1q gate to the u-gate unroll would.
+    SWAPs); 1q-run merging and the pure-state pass (the same traversal,
+    rules off); then the cleanup, `_merge_runs(cur, cancel=True)`: one pass
+    that expands the SWAP/SWAPZ left, merges 1q runs, cancels CX pairs and
+    merges the runs a cancelled pair joins, dropping those that fuse to the
+    identity; nothing more merges or cancels in its output.  The second
+    basis-state pass is not unrolled: on unrolled input it emits only basis
+    kinds, SWAP/SWAPZ, X and Z, and the merges fuse a named 1q gate to the
+    u-gate unroll would.
 
     Stages that cannot change the circuit are skipped:
     - without qpo, the pre-qpo merge;
@@ -545,10 +525,11 @@ def pipeline(c: Circuit, opts: PipelineOptions | None = None) -> Circuit:
       operand known off the rays (`_qbo`), or, without that pass, no SWAP
       or SWAPZ is left.  The cleanup gives the same output on merged and
       unmerged input.
-    The cleanup cannot change a tracked state, so qbo (at most twice) and
-    qpo (once) are not re-run.  The output's layout says where the source's
-    own wires end up: a source that has a layout keeps it, composed with
-    the routing's.  Deterministic for fixed (circuit, options)."""
+    The cleanup cannot change a tracked state, so the traversal runs at
+    most three times: qbo twice and qpo once.  The output's layout says
+    where the source's own wires end up: a source that has a layout keeps
+    it, composed with the routing's.  Deterministic for fixed (circuit,
+    options)."""
     opts = opts or PipelineOptions()
     # SWAP/SWAPZ stay compound until after the pure-state pass, which is the
     # only consumer that can strength-reduce them; the cleanup expands the

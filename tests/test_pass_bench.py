@@ -167,11 +167,12 @@ def test_pipeline_routed(benchmark, circuit, config):
 
 # Each source on line15 with the stages after the second qbo: qpo and its
 # merge run only where a SWAP has an operand known off the rays, as one of
-# qv_like10's does and none of grover6's.
+# qv_like10's does and none of grover6's.  qpo runs its own _qbo traversal.
 ROUTED_TAIL = {
     "grover6": (PIPELINE_IN["grover6"], ["_qbo", "_merge_runs+cancel"]),
     "qv_like10": (lambda: gen_qv_like(10, 10, 7),
-                  ["_qbo", "merge_1q_runs", "qpo", "_merge_runs+cancel"]),
+                  ["_qbo", "merge_1q_runs", "qpo", "_qbo",
+                   "_merge_runs+cancel"]),
 }
 
 
@@ -189,7 +190,7 @@ def test_pipeline_routed_runs_one_cleanup_pass(monkeypatch, circuit):
         calls.append("_merge_runs+cancel" if cancel else "_merge_runs"),
         merge(cur, cancel=cancel))[1])
     pipeline(make(), PipelineOptions(coupling=LINE15))
-    assert calls.count("_qbo") == 2
+    assert calls.count("_qbo") == 2 + calls.count("qpo")
     second = calls.index("_qbo", calls.index("_qbo") + 1)
     assert calls[second:] == tail
 

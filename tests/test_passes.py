@@ -774,6 +774,27 @@ class TestQPO:
         assert cx_count(out) <= 1
         assert equivalent_up_to_global_phase(c, out).equivalent
 
+    def test_block_output_states_reach_the_swap_after_it(self):
+        # Blocks are taken inside the one traversal: the CX pair's product
+        # output leaves wire 1 known, so the SWAP that follows has one known
+        # operand and costs 2 CX, beside the entangler on wires 2 and 3.
+        # Were the SWAPs rewritten before the blocks, wire 1 would be unknown
+        # at the SWAP, which would keep its 3 CX: 4 in all.
+        c = parse_program(
+            "qreg q[4]; h q[2]; cx q[2],q[3]; u3(0.3,0.2,0.1) q[0];"
+            " u3(0.7,0.1,0.4) q[1]; cx q[0],q[1]; cx q[0],q[1];"
+            " swap q[1],q[2];")
+        out = qpo(c, resynth_blocks=True)
+        assert cx_count(unroll(out)) == 3
+        assert equivalent_up_to_global_phase(c, out).equivalent
+
+    def test_rules_off(self):
+        # qpo is qbo's traversal with the rules off: the u1 that fixes |0>
+        # and the CX whose control is |0> stay, where qbo drops both.
+        c = parse_program("qreg q[2]; u1(0.3) q[0]; cx q[0],q[1];")
+        assert qpo(c).instructions == c.instructions
+        assert qbo(c).instructions == []
+
 
 class TestCouplingMap:
     def test_validation(self):
@@ -923,7 +944,8 @@ class TestPipeline:
             assert rep.equivalent, cmap
 
     # The stages pipeline() runs, by the names it calls them under (qbo
-    # runs as _qbo, which also says whether qpo has work); _merge_runs with
+    # runs as _qbo, which also says whether qpo has work, and qpo runs its
+    # own _qbo traversal with the rules off); _merge_runs with
     # cancel=True, the cleanup's merge-and-cancel pass, is recorded as
     # "_merge_runs+cancel".
     STAGES = ("_qbo", "unroll", "route", "merge_1q_runs", "qpo")
@@ -964,10 +986,10 @@ class TestPipeline:
             unroll(qbo(c), swap_basis), line_coupling(3))[0])
         calls = self._stages(monkeypatch, c, coupling=line_coupling(3))
         assert calls == ["_qbo", "unroll", "route", "_qbo", "merge_1q_runs",
-                         "qpo", "_merge_runs+cancel"]
+                         "qpo", "_qbo", "_merge_runs+cancel"]
         calls = self._stages(monkeypatch, parse_program(self.OFF_RAY_SRC))
         assert calls == ["_qbo", "unroll", "_qbo", "merge_1q_runs", "qpo",
-                         "_merge_runs+cancel"]
+                         "_qbo", "_merge_runs+cancel"]
         c = parse_program(self.SWAP_SRC)
         calls = self._stages(monkeypatch, c)
         assert calls == ["_qbo", "unroll", "_qbo", "_merge_runs+cancel"]
@@ -976,7 +998,7 @@ class TestPipeline:
         assert GateKind.SWAPZ in {i.kind for i in left.instructions}
         # Without qbo, any SWAP left runs them.
         calls = self._stages(monkeypatch, c, enable_qbo=False)
-        assert calls == ["unroll", "merge_1q_runs", "qpo",
+        assert calls == ["unroll", "merge_1q_runs", "qpo", "_qbo",
                          "_merge_runs+cancel"]
 
     def test_swap_free_compile_with_blocks_runs_qpo(self, monkeypatch):
@@ -984,7 +1006,7 @@ class TestPipeline:
         calls = self._stages(monkeypatch, gen_qpe(4, 5 / 16),
                              enable_block_resynth=True)
         assert calls == ["_qbo", "unroll", "_qbo", "merge_1q_runs", "qpo",
-                         "_merge_runs+cancel"]
+                         "_qbo", "_merge_runs+cancel"]
 
     @pytest.mark.parametrize("cmap", [None, line_coupling(5)],
                              ids=["unrouted", "line5"])
